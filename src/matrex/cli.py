@@ -217,8 +217,6 @@ def build_parser() -> _Parser:
     p.add_argument("--time-limit", type=float, default=None,
                    help="wall-clock limit in seconds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count; results are identical for any value")
     common(p)
     p.set_defaults(func=cmd_search_shift2)
 

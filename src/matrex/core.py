@@ -36,8 +36,8 @@ def _as_int(value) -> int:
 class Matroid(ABC):
     """A matroid on ground set {0, ..., n-1} given by an independence oracle.
 
-    Subclasses implement ``_indep`` on validated frozensets; this base class
-    adds id validation, query memoisation, and the derived operations.
+    Subclasses implement ``_indep`` on trusted frozensets.  The public methods
+    validate ids once; internal code calls the memoised ``_query`` directly.
     """
 
     def __init__(self, ground_size: int):
@@ -65,11 +65,13 @@ class Matroid(ABC):
         return s
 
     def is_independent(self, elements) -> bool:
-        s = self.check_subset(elements)
+        return self._query(self.check_subset(elements))
+
+    def _query(self, s: ElementSet) -> bool:
+        """Memoised independence of a set of already validated ids."""
         cached = self._memo.get(s)
         if cached is None:
-            cached = self._indep(s)
-            self._memo[s] = cached
+            cached = self._memo[s] = self._indep(s)
         return cached
 
     @abstractmethod
@@ -87,7 +89,7 @@ class Matroid(ABC):
         picked: set[int] = set()
         for e in sorted(s):
             picked.add(e)
-            if not self.is_independent(frozenset(picked)):
+            if not self._query(frozenset(picked)):
                 picked.discard(e)
         return frozenset(picked)
 
@@ -102,7 +104,7 @@ class Matroid(ABC):
 
     def is_basis(self, elements) -> bool:
         s = self.check_subset(elements)
-        return len(s) == self.full_rank() and self.is_independent(s)
+        return len(s) == self.full_rank() and self._query(s)
 
     def enumerate_bases(self, cap: int = ENUMERATION_CAP) -> list[ElementSet]:
         """All bases in lexicographic order; refuses ground sets above ``cap``."""
@@ -114,7 +116,7 @@ class Matroid(ABC):
         return [
             frozenset(combo)
             for combo in itertools.combinations(range(self._n), r)
-            if self.is_independent(frozenset(combo))
+            if self._query(frozenset(combo))
         ]
 
     def restrict(self, elements) -> "Restriction":
@@ -132,6 +134,8 @@ class UniformMatroid(Matroid):
 
     def _indep(self, s: ElementSet) -> bool:
         return len(s) <= self.rank_bound
+
+    _query = _indep  # O(1): a memo would only cost memory
 
     def __repr__(self) -> str:
         return f"UniformMatroid(n={self._n}, r={self.rank_bound})"
@@ -347,7 +351,9 @@ class Restriction(Matroid):
         self.index = {e: j for j, e in enumerate(self.elements)}
 
     def _indep(self, s: ElementSet) -> bool:
-        return self.inner.is_independent(frozenset(self.elements[j] for j in s))
+        return self.inner._query(frozenset(self.elements[j] for j in s))
+
+    _query = _indep  # a relabelling only: the inner matroid keeps the memo
 
     def to_inner(self, local) -> ElementSet:
         """Map a set of local ids back to inner-matroid ids."""
@@ -396,7 +402,9 @@ class SlotMatroid(Matroid):
             if e in proj:
                 return False
             proj.add(e)
-        return self.inner.is_independent(frozenset(proj))
+        return self.inner._query(frozenset(proj))
+
+    _query = _indep  # a relabelling only: the inner matroid keeps the memo
 
     def project(self, slot_ids) -> ElementSet:
         """Inner elements covered by the given slots."""

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid, Restriction, SlotMatroid, canon, disjoint_copies
+from .core import ElementSet, Matroid, SlotMatroid, canon, disjoint_copies
 from .errors import InternalVerificationError, ValidationError
-from .union import Arm, DeficiencyCertificate, PartitionProblem, matroid_partition
+from .union import DeficiencyCertificate, PartitionProblem, matroid_partition
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,12 @@ class ColorClasses:
     """Slot-level structure of the exchange: per-slot lists and their classes.
 
     ``lists[s]`` is the set of part indices slot s may join; class j collects
-    the slots whose list contains j, and ``restricted[j]`` is the lift
-    restricted to class j.  Part indices are 0-based: part 0 receives the
-    shifted copy of basis 0, part j the shifted copy of basis j.
+    the slots whose list contains j.  Part indices are 0-based: part 0
+    receives the shifted copy of basis 0, part j the shifted copy of basis j.
     """
 
     lifted: SlotMatroid
     classes: tuple[ElementSet, ...]
-    restricted: tuple[Restriction, ...]
     lists: tuple[frozenset[int], ...]
 
 
@@ -89,8 +87,7 @@ def build_color_classes(instance: ExchangeInstance) -> ColorClasses:
         frozenset(s for s, allowed in enumerate(lists) if j in allowed)
         for j in range(k)
     )
-    restricted = tuple(lifted.restrict(c) for c in classes)
-    return ColorClasses(lifted, classes, restricted, tuple(lists))
+    return ColorClasses(lifted, classes, tuple(lists))
 
 
 @dataclass(frozen=True)
@@ -114,10 +111,7 @@ def check_rank_inequality(classes: ColorClasses, slot_set) -> RankInequalityChec
     diagnostic and test hook, returning the per-class rank ledger.
     """
     a = classes.lifted.check_subset(slot_set)
-    terms = tuple(
-        restriction.rank(restriction.from_inner(a & cls))
-        for cls, restriction in zip(classes.classes, classes.restricted)
-    )
+    terms = tuple(classes.lifted.rank(a & cls) for cls in classes.classes)
     return RankInequalityCheck(sum(terms) >= len(a), len(a), terms)
 
 
@@ -145,19 +139,12 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
     k = instance.k
 
     if k == 1:
-        lifted = disjoint_copies(matroid, bases)
-        return ExchangeResult(
-            parts=(seed,),
-            shifted=(bases[0],),
-            partition=(lifted.ground_set(),),
-        )
+        slots = frozenset(range(len(bases[0])))
+        return ExchangeResult(parts=(seed,), shifted=(bases[0],), partition=(slots,))
 
     classes = build_color_classes(instance)
     lifted = classes.lifted
-    problem = PartitionProblem(
-        lifted.ground_set(),
-        [Arm(c, r) for c, r in zip(classes.classes, classes.restricted)],
-    )
+    problem = PartitionProblem.from_restrictions(lifted, classes.classes)
     outcome = matroid_partition(problem)
     if isinstance(outcome, DeficiencyCertificate):
         raise InternalVerificationError(

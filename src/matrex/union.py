@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid
+from .core import ElementSet, Matroid, Restriction
 from .errors import InternalVerificationError, ValidationError
 
 
@@ -19,7 +19,8 @@ class Arm:
     """One target of the partition: an allowed set and a matroid on it.
 
     The matroid's ground set is the dense re-index of ``allowed`` in
-    ascending order (exactly what ``Matroid.restrict`` produces).
+    ascending order (exactly what ``Matroid.restrict`` produces).  Queries
+    relabel universe ids in one step onto the matroid beneath any restrictions.
     """
 
     def __init__(self, allowed, matroid: Matroid):
@@ -30,23 +31,25 @@ class Arm:
                 f"arm matroid has {matroid.ground_size} elements, "
                 f"allowed set has {len(self.allowed)}"
             )
-        self._local = {e: j for j, e in enumerate(sorted(self.allowed))}
+        ids = range(len(self.allowed))
+        while isinstance(matroid, Restriction):
+            ids = [matroid.elements[j] for j in ids]
+            matroid = matroid.inner
+        self._base = matroid
+        self._to_base = dict(zip(sorted(self.allowed), ids))
 
     def is_independent(self, subset) -> bool:
         """Independence of a set of universe ids (must lie inside allowed)."""
-        return self.matroid.is_independent(self._to_local(subset))
+        return self._base._query(self._relabel(subset))
 
     def rank(self, subset) -> int:
-        return self.matroid.rank(self._to_local(subset))
+        return self._base.rank(self._relabel(subset))
 
-    def _to_local(self, subset) -> ElementSet:
-        local = set()
-        for e in subset:
-            j = self._local.get(e)
-            if j is None:
-                raise ValidationError(f"element {e} is outside the arm's allowed set")
-            local.add(j)
-        return frozenset(local)
+    def _relabel(self, subset) -> ElementSet:
+        try:
+            return frozenset(map(self._to_base.__getitem__, subset))
+        except KeyError as exc:
+            raise ValidationError(f"element {exc.args[0]} is outside the arm's allowed set") from None
 
 
 class PartitionProblem:
@@ -134,7 +137,8 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
             return _certificate(arms, reached)
 
     result = Partition(tuple(frozenset(p) for p in parts))
-    assert verify_partition(problem, result)
+    if not verify_partition(problem, result):
+        raise InternalVerificationError("the computed partition failed re-verification")
     return result
 
 

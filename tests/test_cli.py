@@ -191,8 +191,10 @@ class TestSearchShift2:
         assert obj["report"]["candidates_checked"] == 0
 
     def test_k2_exits_1(self):
-        proc = run_cli("search-shift2", "--k", "2")
-        assert proc.returncode == 1
+        for argv in (("--k", "2"), ("--k", "3", "--threads", "2")):
+            proc = run_cli("search-shift2", *argv)
+            assert proc.returncode == 1
+            assert proc.stdout == ""
 
 
 class TestDeterminism:

@@ -21,6 +21,8 @@ from matrex import (
     symmetric_exchange_single,
 )
 
+from matrex import core, union
+
 from helpers import K4_EDGES, is_forest, mask_to_set
 
 
@@ -293,3 +295,72 @@ class TestExchangePropertyAtScale:
                 assert is_forest(sorted(result.shifted[i]), inst.matroid.edges, 5)
             count += 1
         assert count >= 40
+
+
+def seeded_instance(matroid, k, seed):
+    """k bases by shuffled greedy completion and a random seed subset of the first."""
+    rng = random.Random(seed)
+    bases = []
+    for _ in range(k):
+        order = list(range(matroid.ground_size))
+        rng.shuffle(order)
+        picked = frozenset()
+        for e in order:
+            if matroid.is_independent(picked | {e}):
+                picked |= {e}
+        bases.append(picked)
+    a1 = frozenset(e for e in sorted(bases[0]) if rng.getrandbits(1))
+    return ExchangeInstance(matroid, tuple(bases), a1)
+
+
+K6_EDGES = [[u, v] for u in range(6) for v in range(u + 1, 6)]
+
+
+class TestOracleBoundary:
+    """Ids are validated at the public entry points, and only the base matroid
+    keeps a memo."""
+
+    def test_wrapper_layers_keep_no_memo(self, monkeypatch):
+        created = []
+        init = core.Matroid.__init__
+
+        def recording_init(self, ground_size):
+            init(self, ground_size)
+            created.append(self)
+
+        monkeypatch.setattr(core.Matroid, "__init__", recording_init)
+        k6 = GraphicMatroid(6, K6_EDGES)
+        cyclic_exchange(seeded_instance(k6, 3, seed=1))
+        cyclic_exchange(seeded_instance(UniformMatroid(6, 3), 3, seed=1))
+
+        wrappers = [m for m in created
+                    if isinstance(m, (core.Restriction, core.SlotMatroid, UniformMatroid))]
+        assert {type(m) for m in wrappers} == {
+            core.Restriction, core.SlotMatroid, UniformMatroid}
+        assert all(m._memo == {} for m in wrappers)
+        assert k6._memo
+
+    def test_check_subset_calls_do_not_grow_with_queries(self, monkeypatch):
+        counts = {"check": 0, "query": 0}
+        check, query = core.Matroid.check_subset, union.Arm.is_independent
+
+        def counting_check(self, elements):
+            counts["check"] += 1
+            return check(self, elements)
+
+        def counting_query(self, subset):
+            counts["query"] += 1
+            return query(self, subset)
+
+        monkeypatch.setattr(core.Matroid, "check_subset", counting_check)
+        monkeypatch.setattr(union.Arm, "is_independent", counting_query)
+        observed = []
+        for seed in (1, 2):
+            inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed)
+            counts.update(check=0, query=0)
+            cyclic_exchange(inst)
+            observed.append((counts["check"], counts["query"]))
+
+        (check1, query1), (check2, query2) = observed
+        assert query1 != query2
+        assert check1 == check2 < min(query1, query2)

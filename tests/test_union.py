@@ -1,5 +1,10 @@
 """Matroid partition: augmenting-path solver vs exhaustive assignment search."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from matrex import (
@@ -130,3 +135,41 @@ class TestValidation:
     def test_arm_ground_size_mismatch(self):
         with pytest.raises(ValidationError):
             Arm({0, 1}, UniformMatroid(3, 1))
+
+    def test_arm_rejects_id_outside_allowed(self):
+        # two stacked restrictions: the arm relabels straight onto K_4
+        k4 = GraphicMatroid(4, K4_EDGES)
+        arm = Arm({1, 3, 4}, k4.restrict({1, 3, 4}).restrict({0, 1, 2}))
+        assert arm.is_independent({1, 4}) and arm.rank({1, 3, 4}) == 3
+        for query in (arm.is_independent, arm.rank):
+            for bad in ({0}, {1, 2}, {6}):
+                with pytest.raises(ValidationError, match="outside the arm's allowed set"):
+                    query(bad)
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+_FAILED_VERIFICATION = """
+import matrex.union as union
+from matrex import InternalVerificationError, UniformMatroid
+union.verify_partition = lambda problem, partition: False
+m = UniformMatroid(2, 1)
+problem = union.PartitionProblem.from_restrictions(m, [m.ground_set()] * 2)
+print("debug", __debug__)
+try:
+    union.matroid_partition(problem)
+except InternalVerificationError as exc:
+    print("raised", exc)
+"""
+
+
+def test_final_verification_survives_optimize_flag():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAILED_VERIFICATION],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False", "raised the computed partition failed re-verification"]
