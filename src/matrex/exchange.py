@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid, SlotMatroid, canon, disjoint_copies
+from .core import ElementSet, Matroid, SlotMatroid, canon
 from .errors import InternalVerificationError, ValidationError
 from .union import DeficiencyCertificate, PartitionProblem, matroid_partition
 
@@ -72,7 +72,11 @@ def build_color_classes(instance: ExchangeInstance) -> ColorClasses:
     if instance.k < 2:
         raise ValidationError("color classes are defined for k >= 2")
     k = instance.k
-    lifted = disjoint_copies(instance.matroid, instance.bases)
+    # The slots of ``disjoint_copies``, without re-checking the bases that
+    # ExchangeInstance has already validated.
+    lifted = SlotMatroid(
+        instance.matroid, [(i, e) for i, b in enumerate(instance.bases) for e in sorted(b)]
+    )
 
     lists: list[frozenset[int]] = []
     for tag, element in lifted.slots:

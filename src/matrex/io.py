@@ -146,8 +146,8 @@ def bases_from_json(obj) -> tuple[list[frozenset[int]], frozenset[int] | None]:
 def problem_from_json(obj) -> PartitionProblem:
     """Parse a partition problem: a universe size and (matroid, allowed) arms.
 
-    Each arm's matroid is described on the full universe and restricted to
-    its allowed set.
+    Each arm's matroid is described on the full universe and queried in
+    universe ids inside its allowed set.
     """
     _require_keys(obj, {"universe", "arms"}, "problem file")
     n = _int_field(obj, "universe", "problem")
@@ -167,5 +167,5 @@ def problem_from_json(obj) -> PartitionProblem:
                 f"but the universe has {n}"
             )
         allowed = element_array(arm_obj["allowed"], f"arms[{i}].allowed")
-        arms.append(Arm(allowed, matroid.restrict(allowed)))
+        arms.append(Arm(allowed, matroid))
     return PartitionProblem(universe, arms)

@@ -1,7 +1,7 @@
 """Matroid partition by incremental augmenting paths.
 
 Partitions a universe into sets D_i, each independent in its own matroid
-M_i (living on an allowed subset C_i of the universe), or returns a
+M_i (queried only inside an allowed subset C_i of the universe), or returns a
 deficiency certificate: a witness set whose total rank across the arms is
 smaller than its cardinality, which proves no full partition exists.
 """
@@ -11,45 +11,33 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid, Restriction
+from .core import ElementSet, Matroid
 from .errors import InternalVerificationError, ValidationError
 
 
 class Arm:
-    """One target of the partition: an allowed set and a matroid on it.
+    """One target of the partition: an allowed set and a matroid on the universe.
 
-    The matroid's ground set is the dense re-index of ``allowed`` in
-    ascending order (exactly what ``Matroid.restrict`` produces).  Queries
-    relabel universe ids in one step onto the matroid beneath any restrictions.
+    The matroid is queried in universe ids, and only on subsets of
+    ``allowed``; its elements outside ``allowed`` are never touched.
     """
 
     def __init__(self, allowed, matroid: Matroid):
-        self.allowed = frozenset(allowed)
+        self.allowed = matroid.check_subset(allowed)
         self.matroid = matroid
-        if matroid.ground_size != len(self.allowed):
-            raise ValidationError(
-                f"arm matroid has {matroid.ground_size} elements, "
-                f"allowed set has {len(self.allowed)}"
-            )
-        ids = range(len(self.allowed))
-        while isinstance(matroid, Restriction):
-            ids = [matroid.elements[j] for j in ids]
-            matroid = matroid.inner
-        self._base = matroid
-        self._to_base = dict(zip(sorted(self.allowed), ids))
 
     def is_independent(self, subset) -> bool:
         """Independence of a set of universe ids (must lie inside allowed)."""
-        return self._base._query(self._relabel(subset))
+        return self.matroid.is_independent(self._inside(subset))
 
     def rank(self, subset) -> int:
-        return self._base.rank(self._relabel(subset))
+        return self.matroid.rank(self._inside(subset))
 
-    def _relabel(self, subset) -> ElementSet:
-        try:
-            return frozenset(map(self._to_base.__getitem__, subset))
-        except KeyError as exc:
-            raise ValidationError(f"element {exc.args[0]} is outside the arm's allowed set") from None
+    def _inside(self, subset) -> ElementSet:
+        s = frozenset(subset)
+        for e in s - self.allowed:
+            raise ValidationError(f"element {e} is outside the arm's allowed set")
+        return s
 
 
 class PartitionProblem:
@@ -66,10 +54,14 @@ class PartitionProblem:
 
     @classmethod
     def from_restrictions(cls, matroid: Matroid, allowed_sets, universe=None) -> "PartitionProblem":
-        """Build arms by restricting one matroid to each allowed set."""
+        """Build one arm per allowed set, all sharing ``matroid``.
+
+        Each arm queries ``matroid`` directly in universe ids inside its
+        allowed set, which is the restriction of ``matroid`` to that set.
+        """
         if universe is None:
             universe = matroid.ground_set()
-        arms = [Arm(c, matroid.restrict(c)) for c in allowed_sets]
+        arms = [Arm(c, matroid) for c in allowed_sets]
         return cls(universe, arms)
 
     @property
@@ -156,22 +148,23 @@ def _augment(arms, parts, owner, source) -> set[int] | None:
     while queue:
         x = queue.popleft()
         for i, arm in enumerate(arms):
-            if x in arm.allowed and x not in parts[i] and arm.is_independent(parts[i] | {x}):
-                _apply_path(arms, parts, owner, parent, x, i)
+            if x in arm.allowed and x not in parts[i] \
+                    and arm.matroid._query(frozenset(parts[i] | {x})):
+                _apply_path(parts, owner, parent, x, i)
                 return None
         for y in sorted(owner):
             if y in parent:
                 continue
             j = owner[y]
             if x in arms[j].allowed and x not in parts[j] \
-                    and arms[j].is_independent((parts[j] - {y}) | {x}):
+                    and arms[j].matroid._query(frozenset((parts[j] - {y}) | {x})):
                 parent[y] = x
                 queue.append(y)
 
     return set(parent)
 
 
-def _apply_path(arms, parts, owner, parent, last, sink_arm) -> None:
+def _apply_path(parts, owner, parent, last, sink_arm) -> None:
     """Apply the swaps along the path ending with ``last`` -> sink_arm."""
     chain = [last]
     while parent[chain[-1]] is not None:
@@ -187,13 +180,6 @@ def _apply_path(arms, parts, owner, parent, last, sink_arm) -> None:
         owner[chain[t - 1]] = owners[t]
     parts[sink_arm].add(last)
     owner[last] = sink_arm
-
-    if __debug__:
-        total = sum(len(p) for p in parts)
-        assert total == len(set().union(*parts)), "parts must stay disjoint"
-        assert all(
-            arm.is_independent(part) for arm, part in zip(arms, parts)
-        ), "parts must stay independent"
 
 
 def _certificate(arms, reached: set[int]) -> DeficiencyCertificate:

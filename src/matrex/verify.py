@@ -204,23 +204,6 @@ def _shift_sets(bases, parts, offset: int):
     return [(bases[i] - parts[i]) | parts[(i - offset) % k] for i in range(k)]
 
 
-def _shift1_satisfiable(is_basis, bases, seed) -> bool:
-    """Whether some tuple makes every shift-by-one set a basis (no gate)."""
-    k, m = len(bases), len(seed)
-    parts: list[ElementSet] = [seed] + [frozenset()] * (k - 1)
-
-    def extend(i: int) -> bool:
-        if i == k:
-            return is_basis((bases[0] - parts[0]) | parts[k - 1])
-        for combo in itertools.combinations(sorted(bases[i]), m):
-            parts[i] = frozenset(combo)
-            if is_basis((bases[i] - parts[i]) | parts[i - 1]) and extend(i + 1):
-                return True
-        return False
-
-    return extend(1)
-
-
 def _joint_shift_satisfiable(is_basis, bases, seed) -> bool:
     """Whether some tuple makes every shift-by-one AND shift-by-two set a
     basis.  Prunes each partial assignment as soon as a decided set fails."""
@@ -385,8 +368,6 @@ class _Search:
                     a1 = frozenset(a1_combo)
                     if _joint_shift_satisfiable(is_basis, bases, a1):
                         continue
-                    if not _shift1_satisfiable(is_basis, bases, a1):
-                        continue  # impossible for valid bases; never a witness
                     tuple_space = 1
                     for b in bases[1:]:
                         tuple_space *= math.comb(len(b), size)

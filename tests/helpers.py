@@ -17,6 +17,7 @@ from matrex import (
     PartitionProblem,
     UniformMatroid,
     disjoint_copies,
+    union,
 )
 
 K4_EDGES = [[0, 1], [1, 2], [2, 3], [0, 2], [1, 3], [0, 3]]
@@ -194,5 +195,25 @@ def random_problem(seed, max_n=8, max_k=3):
                 matroid = BasisMatroid(n, bases, validate=False)
         size = rng.randint(0, n)
         allowed = frozenset(rng.sample(range(n), size))
-        arms.append(Arm(allowed, matroid.restrict(allowed)))
+        arms.append(Arm(allowed, matroid))
     return PartitionProblem(frozenset(range(n)), arms)
+
+
+def check_every_augmentation(monkeypatch):
+    """Re-check the parts after every successful augmentation of the
+    partition solver: disjoint, and each independent in its arm through the
+    validated public query.  Returns the list of inserted sources."""
+    augment = union._augment
+    augmented = []
+
+    def checking(arms, parts, owner, source):
+        reached = augment(arms, parts, owner, source)
+        if reached is None:
+            assert sum(map(len, parts)) == len(set().union(*parts)), "parts must stay disjoint"
+            for arm, part in zip(arms, parts):
+                assert arm.is_independent(part), "parts must stay independent"
+            augmented.append(source)
+        return reached
+
+    monkeypatch.setattr(union, "_augment", checking)
+    return augmented

@@ -11,6 +11,7 @@ import pytest
 K4 = {"type": "graphic", "vertices": 4,
       "edges": [[0, 1], [1, 2], [2, 3], [0, 2], [1, 3], [0, 3]]}
 UNIFORM42 = {"type": "uniform", "n": 4, "rank": 2}
+UNIFORM3 = {"type": "uniform", "n": 3, "rank": 3}
 TWO_RANK1_ARMS = {
     "universe": 2,
     "arms": [
@@ -169,6 +170,30 @@ class TestPartition:
     def test_parse_error_exits_1(self, tmp_path):
         proc = run_cli("partition", write(tmp_path, "p.json", "{"))
         assert proc.returncode == 1
+
+    def test_allowed_id_out_of_range_exits_2(self, tmp_path):
+        obj = {"universe": 3, "arms": [{"matroid": UNIFORM3, "allowed": [0, 5, 7]}]}
+        proc = run_cli("partition", write(tmp_path, "p.json", obj))
+        assert proc.returncode == 2
+        assert "element 5 out of range for ground set of size 3" in proc.stderr
+
+    def test_arms_query_without_restriction(self, tmp_path, monkeypatch, capsys):
+        # in process, so the Restriction constructor can be watched
+        from matrex import cli, core
+
+        created = []
+        init = core.Restriction.__init__
+
+        def recording_init(self, inner, kept):
+            created.append(self)
+            init(self, inner, kept)
+
+        monkeypatch.setattr(core.Restriction, "__init__", recording_init)
+        obj = {"universe": 6, "arms": [
+            {"matroid": K4, "allowed": [1, 3, 4]}, {"matroid": K4, "allowed": [0, 2, 5]}]}
+        assert cli.main(["partition", write(tmp_path, "p.json", obj)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"parts": [[1, 3, 4], [0, 2, 5]]}
+        assert created == []
 
 
 class TestSearchShift2:

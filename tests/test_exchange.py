@@ -21,9 +21,9 @@ from matrex import (
     symmetric_exchange_single,
 )
 
-from matrex import core, union
+from matrex import core
 
-from helpers import K4_EDGES, is_forest, mask_to_set
+from helpers import K4_EDGES, check_every_augmentation, is_forest, mask_to_set
 
 
 def uniform_triple():
@@ -317,8 +317,8 @@ K6_EDGES = [[u, v] for u in range(6) for v in range(u + 1, 6)]
 
 
 class TestOracleBoundary:
-    """Ids are validated at the public entry points, and only the base matroid
-    keeps a memo."""
+    """Ids are validated at the public entry points, only the base matroid
+    keeps a memo, and arms query the lifted matroid without a restriction."""
 
     def test_wrapper_layers_keep_no_memo(self, monkeypatch):
         created = []
@@ -333,16 +333,15 @@ class TestOracleBoundary:
         cyclic_exchange(seeded_instance(k6, 3, seed=1))
         cyclic_exchange(seeded_instance(UniformMatroid(6, 3), 3, seed=1))
 
-        wrappers = [m for m in created
-                    if isinstance(m, (core.Restriction, core.SlotMatroid, UniformMatroid))]
-        assert {type(m) for m in wrappers} == {
-            core.Restriction, core.SlotMatroid, UniformMatroid}
+        assert not any(isinstance(m, core.Restriction) for m in created)
+        wrappers = [m for m in created if isinstance(m, (core.SlotMatroid, UniformMatroid))]
+        assert {type(m) for m in wrappers} == {core.SlotMatroid, UniformMatroid}
         assert all(m._memo == {} for m in wrappers)
         assert k6._memo
 
     def test_check_subset_calls_do_not_grow_with_queries(self, monkeypatch):
         counts = {"check": 0, "query": 0}
-        check, query = core.Matroid.check_subset, union.Arm.is_independent
+        check, query = core.Matroid.check_subset, core.SlotMatroid._query
 
         def counting_check(self, elements):
             counts["check"] += 1
@@ -353,7 +352,7 @@ class TestOracleBoundary:
             return query(self, subset)
 
         monkeypatch.setattr(core.Matroid, "check_subset", counting_check)
-        monkeypatch.setattr(union.Arm, "is_independent", counting_query)
+        monkeypatch.setattr(core.SlotMatroid, "_query", counting_query)
         observed = []
         for seed in (1, 2):
             inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed)
@@ -364,3 +363,24 @@ class TestOracleBoundary:
         (check1, query1), (check2, query2) = observed
         assert query1 != query2
         assert check1 == check2 < min(query1, query2)
+
+    def test_bases_are_checked_once_per_solve(self, monkeypatch):
+        # k checks in ExchangeInstance and k on the shifted sets; the lift
+        # trusts the validated instance
+        calls = []
+        is_basis = core.Matroid.is_basis
+
+        def counting_is_basis(self, elements):
+            calls.append(self)
+            return is_basis(self, elements)
+
+        monkeypatch.setattr(core.Matroid, "is_basis", counting_is_basis)
+        k6 = GraphicMatroid(6, K6_EDGES)
+        cyclic_exchange(seeded_instance(k6, 3, seed=1))
+        assert calls == [k6] * 6
+
+    def test_every_augmentation_keeps_parts_independent(self, monkeypatch):
+        augmented = check_every_augmentation(monkeypatch)
+        inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed=1)
+        cyclic_exchange(inst)
+        assert len(augmented) == sum(len(b) for b in inst.bases)

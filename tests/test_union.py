@@ -1,16 +1,20 @@
 """Matroid partition: augmenting-path solver vs exhaustive assignment search."""
 
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrex import (
     Arm,
     DeficiencyCertificate,
     GraphicMatroid,
+    LinearMatroid,
     Partition,
     PartitionProblem,
     UniformMatroid,
@@ -19,7 +23,13 @@ from matrex import (
     verify_partition,
 )
 
-from helpers import K4_EDGES, is_forest, partition_exists_exhaustive, random_problem
+from helpers import (
+    K4_EDGES,
+    check_every_augmentation,
+    is_forest,
+    partition_exists_exhaustive,
+    random_problem,
+)
 
 
 def two_arm_uniform(n, rank):
@@ -129,22 +139,87 @@ class TestValidation:
 
     def test_arm_outside_universe_rejected(self):
         m = UniformMatroid(3, 1)
-        with pytest.raises(ValidationError):
-            PartitionProblem({0, 1}, [Arm({0, 2}, m.restrict({0, 2}))])
+        with pytest.raises(ValidationError, match="outside the universe"):
+            PartitionProblem({0, 1}, [Arm({0, 2}, m)])
 
     def test_arm_ground_size_mismatch(self):
-        with pytest.raises(ValidationError):
-            Arm({0, 1}, UniformMatroid(3, 1))
+        # the allowed set must lie inside the arm matroid's ground set
+        with pytest.raises(ValidationError, match="out of range"):
+            Arm({0, 3}, UniformMatroid(3, 1))
 
     def test_arm_rejects_id_outside_allowed(self):
-        # two stacked restrictions: the arm relabels straight onto K_4
         k4 = GraphicMatroid(4, K4_EDGES)
-        arm = Arm({1, 3, 4}, k4.restrict({1, 3, 4}).restrict({0, 1, 2}))
+        arm = Arm({1, 3, 4}, k4)
         assert arm.is_independent({1, 4}) and arm.rank({1, 3, 4}) == 3
         for query in (arm.is_independent, arm.rank):
             for bad in ({0}, {1, 2}, {6}):
                 with pytest.raises(ValidationError, match="outside the arm's allowed set"):
                     query(bad)
+
+    def test_arm_rejects_non_integer_ids(self):
+        arm = Arm({0, 1}, UniformMatroid(3, 1))
+        for query in (arm.is_independent, arm.rank):
+            with pytest.raises(ValidationError, match="expected an integer"):
+                query({1.0})
+
+    def test_restricted_arm_matroid_is_prefix_only(self):
+        # The arm matroid lives on the universe.  A restriction to C has
+        # ground set {0..|C|-1}, so it only fits an arm whose allowed set is
+        # that prefix, where it answers exactly as the unrestricted matroid.
+        k4 = GraphicMatroid(4, K4_EDGES)
+        prefix = {0, 1, 2, 3}
+        old, new = Arm(prefix, k4.restrict(prefix)), Arm(prefix, k4)
+        for size in range(5):
+            for subset in itertools.combinations(sorted(prefix), size):
+                assert old.is_independent(subset) == new.is_independent(subset)
+                assert old.rank(subset) == new.rank(subset)
+        for allowed in ({1, 3}, {0, 2}, {2, 3, 4}):
+            with pytest.raises(ValidationError, match="out of range"):
+                Arm(allowed, k4.restrict(allowed))
+
+
+@st.composite
+def arm_cases(draw):
+    """A uniform, graphic or linear matroid, an allowed set and a subset of it."""
+    n = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(("uniform", "graphic", "linear")))
+    if kind == "uniform":
+        matroid = UniformMatroid(n, draw(st.integers(0, n)))
+    elif kind == "graphic":
+        vertices = draw(st.integers(1, 5))
+        vertex = st.integers(0, vertices - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=n))
+        matroid = GraphicMatroid(vertices, edges)
+    else:
+        prime = draw(st.sampled_from((2, 3)))
+        rows = draw(st.integers(1, 3))
+        column = st.lists(st.integers(0, prime - 1), min_size=rows, max_size=rows)
+        matroid = LinearMatroid(prime, rows, draw(st.lists(column, min_size=n, max_size=n)))
+    allowed = draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
+    subset = draw(st.frozensets(st.sampled_from(sorted(allowed)))) if allowed else frozenset()
+    return matroid, allowed, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(arm_cases())
+def test_arm_matches_restriction(case):
+    # reference path: the dense restriction to the allowed set, in local ids
+    matroid, allowed, subset = case
+    arm = Arm(allowed, matroid)
+    restricted = matroid.restrict(allowed)
+    local = restricted.from_inner(subset)
+    assert arm.is_independent(subset) == restricted.is_independent(local)
+    assert arm.rank(subset) == restricted.rank(local)
+
+
+def test_every_augmentation_keeps_parts_independent(monkeypatch):
+    augmented = check_every_augmentation(monkeypatch)
+    inserted = 0
+    for seed in range(120):
+        problem = random_problem(seed)
+        if isinstance(matroid_partition(problem), Partition):
+            inserted += len(problem.universe)
+    assert len(augmented) >= inserted > 0
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
