@@ -8,6 +8,7 @@ oracles, and a counterexample search for the shift-by-two variant.
 """
 
 from .core import (
+    AXIOM_CHECK_CAP,
     ENUMERATION_CAP,
     AxiomViolation,
     BasisMatroid,
@@ -63,6 +64,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AXIOM_CHECK_CAP",
     "ENUMERATION_CAP",
     "BRUTE_FORCE_CAP",
     "AxiomViolation",

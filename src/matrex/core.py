@@ -18,6 +18,9 @@ from .errors import SizeLimitError, ValidationError
 #: Default ground-size gate for operations that enumerate all r-subsets.
 ENUMERATION_CAP = 20
 
+#: Largest basis family whose O(|family|^2 * r) exchange-axiom check runs.
+AXIOM_CHECK_CAP = 256
+
 ElementSet = frozenset[int]
 
 
@@ -36,15 +39,15 @@ def _as_int(value) -> int:
 class Matroid(ABC):
     """A matroid on ground set {0, ..., n-1} given by an independence oracle.
 
-    Subclasses implement ``_indep`` on trusted frozensets.  The public methods
-    validate ids once; internal code calls the memoised ``_query`` directly.
+    Subclasses implement ``_indep``, the one oracle method, on trusted
+    frozensets: the public methods validate ids once, internal code calls
+    ``_indep``.  Nothing is memoised here; the partition solver caches arcs.
     """
 
     def __init__(self, ground_size: int):
         if ground_size < 0:
             raise ValidationError(f"ground size must be >= 0, got {ground_size}")
         self._n = ground_size
-        self._memo: dict[ElementSet, bool] = {}
         self._full_rank: int | None = None
 
     @property
@@ -65,14 +68,7 @@ class Matroid(ABC):
         return s
 
     def is_independent(self, elements) -> bool:
-        return self._query(self.check_subset(elements))
-
-    def _query(self, s: ElementSet) -> bool:
-        """Memoised independence of a set of already validated ids."""
-        cached = self._memo.get(s)
-        if cached is None:
-            cached = self._memo[s] = self._indep(s)
-        return cached
+        return self._indep(self.check_subset(elements))
 
     @abstractmethod
     def _indep(self, s: ElementSet) -> bool:
@@ -89,7 +85,7 @@ class Matroid(ABC):
         picked: set[int] = set()
         for e in sorted(s):
             picked.add(e)
-            if not self._query(frozenset(picked)):
+            if not self._indep(frozenset(picked)):
                 picked.discard(e)
         return frozenset(picked)
 
@@ -104,7 +100,7 @@ class Matroid(ABC):
 
     def is_basis(self, elements) -> bool:
         s = self.check_subset(elements)
-        return len(s) == self.full_rank() and self._query(s)
+        return len(s) == self.full_rank() and self._indep(s)
 
     def enumerate_bases(self, cap: int = ENUMERATION_CAP) -> list[ElementSet]:
         """All bases in lexicographic order; refuses ground sets above ``cap``."""
@@ -116,7 +112,7 @@ class Matroid(ABC):
         return [
             frozenset(combo)
             for combo in itertools.combinations(range(self._n), r)
-            if self._query(frozenset(combo))
+            if self._indep(frozenset(combo))
         ]
 
     def restrict(self, elements) -> "Restriction":
@@ -131,11 +127,10 @@ class UniformMatroid(Matroid):
         if not 0 <= r <= n:
             raise ValidationError(f"rank bound must satisfy 0 <= r <= n, got r={r}, n={n}")
         self.rank_bound = r
+        self._full_rank = r
 
     def _indep(self, s: ElementSet) -> bool:
         return len(s) <= self.rank_bound
-
-    _query = _indep  # O(1): a memo would only cost memory
 
     def __repr__(self) -> str:
         return f"UniformMatroid(n={self._n}, r={self.rank_bound})"
@@ -277,7 +272,8 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
 
     Checks equal cardinalities and the exchange property; returns the first
     violation (scanning the family in the given order, candidate elements in
-    ascending order) if any exists.
+    ascending order) if any exists.  Families of more than AXIOM_CHECK_CAP
+    sets raise SizeLimitError.
     """
     members = []
     for b in family:
@@ -288,6 +284,8 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
         members.append(s)
     if not members:
         raise ValidationError("basis family must be nonempty")
+    if len(members) > AXIOM_CHECK_CAP:
+        raise SizeLimitError(f"{len(members)} bases exceed the axiom check cap {AXIOM_CHECK_CAP}")
 
     for b in members[1:]:
         if len(b) != len(members[0]):
@@ -306,8 +304,8 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
 class BasisMatroid(Matroid):
     """Matroid given explicitly by its basis family.
 
-    The exchange axiom is validated at construction; pass ``validate=False``
-    to skip the O(|family|^2 * r) check for large, already-trusted families.
+    The exchange axiom is validated at construction (up to AXIOM_CHECK_CAP
+    bases); ``validate=False`` skips it for large, already-trusted families.
     """
 
     def __init__(self, n: int, bases, validate: bool = True):
@@ -351,9 +349,7 @@ class Restriction(Matroid):
         self.index = {e: j for j, e in enumerate(self.elements)}
 
     def _indep(self, s: ElementSet) -> bool:
-        return self.inner._query(frozenset(self.elements[j] for j in s))
-
-    _query = _indep  # a relabelling only: the inner matroid keeps the memo
+        return self.inner._indep(frozenset(self.elements[j] for j in s))
 
     def to_inner(self, local) -> ElementSet:
         """Map a set of local ids back to inner-matroid ids."""
@@ -402,9 +398,7 @@ class SlotMatroid(Matroid):
             if e in proj:
                 return False
             proj.add(e)
-        return self.inner._query(frozenset(proj))
-
-    _query = _indep  # a relabelling only: the inner matroid keeps the memo
+        return self.inner._indep(frozenset(proj))
 
     def project(self, slot_ids) -> ElementSet:
         """Inner elements covered by the given slots."""

@@ -25,6 +25,8 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:  # deep nesting, oversized integers
+        raise FormatError(f"unreadable JSON: {exc}") from None
 
 
 def _require_keys(obj: dict, required: set[str], what: str) -> None:
@@ -72,7 +74,7 @@ def matroid_from_json(obj) -> Matroid:
     if not isinstance(obj, dict) or "type" not in obj:
         raise FormatError("matroid description must be an object with a 'type' field")
     kind = obj["type"]
-    if kind not in _MATROID_FIELDS:
+    if not isinstance(kind, str) or kind not in _MATROID_FIELDS:
         raise FormatError(f"unknown matroid type {kind!r}")
     _require_keys(obj, _MATROID_FIELDS[kind], f"{kind} matroid")
 

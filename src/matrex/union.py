@@ -117,14 +117,16 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
     D_i) means x can take y's place.  Applying the swaps along a shortest
     path keeps every D_i independent.  If no sink is reachable, the set of
     reachable universe nodes is a deficiency witness; it is re-verified by
-    direct rank queries before being returned.
+    direct rank queries before being returned.  Arc answers are cached per
+    arm while its part is unchanged, and only for this solve.
     """
     arms = problem.arms
     parts: list[set[int]] = [set() for _ in arms]
     owner: dict[int, int] = {}
+    known: list[dict] = [{} for _ in arms]  # arm i's arc answers, see _arc
 
     for element in sorted(problem.universe):
-        reached = _augment(arms, parts, owner, element)
+        reached = _augment(arms, parts, owner, known, element)
         if reached is not None:
             return _certificate(arms, reached)
 
@@ -134,7 +136,7 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
     return result
 
 
-def _augment(arms, parts, owner, source) -> set[int] | None:
+def _augment(arms, parts, owner, known, source) -> set[int] | None:
     """Insert ``source`` via a shortest augmenting path.
 
     Returns None on success, or the set of reachable universe nodes when no
@@ -148,38 +150,44 @@ def _augment(arms, parts, owner, source) -> set[int] | None:
     while queue:
         x = queue.popleft()
         for i, arm in enumerate(arms):
-            if x in arm.allowed and x not in parts[i] \
-                    and arm.matroid._query(frozenset(parts[i] | {x})):
-                _apply_path(parts, owner, parent, x, i)
+            if _arc(arm, parts[i], known[i], x, None):
+                _apply_path(parts, owner, known, parent, x, i)
                 return None
         for y in sorted(owner):
             if y in parent:
                 continue
             j = owner[y]
-            if x in arms[j].allowed and x not in parts[j] \
-                    and arms[j].matroid._query(frozenset((parts[j] - {y}) | {x})):
+            if _arc(arms[j], parts[j], known[j], x, y):
                 parent[y] = x
                 queue.append(y)
 
     return set(parent)
 
 
-def _apply_path(parts, owner, parent, last, sink_arm) -> None:
-    """Apply the swaps along the path ending with ``last`` -> sink_arm."""
-    chain = [last]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
-    chain.reverse()
+def _arc(arm, part, known, x, y) -> bool:
+    """Whether an allowed x outside ``part`` can replace y in it (y None: join
+    it) and keep it independent.  ``known`` keeps the answers for this part."""
+    if x not in arm.allowed or x in part:
+        return False
+    answer = known.get((x, y))
+    if answer is None:
+        answer = known[x, y] = arm.matroid._indep(frozenset((part - {y}) | {x}))
+    return answer
 
-    # Consecutive path nodes always sit in different arms, so removing each
-    # node from its old arm and inserting its predecessor is conflict-free.
-    owners = [owner.get(x) for x in chain]
-    for t in range(1, len(chain)):
-        parts[owners[t]].discard(chain[t])
-        parts[owners[t]].add(chain[t - 1])
-        owner[chain[t - 1]] = owners[t]
-    parts[sink_arm].add(last)
-    owner[last] = sink_arm
+
+def _apply_path(parts, owner, known, parent, last, sink_arm) -> None:
+    """Apply the swaps along the path ending with ``last`` -> sink_arm: walking
+    back, each node moves into the arm its successor leaves.  The nodes are
+    distinct, so the moves commute; every changed arm drops its cached arcs."""
+    x, arm = last, sink_arm
+    while x is not None:
+        old = owner.get(x)
+        if old is not None:
+            parts[old].discard(x)
+        parts[arm].add(x)
+        owner[x] = arm
+        known[arm].clear()
+        x, arm = parent[x], old
 
 
 def _certificate(arms, reached: set[int]) -> DeficiencyCertificate:

@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import (
     BasisMatroid,
@@ -297,16 +297,7 @@ def witness_from_json(obj) -> Shift2Witness:
 
 
 def exhaustion_to_json(report: ExhaustionReport) -> dict:
-    return {
-        "k": report.k,
-        "seed": report.seed,
-        "budget": report.budget,
-        "time_limit": report.time_limit,
-        "candidates_checked": report.candidates_checked,
-        "matroids_examined": report.matroids_examined,
-        "phase_counts": report.phase_counts,
-        "interpretation": report.interpretation,
-    }
+    return asdict(report)
 
 
 def _search_catalog():

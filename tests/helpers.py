@@ -200,18 +200,26 @@ def random_problem(seed, max_n=8, max_k=3):
 
 
 def check_every_augmentation(monkeypatch):
-    """Re-check the parts after every successful augmentation of the
-    partition solver: disjoint, and each independent in its arm through the
-    validated public query.  Returns the list of inserted sources."""
+    """Re-check the solver state after every successful augmentation: the
+    parts are disjoint and each independent in its arm through the validated
+    public query; every arm whose part changed has dropped its cached arcs;
+    and every cached arc of the others still matches the oracle.  Returns
+    the list of inserted sources."""
     augment = union._augment
     augmented = []
 
-    def checking(arms, parts, owner, source):
-        reached = augment(arms, parts, owner, source)
+    def checking(arms, parts, owner, known, source):
+        before = [set(p) for p in parts]
+        reached = augment(arms, parts, owner, known, source)
         if reached is None:
             assert sum(map(len, parts)) == len(set().union(*parts)), "parts must stay disjoint"
-            for arm, part in zip(arms, parts):
+            for arm, part, old, arcs in zip(arms, parts, before, known):
                 assert arm.is_independent(part), "parts must stay independent"
+                if part != old:
+                    assert not arcs, "a changed part must drop its cached arcs"
+                for (x, y), answer in arcs.items():
+                    assert answer == arm.is_independent((part - {y}) | {x}), \
+                        "cached arcs must match the oracle"
             augmented.append(source)
         return reached
 

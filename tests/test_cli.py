@@ -1,7 +1,9 @@
 """CLI behaviour: exit codes, output formats, determinism."""
 
+import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -24,12 +26,18 @@ TWO_RANK1_ARMS = {
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv):
+def run_cli(*argv, memory_limit=None):
+    """Run ``python -m matrex``; ``memory_limit`` caps its address space in bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+
     return subprocess.run(
         [sys.executable, "-m", "matrex", *argv],
         capture_output=True, text=True, timeout=300, env=env,
+        preexec_fn=limit if memory_limit else None,
     )
 
 
@@ -73,6 +81,22 @@ class TestCheck:
         assert proc.returncode == 2
         err = json.loads(proc.stdout)
         assert err["error"]["type"] == "validation"
+
+    def test_huge_uniform_rank_needs_no_scan(self, tmp_path):
+        # a greedy pass over 10**9 ids would overrun the 1 GB cap at once
+        path = write(tmp_path, "m.json", {"type": "uniform", "n": 10**9, "rank": 1})
+        proc = run_cli("check", path, memory_limit=2**30)
+        assert proc.returncode == 0
+        assert proc.stdout == "rank 1, 1000000000 elements\n"
+
+    def test_oversized_bases_family_exits_3(self, tmp_path):
+        family = [list(b) for b in itertools.combinations(range(13), 3)]
+        assert len(family) == 286
+        path = write(tmp_path, "m.json", {"type": "bases", "n": 13, "bases": family})
+        proc = run_cli("check", path)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "286 bases exceed the axiom check cap 256" in proc.stderr
 
 
 class TestEnumerateBases:
@@ -140,6 +164,13 @@ class TestCyclicExchange:
         proc = run_cli("cyclic-exchange", m, b, "--verify", "--cap", "2")
         assert proc.returncode == 3
         assert proc.stdout == ""
+
+    def test_huge_uniform_bases_need_no_scan(self, tmp_path):
+        m = write(tmp_path, "m.json", {"type": "uniform", "n": 10**9, "rank": 1})
+        b = write(tmp_path, "b.json", {"bases": [[0], [1]], "a1": [0]})
+        proc = run_cli("cyclic-exchange", m, b, memory_limit=2**30)
+        assert proc.returncode == 0
+        assert proc.stdout == '{"A":[[0],[1]],"shifted":[[1],[0]]}\n'
 
 
 class TestPartition:

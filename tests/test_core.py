@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrex import (
+    AXIOM_CHECK_CAP,
     BasisMatroid,
     GraphicMatroid,
     LinearMatroid,
@@ -122,6 +123,20 @@ class TestBaseAxiom:
             BasisMatroid(4, [[0, 1], [2, 3]])
         # explicit skip admits the bad family
         BasisMatroid(4, [[0, 1], [2, 3]], validate=False)
+
+    def test_family_size_is_gated(self):
+        # the bases of U(1, n) are its n singletons
+        ok, _ = check_base_axiom(AXIOM_CHECK_CAP, [[e] for e in range(AXIOM_CHECK_CAP)])
+        assert ok
+        n = AXIOM_CHECK_CAP + 1
+        with pytest.raises(SizeLimitError, match="axiom check cap"):
+            check_base_axiom(n, [[e] for e in range(n)])
+        with pytest.raises(SizeLimitError):
+            BasisMatroid(n, [[e] for e in range(n)])
+        assert BasisMatroid(n, [[e] for e in range(n)], validate=False).full_rank() == 1
+
+    def test_uniform_rank_is_known_at_construction(self):
+        assert UniformMatroid(10**9, 7).full_rank() == 7
 
 
 class TestRestrict:

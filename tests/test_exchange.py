@@ -1,6 +1,7 @@
 """Color classes, the rank-sum diagnostic, and the cyclic exchange pipeline."""
 
 import random
+from collections.abc import Sized
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from matrex import (
     symmetric_exchange_single,
 )
 
-from matrex import core
+from matrex import core, exchange
 
 from helpers import K4_EDGES, check_every_augmentation, is_forest, mask_to_set
 
@@ -316,32 +317,53 @@ def seeded_instance(matroid, k, seed):
 K6_EDGES = [[u, v] for u in range(6) for v in range(u + 1, 6)]
 
 
+def attribute_sizes(matroid):
+    """Every attribute of ``matroid``: its length if it has one, else itself."""
+    return {key: len(value) if isinstance(value, Sized) else value
+            for key, value in vars(matroid).items()}
+
+
 class TestOracleBoundary:
-    """Ids are validated at the public entry points, only the base matroid
-    keeps a memo, and arms query the lifted matroid without a restriction."""
+    """Ids are validated at the public entry points, no matroid keeps
+    per-query state, and arms query the lifted matroid without a restriction."""
 
     def test_wrapper_layers_keep_no_memo(self, monkeypatch):
-        created = []
-        init = core.Matroid.__init__
+        created, solved = [], []
+        init, partition = core.Matroid.__init__, exchange.matroid_partition
 
         def recording_init(self, ground_size):
             init(self, ground_size)
             created.append(self)
 
+        def recording_partition(problem):
+            lifts = {arm.matroid for arm in problem.arms}
+            layers = lifts | {m.inner for m in lifts}
+            before = [(m, attribute_sizes(m)) for m in layers]
+            result = partition(problem)
+            solved.extend((m, sizes, attribute_sizes(m)) for m, sizes in before)
+            return result
+
         monkeypatch.setattr(core.Matroid, "__init__", recording_init)
-        k6 = GraphicMatroid(6, K6_EDGES)
-        cyclic_exchange(seeded_instance(k6, 3, seed=1))
+        monkeypatch.setattr(exchange, "matroid_partition", recording_partition)
+        cyclic_exchange(seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed=1))
         cyclic_exchange(seeded_instance(UniformMatroid(6, 3), 3, seed=1))
 
         assert not any(isinstance(m, core.Restriction) for m in created)
-        wrappers = [m for m in created if isinstance(m, (core.SlotMatroid, UniformMatroid))]
-        assert {type(m) for m in wrappers} == {core.SlotMatroid, UniformMatroid}
-        assert all(m._memo == {} for m in wrappers)
-        assert k6._memo
+        assert {type(m) for m, _, _ in solved} == {core.SlotMatroid, GraphicMatroid, UniformMatroid}
+        for _, before, after in solved:
+            assert after == before
+
+    def test_graphic_matroid_state_is_fixed_after_full_rank(self):
+        k6 = GraphicMatroid(6, K6_EDGES)
+        k6.full_rank()
+        sizes = attribute_sizes(k6)
+        for seed in (1, 2):
+            cyclic_exchange(seeded_instance(k6, 3, seed))
+        assert attribute_sizes(k6) == sizes
 
     def test_check_subset_calls_do_not_grow_with_queries(self, monkeypatch):
         counts = {"check": 0, "query": 0}
-        check, query = core.Matroid.check_subset, core.SlotMatroid._query
+        check, query = core.Matroid.check_subset, core.SlotMatroid._indep
 
         def counting_check(self, elements):
             counts["check"] += 1
@@ -352,7 +374,7 @@ class TestOracleBoundary:
             return query(self, subset)
 
         monkeypatch.setattr(core.Matroid, "check_subset", counting_check)
-        monkeypatch.setattr(core.SlotMatroid, "_query", counting_query)
+        monkeypatch.setattr(core.SlotMatroid, "_indep", counting_query)
         observed = []
         for seed in (1, 2):
             inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed)

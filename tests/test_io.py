@@ -1,5 +1,7 @@
 """File formats: strict parsing, canonical emission, round-trips."""
 
+import sys
+
 import pytest
 
 from matrex import (
@@ -43,6 +45,8 @@ class TestMatroidFormat:
     def test_unknown_type_rejected(self):
         with pytest.raises(FormatError, match="unknown matroid type"):
             matroid_from_json({"type": "transversal", "n": 3})
+        with pytest.raises(FormatError, match="unknown matroid type"):
+            matroid_from_json({"type": ["uniform"], "n": 3, "rank": 1})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(FormatError, match="unknown field"):
@@ -146,3 +150,14 @@ class TestDumps:
     def test_loads_reports_position(self):
         with pytest.raises(FormatError, match="line 1 column 9"):
             loads('{"type":')
+
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(FormatError, match="unreadable JSON: maximum recursion depth"):
+            loads("[" * 100_000)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="integer string conversion is unlimited")
+    def test_oversized_integer_is_a_format_error(self):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(FormatError, match="unreadable JSON: Exceeds the limit"):
+            loads('{"type":"uniform","n":' + "1" * digits + ',"rank":1}')
