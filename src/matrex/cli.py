@@ -6,7 +6,8 @@ deterministic JSON (or a one-line report for ``check``).  Exit codes:
   0  success
   1  usage, file, or JSON format error
   2  semantically invalid input (axiom violation, non-basis set, bad ids)
-  3  a size gate was exceeded (enumeration, brute force, exchange-axiom check)
+  3  a size gate was exceeded (input file, enumeration, brute force,
+     exchange-axiom check)
   4  partition infeasible (deficiency certificate emitted)
   5  witness search exhausted without finding one
 """
@@ -56,12 +57,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: Largest input file the CLI parses; a longer one is refused unread (exit 3).
+MAX_INPUT_BYTES = 16 * 2**20
+
+
 def _read_json(path: str):
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as f:
+            data = f.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    return io.loads(text)
+    if len(data) > MAX_INPUT_BYTES:
+        raise SizeLimitError(f"{path} is larger than the input cap of {MAX_INPUT_BYTES} bytes")
+    return io.loads(data)
 
 
 def _emit(args, payload: dict) -> None:

@@ -1,9 +1,10 @@
 """Matroid abstractions and concrete matroid classes.
 
 All matroids live on a dense ground set {0, ..., n-1} and are immutable
-after construction; the only structural access is the independence query.
-Rank, basis tests, enumeration, restriction and the parallel-copy lift are
-built on top of that query.
+after construction; the structural access is the independence query, plus
+fundamental circuits, which every class can answer through that query and
+the structured classes answer directly.  Rank, basis tests, enumeration,
+restriction and the parallel-copy lift are built on top.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import SizeLimitError, ValidationError
@@ -22,6 +24,10 @@ ENUMERATION_CAP = 20
 AXIOM_CHECK_CAP = 256
 
 ElementSet = frozenset[int]
+
+#: ``Matroid._circuits(s)``: x -> None when s + x is independent, else the
+#: elements of s on the unique circuit of s + x.
+CircuitFn = Callable[[int], "ElementSet | None"]
 
 
 def canon(s) -> list[int]:
@@ -42,6 +48,14 @@ class Matroid(ABC):
     Subclasses implement ``_indep``, the one oracle method, on trusted
     frozensets: the public methods validate ids once, internal code calls
     ``_indep``.  Nothing is memoised here; the partition solver caches arcs.
+
+    ``_circuits(s)``, for an independent ``s``, returns a function of one
+    element ``x`` outside ``s``: None when ``s + x`` is independent,
+    otherwise the elements of ``s`` on the unique circuit of ``s + x`` (an
+    empty set when ``x`` is a loop).  The default asks ``_indep`` once per
+    element of ``s``; classes with structure (uniform, graphic, linear, the
+    slot lift) override it to prepare ``s`` once and answer each ``x``
+    directly.
     """
 
     def __init__(self, ground_size: int):
@@ -73,6 +87,16 @@ class Matroid(ABC):
     @abstractmethod
     def _indep(self, s: ElementSet) -> bool:
         """Independence of a validated subset of the ground set."""
+
+    def _circuits(self, s: ElementSet) -> CircuitFn:
+        """Fundamental circuits of the independent set ``s``, by the oracle:
+        once ``s + x`` is dependent, ``s - y + x`` is independent exactly
+        when y lies on its circuit."""
+        def circuit(x: int) -> ElementSet | None:
+            if self._indep(s | {x}):
+                return None
+            return frozenset(y for y in s if self._indep((s - {y}) | {x}))
+        return circuit
 
     def greedy_independent(self, elements) -> ElementSet:
         """Maximum independent subset of ``elements``.
@@ -132,6 +156,10 @@ class UniformMatroid(Matroid):
     def _indep(self, s: ElementSet) -> bool:
         return len(s) <= self.rank_bound
 
+    def _circuits(self, s: ElementSet) -> CircuitFn:
+        circuit = s if len(s) >= self.rank_bound else None
+        return lambda x: circuit
+
     def __repr__(self) -> str:
         return f"UniformMatroid(n={self._n}, r={self.rank_bound})"
 
@@ -161,7 +189,9 @@ class GraphicMatroid(Matroid):
         self.vertex_count = vertex_count
         self.edges = tuple(edge_list)
 
-    def _indep(self, s: ElementSet) -> bool:
+    def _joins(self, ids):
+        """For each edge of ``ids`` in turn, whether it joins two trees of the
+        forest grown so far (it is then added); False means it closes a cycle."""
         # Union-find with path compression over the touched vertices.
         parent: dict[int, int] = {}
 
@@ -173,13 +203,57 @@ class GraphicMatroid(Matroid):
                 parent[v], v = root, parent[v]
             return root
 
-        for i in s:
+        for i in ids:
             u, v = self.edges[i]
             ru, rv = find(u), find(v)
-            if ru == rv:  # covers self-loops: both endpoints share a root
-                return False
             parent[ru] = rv
-        return True
+            yield ru != rv  # False for self-loops: both endpoints share a root
+
+    def _indep(self, s: ElementSet) -> bool:
+        return all(self._joins(s))
+
+    def greedy_independent(self, elements) -> ElementSet:
+        # The ascending scan of the base class, growing one forest.
+        ordered = sorted(self.check_subset(elements))
+        return frozenset(i for i, joins in zip(ordered, self._joins(ordered)) if joins)
+
+    def _circuits(self, s: ElementSet) -> CircuitFn:
+        # Root every tree of the forest s; the circuit of s + x is the tree
+        # path between x's endpoints, found by climbing to their meeting point.
+        adjacent: dict[int, list[tuple[int, int]]] = {}
+        for i in s:
+            u, v = self.edges[i]
+            adjacent.setdefault(u, []).append((v, i))
+            adjacent.setdefault(v, []).append((u, i))
+        up: dict[int, tuple[int, int] | None] = {}  # vertex -> (parent, edge)
+        depth: dict[int, int] = {}
+        root: dict[int, int] = {}
+        for start in adjacent:
+            if start in up:
+                continue
+            up[start], depth[start], root[start] = None, 0, start
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for v, i in adjacent[u]:
+                    if v not in up:
+                        up[v], depth[v], root[v] = (u, i), depth[u] + 1, start
+                        stack.append(v)
+
+        def circuit(x: int) -> ElementSet | None:
+            u, v = self.edges[x]
+            if u == v:
+                return frozenset()
+            if root.get(u, u) != root.get(v, v):
+                return None
+            path = []
+            while u != v:
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                u, i = up[u]
+                path.append(i)
+            return frozenset(path)
+        return circuit
 
     def __repr__(self) -> str:
         return f"GraphicMatroid(vertices={self.vertex_count}, edges={list(self.edges)})"
@@ -197,11 +271,47 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+class _Echelon:
+    """Rows in echelon form over GF(p), grown one vector at a time.
+
+    Each row is scaled to 1 at its pivot and is zero at the pivots of the
+    rows before it, so one pass over the rows reduces a vector.  Pivots are
+    chosen among the first ``width`` entries; entries past ``width`` ride
+    along and record how each row was combined from its inputs.
+    """
+
+    def __init__(self, prime: int, width: int):
+        self.prime = prime
+        self.width = width
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot, row)
+
+    def reduce(self, vec) -> list[int]:
+        """``vec`` minus the combination of rows that clears every pivot.
+        Entries are taken mod p only at the end, and where a pivot is read."""
+        p = self.prime
+        for col, row in self.rows:
+            f = vec[col] % p
+            if f:
+                vec = [a - f * b for a, b in zip(vec, row)]
+        return [a % p for a in vec]
+
+    def add(self, vec) -> bool:
+        """Reduce ``vec`` and keep it as a row; False if it was in the span."""
+        vec = self.reduce(vec)
+        col = next((c for c in range(self.width) if vec[c]), None)
+        if col is None:
+            return False
+        inv = pow(vec[col], self.prime - 2, self.prime)
+        self.rows.append((col, [(a * inv) % self.prime for a in vec]))
+        return True
+
+
 class LinearMatroid(Matroid):
     """Column matroid of a matrix over GF(p): element i is column i.
 
-    All arithmetic is exact modulo a prime p < 2**16; independence is decided
-    by row reduction of the selected columns.
+    All arithmetic is exact modulo a prime p < 2**16.  Independence, the
+    greedy scan and fundamental circuits all grow one echelon form column by
+    column, so none of them repeats an elimination.
     """
 
     def __init__(self, prime: int, rows: int, columns):
@@ -225,27 +335,32 @@ class LinearMatroid(Matroid):
     def _indep(self, s: ElementSet) -> bool:
         if len(s) > self.rows:
             return False
-        p = self.prime
-        # Row-reduce the |s| x rows matrix whose rows are the selected columns;
-        # the columns are independent iff no row reduces to zero.
-        mat = [list(self.columns[i]) for i in s]
-        done = 0
-        for col in range(self.rows):
-            pivot = next((i for i in range(done, len(mat)) if mat[i][col]), None)
-            if pivot is None:
-                continue
-            mat[done], mat[pivot] = mat[pivot], mat[done]
-            inv = pow(mat[done][col], p - 2, p)
-            prow = [(x * inv) % p for x in mat[done]]
-            mat[done] = prow
-            for i in range(done + 1, len(mat)):
-                f = mat[i][col]
-                if f:
-                    mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
-            done += 1
-            if done == len(mat):
-                return True
-        return done == len(s)
+        echelon = _Echelon(self.prime, self.rows)
+        return all(echelon.add(self.columns[i]) for i in s)
+
+    def greedy_independent(self, elements) -> ElementSet:
+        # The ascending scan of the base class, in one incremental elimination.
+        echelon = _Echelon(self.prime, self.rows)
+        return frozenset(e for e in sorted(self.check_subset(elements))
+                         if echelon.add(self.columns[e]))
+
+    def _circuits(self, s: ElementSet) -> CircuitFn:
+        # Column j of s carries the unit tag e_j.  When x reduces to zero
+        # in its column part, its tags are minus its coordinates in s, and
+        # the nonzero ones mark the circuit.
+        order = sorted(s)
+        d, m = self.rows, len(order)
+        echelon = _Echelon(self.prime, d)
+        for j, e in enumerate(order):
+            echelon.add(self.columns[e] + (0,) * j + (1,) + (0,) * (m - j - 1))
+        pad = (0,) * m
+
+        def circuit(x: int) -> ElementSet | None:
+            vec = echelon.reduce(self.columns[x] + pad)
+            if any(vec[:d]):
+                return None
+            return frozenset(e for e, c in zip(order, vec[d:]) if c)
+        return circuit
 
     def __repr__(self) -> str:
         return f"LinearMatroid(p={self.prime}, rows={self.rows}, n={self._n})"
@@ -399,6 +514,20 @@ class SlotMatroid(Matroid):
                 return False
             proj.add(e)
         return self.inner._indep(frozenset(proj))
+
+    def _circuits(self, s: ElementSet) -> CircuitFn:
+        # Another copy of a covered element closes a parallel pair; any
+        # other slot closes the lift of its element's inner circuit.
+        cover = {self.slots[j][1]: j for j in s}
+        inner = self.inner._circuits(frozenset(cover))
+
+        def circuit(x: int) -> ElementSet | None:
+            e = self.slots[x][1]
+            if e in cover:
+                return frozenset((cover[e],))
+            found = inner(e)
+            return None if found is None else frozenset(cover[f] for f in found)
+        return circuit
 
     def project(self, slot_ids) -> ElementSet:
         """Inner elements covered by the given slots."""

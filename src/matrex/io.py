@@ -20,7 +20,8 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def loads(text: str):
+def loads(text: str | bytes):
+    """Parse JSON text, or bytes in UTF-8/16/32; any failure is a FormatError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

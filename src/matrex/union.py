@@ -4,6 +4,11 @@ Partitions a universe into sets D_i, each independent in its own matroid
 M_i (queried only inside an allowed subset C_i of the universe), or returns a
 deficiency certificate: a witness set whose total rank across the arms is
 smaller than its cardinality, which proves no full partition exists.
+
+The exchange arcs are read off fundamental circuits (``Matroid._circuits``):
+one circuit per expanded node and arm instead of one independence query per
+candidate swap, as in Cunningham, "Improved bounds for matroid partition and
+intersection algorithms" (1986).
 """
 
 from __future__ import annotations
@@ -117,13 +122,13 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
     D_i) means x can take y's place.  Applying the swaps along a shortest
     path keeps every D_i independent.  If no sink is reachable, the set of
     reachable universe nodes is a deficiency witness; it is re-verified by
-    direct rank queries before being returned.  Arc answers are cached per
-    arm while its part is unchanged, and only for this solve.
+    direct rank queries before being returned.  Each arm's fundamental
+    circuits are cached while its part is unchanged, and only for this solve.
     """
     arms = problem.arms
     parts: list[set[int]] = [set() for _ in arms]
     owner: dict[int, int] = {}
-    known: list[dict] = [{} for _ in arms]  # arm i's arc answers, see _arc
+    known: list[dict] = [{} for _ in arms]  # arm i's circuits, see _circuit
 
     for element in sorted(problem.universe):
         reached = _augment(arms, parts, owner, known, element)
@@ -140,7 +145,10 @@ def _augment(arms, parts, owner, known, source) -> set[int] | None:
     """Insert ``source`` via a shortest augmenting path.
 
     Returns None on success, or the set of reachable universe nodes when no
-    sink can be reached.  Ties are broken deterministically: nodes are
+    sink can be reached.  Each expanded node x asks every arm i that allows
+    it, with x outside D_i, for the circuit of D_i + x: there is none when x
+    can join D_i (a sink arc), and otherwise its elements are exactly the y
+    that x can replace.  Ties are broken deterministically: nodes are
     scanned in first-discovered order, sink arcs in ascending arm index,
     swap-arc targets in ascending element id.
     """
@@ -149,36 +157,36 @@ def _augment(arms, parts, owner, known, source) -> set[int] | None:
 
     while queue:
         x = queue.popleft()
+        targets: set[int] = set()
         for i, arm in enumerate(arms):
-            if _arc(arm, parts[i], known[i], x, None):
+            if x not in arm.allowed or x in parts[i]:
+                continue
+            circuit = _circuit(arm, parts[i], known[i], x)
+            if circuit is None:
                 _apply_path(parts, owner, known, parent, x, i)
                 return None
-        for y in sorted(owner):
-            if y in parent:
-                continue
-            j = owner[y]
-            if _arc(arms[j], parts[j], known[j], x, y):
-                parent[y] = x
-                queue.append(y)
+            targets |= circuit
+        for y in sorted(targets - parent.keys()):
+            parent[y] = x
+            queue.append(y)
 
     return set(parent)
 
 
-def _arc(arm, part, known, x, y) -> bool:
-    """Whether an allowed x outside ``part`` can replace y in it (y None: join
-    it) and keep it independent.  ``known`` keeps the answers for this part."""
-    if x not in arm.allowed or x in part:
-        return False
-    answer = known.get((x, y))
-    if answer is None:
-        answer = known[x, y] = arm.matroid._indep(frozenset((part - {y}) | {x}))
-    return answer
+def _circuit(arm, part, known, x) -> ElementSet | None:
+    """``arm.matroid._circuits(part)`` at x.  ``known`` keeps, for this part,
+    the prepared circuit function (key None) and its answers by x."""
+    if x not in known:
+        if None not in known:
+            known[None] = arm.matroid._circuits(frozenset(part))
+        known[x] = known[None](x)
+    return known[x]
 
 
 def _apply_path(parts, owner, known, parent, last, sink_arm) -> None:
     """Apply the swaps along the path ending with ``last`` -> sink_arm: walking
     back, each node moves into the arm its successor leaves.  The nodes are
-    distinct, so the moves commute; every changed arm drops its cached arcs."""
+    distinct, so the moves commute; every changed arm drops its circuits."""
     x, arm = last, sink_arm
     while x is not None:
         old = owner.get(x)

@@ -6,14 +6,17 @@ library's greedy/augmenting-path code paths are checked against a second,
 dumber route.
 """
 
+import collections
 import itertools
 import random
 
 from matrex import (
     Arm,
     BasisMatroid,
+    DeficiencyCertificate,
     GraphicMatroid,
     LinearMatroid,
+    Partition,
     PartitionProblem,
     UniformMatroid,
     disjoint_copies,
@@ -199,12 +202,56 @@ def random_problem(seed, max_n=8, max_k=3):
     return PartitionProblem(frozenset(range(n)), arms)
 
 
+def reference_partition(problem):
+    """The augmenting-path solver with one independence query per arc, as
+    ``matroid_partition`` was before it read arcs off fundamental circuits.
+
+    Same insertion order and tie-breaks (first-discovered node, ascending arm
+    for sink arcs, ascending element id for swap arcs), every arc asked
+    through the validated ``Arm.is_independent``, nothing cached.  Returns
+    the same Partition or DeficiencyCertificate the library should.
+    """
+    arms = problem.arms
+    parts = [set() for _ in arms]
+    owner = {}
+
+    def arc(i, x, y):  # can x join part i, in place of y (y None: directly)?
+        arm = arms[i]
+        return x in arm.allowed and x not in parts[i] and arm.is_independent((parts[i] - {y}) | {x})
+
+    for source in sorted(problem.universe):
+        parent = {source: None}
+        queue = collections.deque([source])
+        sink = None
+        while queue and sink is None:
+            x = queue.popleft()
+            sink = next((i for i in range(len(arms)) if arc(i, x, None)), None)
+            if sink is None:
+                for y in sorted(owner):
+                    if y not in parent and arc(owner[y], x, y):
+                        parent[y] = x
+                        queue.append(y)
+        if sink is None:
+            witness = frozenset(parent)
+            terms = tuple(arm.rank(witness & arm.allowed) for arm in arms)
+            return DeficiencyCertificate(witness, sum(terms), len(witness), terms)
+        while x is not None:
+            old = owner.get(x)
+            if old is not None:
+                parts[old].discard(x)
+            parts[sink].add(x)
+            owner[x] = sink
+            x, sink = parent[x], old
+    return Partition(tuple(frozenset(p) for p in parts))
+
+
 def check_every_augmentation(monkeypatch):
     """Re-check the solver state after every successful augmentation: the
     parts are disjoint and each independent in its arm through the validated
-    public query; every arm whose part changed has dropped its cached arcs;
-    and every cached arc of the others still matches the oracle.  Returns
-    the list of inserted sources."""
+    public query; every arm whose part changed has dropped its cached
+    circuits; and every cached circuit of the others still matches the
+    oracle, both for part + x and for each part - y + x.  Returns the list
+    of inserted sources."""
     augment = union._augment
     augmented = []
 
@@ -213,13 +260,19 @@ def check_every_augmentation(monkeypatch):
         reached = augment(arms, parts, owner, known, source)
         if reached is None:
             assert sum(map(len, parts)) == len(set().union(*parts)), "parts must stay disjoint"
-            for arm, part, old, arcs in zip(arms, parts, before, known):
+            for arm, part, old, circuits in zip(arms, parts, before, known):
                 assert arm.is_independent(part), "parts must stay independent"
                 if part != old:
-                    assert not arcs, "a changed part must drop its cached arcs"
-                for (x, y), answer in arcs.items():
-                    assert answer == arm.is_independent((part - {y}) | {x}), \
-                        "cached arcs must match the oracle"
+                    assert not circuits, "a changed part must drop its cached circuits"
+                for x, circuit in circuits.items():
+                    if x is None:  # the prepared circuit function
+                        continue
+                    assert (circuit is None) == arm.is_independent(part | {x}), \
+                        "a cached sink arc must match the oracle"
+                    for y in part:
+                        swap = circuit is not None and y in circuit
+                        assert swap == arm.is_independent((part - {y}) | {x}), \
+                            "a cached swap arc must match the oracle"
             augmented.append(source)
         return reached
 

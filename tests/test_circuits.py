@@ -1,0 +1,218 @@
+"""Fundamental circuits: every class's ``_circuits`` against the generic
+oracle loop and a brute-force minimal-circuit search, and the circuit-based
+partition solver against the one-query-per-arc reference solver."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matrex import (
+    Arm,
+    BasisMatroid,
+    GraphicMatroid,
+    InstanceGenSpec,
+    LinearMatroid,
+    Matroid,
+    PartitionProblem,
+    UniformMatroid,
+    cyclic_exchange,
+    disjoint_copies,
+    exchange,
+    matroid_partition,
+    random_instance,
+)
+
+from helpers import K4_EDGES, fixture_matroids, random_problem, reference_partition
+
+
+def brute_circuit(matroid, s, x):
+    """None if s + x is independent, else the smallest c in s with c + x
+    dependent (the circuit through x is the unique minimal one)."""
+    if matroid.is_independent(s | {x}):
+        return None
+    for size in range(len(s) + 1):
+        for c in itertools.combinations(sorted(s), size):
+            if not matroid.is_independent(set(c) | {x}):
+                return frozenset(c)
+    raise AssertionError("s + x is dependent, so some subset of s closes a circuit")
+
+
+def random_basis(matroid, rng):
+    """Greedy completion over a shuffled ground set."""
+    order = list(range(matroid.ground_size))
+    rng.shuffle(order)
+    picked = frozenset()
+    for e in order:
+        if matroid.is_independent(picked | {e}):
+            picked |= {e}
+    return picked
+
+
+def random_independent(matroid, rng):
+    """A random subset of a random basis: every independent set can come up."""
+    basis = sorted(random_basis(matroid, rng))
+    return frozenset(rng.sample(basis, rng.randint(0, len(basis))))
+
+
+def assert_circuits_match(matroid, s):
+    own, generic = matroid._circuits(s), Matroid._circuits(matroid, s)
+    for x in sorted(matroid.ground_set() - s):
+        expected = brute_circuit(matroid, s, x)
+        assert generic(x) == expected, (matroid, s, x)
+        assert own(x) == expected, (matroid, s, x)
+
+
+# --- per-class circuit properties ------------------------------------------
+
+
+@st.composite
+def linear_matroids(draw, n):
+    prime = draw(st.sampled_from((2, 3, 5)))
+    rows = draw(st.integers(1, 3))
+    # a small pool of columns makes zero and repeated columns common
+    column = st.lists(st.integers(0, prime - 1), min_size=rows, max_size=rows)
+    pool = draw(st.lists(column, min_size=1, max_size=4))
+    return LinearMatroid(prime, rows, draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@st.composite
+def matroids_on(draw, n):
+    """A uniform, graphic, linear or bases-type matroid on n elements."""
+    kind = draw(st.sampled_from(("uniform", "graphic", "linear", "bases")))
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.sampled_from((0, n, n // 2))))
+    if kind == "graphic":  # self-loops and parallel edges included
+        vertex = st.integers(0, draw(st.integers(0, 4)))
+        return GraphicMatroid(5, draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=n)))
+    linear = draw(linear_matroids(n))
+    if kind == "linear":
+        return linear
+    return BasisMatroid(n, linear.enumerate_bases(), validate=False)
+
+
+def matroids(max_n=7):
+    return st.integers(0, max_n).flatmap(matroids_on)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matroids(), st.randoms(use_true_random=False))
+def test_circuits_match_the_oracle(matroid, rng):
+    assert_circuits_match(matroid, random_independent(matroid, rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matroids(max_n=5), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_slot_circuits_match_the_oracle(inner, k, rng):
+    # repeated bases give covered elements several parallel copies
+    bases = [random_basis(inner, rng)]
+    bases += [rng.choice((bases[0], random_basis(inner, rng))) for _ in range(k)]
+    lift = disjoint_copies(inner, bases)
+    assert_circuits_match(lift, random_independent(lift, rng))
+
+
+@pytest.mark.parametrize(
+    "matroid",
+    [
+        UniformMatroid(0, 0), UniformMatroid(5, 0), UniformMatroid(5, 5), UniformMatroid(6, 3),
+        # zero and repeated columns over GF(2), GF(3) and GF(5)
+        LinearMatroid(2, 2, [[0, 0], [1, 0], [1, 0], [0, 1], [1, 1]]),
+        LinearMatroid(3, 2, [[1, 2], [0, 0], [2, 1], [1, 2], [0, 1]]),
+        LinearMatroid(5, 3, [[1, 2, 3], [2, 4, 1], [0, 0, 0], [0, 1, 4], [1, 0, 0], [1, 0, 0]]),
+        LinearMatroid(3, 0, [[], []]),
+        # a self-loop and parallel edges
+        GraphicMatroid(4, [[0, 1], [1, 2], [2, 2], [0, 1], [0, 2], [1, 0], [3, 2]]),
+        GraphicMatroid(4, K4_EDGES),
+        BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]),
+        disjoint_copies(GraphicMatroid(4, K4_EDGES), [{0, 1, 2}, {0, 1, 2}, {3, 4, 5}]),
+        disjoint_copies(UniformMatroid(4, 2), [{0, 1}, {0, 1}]),
+    ] + fixture_matroids(),
+    ids=repr,
+)
+def test_circuits_of_every_independent_set(matroid):
+    n = matroid.ground_size
+    for size in range(n + 1):
+        for s in itertools.combinations(range(n), size):
+            if matroid.is_independent(s):
+                assert_circuits_match(matroid, frozenset(s))
+
+
+# --- one-pass greedy scans ----------------------------------------------------
+
+
+def independent_by_combinations(prime, columns):
+    """No nontrivial GF(prime) combination of the columns is zero."""
+    rows = len(columns[0]) if columns else 0
+    for coeffs in itertools.product(range(prime), repeat=len(columns)):
+        if any(coeffs) and not any(
+            sum(c * col[r] for c, col in zip(coeffs, columns)) % prime for r in range(rows)
+        ):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(matroids(), st.frozensets(st.integers(0, 6)))
+def test_greedy_scan_matches_generic(matroid, elements):
+    # graphic and linear grow one forest / one echelon form instead
+    elements = frozenset(e for e in elements if e < matroid.ground_size)
+    assert matroid.greedy_independent(elements) == Matroid.greedy_independent(matroid, elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(linear_matroids), st.frozensets(st.integers(0, 5)))
+def test_linear_independence_matches_combinations(matroid, elements):
+    elements = frozenset(e for e in elements if e < matroid.ground_size)
+    expected = independent_by_combinations(
+        matroid.prime, [matroid.columns[e] for e in sorted(elements)])
+    assert matroid.is_independent(elements) == expected
+
+
+# --- circuit-based solver vs the one-query-per-arc reference ----------------
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_solver_matches_reference_on_random_problems(seed):
+    problem = random_problem(seed)
+    assert matroid_partition(problem) == reference_partition(problem)
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(1, 7))
+    arms = [Arm(draw(st.frozensets(st.integers(0, n - 1))), draw(matroids_on(n)))
+            for _ in range(draw(st.integers(1, 3)))]
+    return PartitionProblem(frozenset(range(n)), arms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_solver_matches_reference_on_generated_problems(problem):
+    assert matroid_partition(problem) == reference_partition(problem)
+
+
+EXCHANGE_SPECS = [
+    dict(matroid_class="uniform", n=9, rank=4),
+    dict(matroid_class="graphic", vertices=6, n=12),
+    dict(matroid_class="linear", prime=2, rows=4, n=10),
+    dict(matroid_class="linear", prime=3, rows=4, n=10),
+    dict(matroid_class="bases", n=8, rank=3),
+]
+
+
+@pytest.mark.parametrize("spec", EXCHANGE_SPECS, ids=lambda s: s["matroid_class"])
+def test_solver_matches_reference_on_exchange_instances(spec, monkeypatch):
+    solved = []
+
+    def both(problem):
+        outcome = matroid_partition(problem)
+        assert outcome == reference_partition(problem)
+        solved.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(exchange, "matroid_partition", both)
+    for k in (2, 3, 4):
+        for seed in range(6):
+            cyclic_exchange(random_instance(InstanceGenSpec(k=k, seed=seed, **spec)))
+    assert len(solved) == 18

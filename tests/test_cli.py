@@ -98,6 +98,26 @@ class TestCheck:
         assert proc.stdout == ""
         assert "286 bases exceed the axiom check cap 256" in proc.stderr
 
+    def test_input_file_above_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        from matrex import cli
+
+        text = json.dumps(UNIFORM42)
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(text))
+        assert cli.main(["check", write(tmp_path, "m.json", text)]) == 0
+        assert capsys.readouterr().out == "rank 2, 4 elements, 6 bases\n"
+        big = write(tmp_path, "big.json", text + " ")
+        assert cli.main(["check", "--json-errors", big]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "size-limit"
+        assert error["message"] == f"{big} is larger than the input cap of {len(text)} bytes"
+
+    def test_undecodable_file_exits_1(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"type": "uniform", "n": 4, "rank": \xff}')
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert "unreadable JSON" in proc.stderr
+
 
 class TestEnumerateBases:
     def test_round_trips_as_matroid_file(self, tmp_path):
