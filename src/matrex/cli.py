@@ -15,6 +15,7 @@ deterministic JSON (or a one-line report for ``check``).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -175,7 +176,10 @@ def cmd_search_shift2(args) -> int:
     return EXIT_EXHAUSTED
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every ``main``
+    call; parsing leaves it unchanged."""
     parser = _Parser(prog="matrex", description="Matroid base-exchange toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

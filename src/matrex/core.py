@@ -2,8 +2,9 @@
 
 All matroids live on a dense ground set {0, ..., n-1} and are immutable
 after construction; the structural access is the independence query, plus
-fundamental circuits, which every class can answer through that query and
-the structured classes answer directly.  Rank, basis tests, enumeration,
+fundamental circuits of a prepared independent part, which every class can
+answer through that query and the structured classes answer directly and
+keep up to date as the part grows.  Rank, basis tests, enumeration,
 restriction and the parallel-copy lift are built on top.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 import itertools
 import operator
 from abc import ABC, abstractmethod
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import SizeLimitError, ValidationError
@@ -24,10 +24,6 @@ ENUMERATION_CAP = 20
 AXIOM_CHECK_CAP = 256
 
 ElementSet = frozenset[int]
-
-#: ``Matroid._circuits(s)``: x -> None when s + x is independent, else the
-#: elements of s on the unique circuit of s + x.
-CircuitFn = Callable[[int], "ElementSet | None"]
 
 
 def canon(s) -> list[int]:
@@ -49,13 +45,14 @@ class Matroid(ABC):
     frozensets: the public methods validate ids once, internal code calls
     ``_indep``.  Nothing is memoised here; the partition solver caches arcs.
 
-    ``_circuits(s)``, for an independent ``s``, returns a function of one
-    element ``x`` outside ``s``: None when ``s + x`` is independent,
-    otherwise the elements of ``s`` on the unique circuit of ``s + x`` (an
-    empty set when ``x`` is a loop).  The default asks ``_indep`` once per
-    element of ``s``; classes with structure (uniform, graphic, linear, the
-    slot lift) override it to prepare ``s`` once and answer each ``x``
-    directly.
+    ``_prepare(s)``, for an independent ``s``, returns a ``PreparedPart``:
+    its ``circuit(x)`` gives the fundamental circuit of ``s + x``, and its
+    ``add(x)`` grows the part by an ``x`` that has none.  The default part
+    asks ``_indep`` once per element of ``s`` and prepares again on
+    ``add``; classes with structure (uniform, graphic, linear, the slot
+    lift) return parts that answer each ``x`` directly and grow in place.
+    A subclass author may return a ``PreparedPart`` subclass that overrides
+    ``__init__`` and ``circuit`` only, and inherit ``add``.
     """
 
     def __init__(self, ground_size: int):
@@ -88,15 +85,9 @@ class Matroid(ABC):
     def _indep(self, s: ElementSet) -> bool:
         """Independence of a validated subset of the ground set."""
 
-    def _circuits(self, s: ElementSet) -> CircuitFn:
-        """Fundamental circuits of the independent set ``s``, by the oracle:
-        once ``s + x`` is dependent, ``s - y + x`` is independent exactly
-        when y lies on its circuit."""
-        def circuit(x: int) -> ElementSet | None:
-            if self._indep(s | {x}):
-                return None
-            return frozenset(y for y in s if self._indep((s - {y}) | {x}))
-        return circuit
+    def _prepare(self, s: ElementSet) -> "PreparedPart":
+        """The fundamental circuits of the independent set ``s``."""
+        return PreparedPart(self, s)
 
     def greedy_independent(self, elements) -> ElementSet:
         """Maximum independent subset of ``elements``.
@@ -143,6 +134,45 @@ class Matroid(ABC):
         return Restriction(self, elements)
 
 
+class PreparedPart:
+    """The fundamental circuits of an independent set ``part`` of ``matroid``,
+    kept while the part grows.
+
+    ``circuit(x)``, for ``x`` outside the part, is None when ``part + x`` is
+    independent, otherwise the elements of the part on the unique circuit of
+    ``part + x`` (an empty set when ``x`` is a loop).  ``add(x)`` grows the
+    part by an ``x`` whose circuit is None; circuits found before stay
+    valid, since the unique circuit of ``part + x`` is still the unique one
+    of any larger independent part plus ``x``.
+
+    This base class answers through the oracle (once ``part + x`` is
+    dependent, ``part - y + x`` is independent exactly when y lies on its
+    circuit), and ``add`` prepares again by re-running ``__init__`` on the
+    larger part; subclasses grow their state in place.
+    """
+
+    def __init__(self, matroid: Matroid, part: ElementSet):
+        self.matroid = matroid
+        self.part = part
+
+    def circuit(self, x: int) -> ElementSet | None:
+        m, s = self.matroid, self.part
+        if m._indep(s | {x}):
+            return None
+        return frozenset(y for y in s if m._indep((s - {y}) | {x}))
+
+    def add(self, x: int) -> None:
+        self.__init__(self.matroid, self.part | {x})
+
+
+class _UniformPart(PreparedPart):
+    def circuit(self, x: int) -> ElementSet | None:
+        return self.part if len(self.part) >= self.matroid.rank_bound else None
+
+    def add(self, x: int) -> None:
+        self.part |= {x}
+
+
 class UniformMatroid(Matroid):
     """U(r, n): a set is independent iff it has at most r elements."""
 
@@ -156,12 +186,67 @@ class UniformMatroid(Matroid):
     def _indep(self, s: ElementSet) -> bool:
         return len(s) <= self.rank_bound
 
-    def _circuits(self, s: ElementSet) -> CircuitFn:
-        circuit = s if len(s) >= self.rank_bound else None
-        return lambda x: circuit
+    def _prepare(self, s: ElementSet) -> PreparedPart:
+        return _UniformPart(self, s)
 
     def __repr__(self) -> str:
         return f"UniformMatroid(n={self._n}, r={self.rank_bound})"
+
+
+class _ForestPart(PreparedPart):
+    # Every tree of the forest is rooted; the circuit of part + x is the tree
+    # path between x's endpoints, found by climbing to their meeting point.
+    # Adding x links two trees by re-hanging the smaller one below x.
+
+    def __init__(self, matroid: GraphicMatroid, part: ElementSet):
+        super().__init__(matroid, part)
+        self.up: dict[int, tuple[int, int] | None] = {}  # vertex -> (parent, edge)
+        self.depth: dict[int, int] = {}
+        self.root: dict[int, int] = {}
+        self.size: dict[int, int] = {}  # root -> vertices in its tree
+        self.adjacent: dict[int, list[tuple[int, int]]] = {}
+        for i in part:
+            self._link(i)
+
+    def circuit(self, x: int) -> ElementSet | None:
+        u, v = self.matroid.edges[x]
+        if u == v:
+            return frozenset()
+        if self.root.get(u, u) != self.root.get(v, v):
+            return None
+        path = []
+        while u != v:
+            if self.depth[u] < self.depth[v]:
+                u, v = v, u
+            u, i = self.up[u]
+            path.append(i)
+        return frozenset(path)
+
+    def add(self, x: int) -> None:
+        self.part |= {x}
+        self._link(x)
+
+    def _link(self, i: int) -> None:
+        u, v = self.matroid.edges[i]
+        for w in (u, v):
+            if w not in self.root:
+                self.up[w], self.depth[w], self.root[w], self.size[w] = None, 0, w, 1
+                self.adjacent[w] = []
+        if self.size[self.root[u]] > self.size[self.root[v]]:
+            u, v = v, u
+        top = self.root[v]
+        self.size[top] += self.size.pop(self.root[u])
+        # Hang u below v, then walk u's old tree outwards from u.
+        self.up[u], self.depth[u], self.root[u] = (v, i), self.depth[v] + 1, top
+        stack = [(u, v)]
+        while stack:
+            a, came_from = stack.pop()
+            for b, j in self.adjacent[a]:
+                if b != came_from:
+                    self.up[b], self.depth[b], self.root[b] = (a, j), self.depth[a] + 1, top
+                    stack.append((b, a))
+        self.adjacent[u].append((v, i))
+        self.adjacent[v].append((u, i))
 
 
 class GraphicMatroid(Matroid):
@@ -217,43 +302,8 @@ class GraphicMatroid(Matroid):
         ordered = sorted(self.check_subset(elements))
         return frozenset(i for i, joins in zip(ordered, self._joins(ordered)) if joins)
 
-    def _circuits(self, s: ElementSet) -> CircuitFn:
-        # Root every tree of the forest s; the circuit of s + x is the tree
-        # path between x's endpoints, found by climbing to their meeting point.
-        adjacent: dict[int, list[tuple[int, int]]] = {}
-        for i in s:
-            u, v = self.edges[i]
-            adjacent.setdefault(u, []).append((v, i))
-            adjacent.setdefault(v, []).append((u, i))
-        up: dict[int, tuple[int, int] | None] = {}  # vertex -> (parent, edge)
-        depth: dict[int, int] = {}
-        root: dict[int, int] = {}
-        for start in adjacent:
-            if start in up:
-                continue
-            up[start], depth[start], root[start] = None, 0, start
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v, i in adjacent[u]:
-                    if v not in up:
-                        up[v], depth[v], root[v] = (u, i), depth[u] + 1, start
-                        stack.append(v)
-
-        def circuit(x: int) -> ElementSet | None:
-            u, v = self.edges[x]
-            if u == v:
-                return frozenset()
-            if root.get(u, u) != root.get(v, v):
-                return None
-            path = []
-            while u != v:
-                if depth[u] < depth[v]:
-                    u, v = v, u
-                u, i = up[u]
-                path.append(i)
-            return frozenset(path)
-        return circuit
+    def _prepare(self, s: ElementSet) -> PreparedPart:
+        return _ForestPart(self, s)
 
     def __repr__(self) -> str:
         return f"GraphicMatroid(vertices={self.vertex_count}, edges={list(self.edges)})"
@@ -297,13 +347,57 @@ class _Echelon:
 
     def add(self, vec) -> bool:
         """Reduce ``vec`` and keep it as a row; False if it was in the span."""
-        vec = self.reduce(vec)
+        return self.keep(self.reduce(vec))
+
+    def keep(self, vec: list[int]) -> bool:
+        """Keep an already reduced ``vec`` as a row; False if it is zero in
+        its first ``width`` entries."""
         col = next((c for c in range(self.width) if vec[c]), None)
         if col is None:
             return False
         inv = pow(vec[col], self.prime - 2, self.prime)
         self.rows.append((col, [(a * inv) % self.prime for a in vec]))
         return True
+
+
+class _EchelonPart(PreparedPart):
+    # The j-th element added carries the unit tag e_j, in a tag block as wide
+    # as the columns are long (an independent part has at most that many
+    # elements).  When x reduces to zero in its column part, its tags are
+    # minus its coordinates in the part, and the nonzero ones mark the circuit.
+
+    def __init__(self, matroid: LinearMatroid, part: ElementSet):
+        super().__init__(matroid, part)
+        self.echelon = _Echelon(matroid.prime, matroid.rows)
+        self.order: list[int] = []
+        self.free: tuple[int, list[int]] | None = None  # last x with no circuit, reduced
+        for e in part:
+            self._append(e)
+
+    def circuit(self, x: int) -> ElementSet | None:
+        d = self.matroid.rows
+        vec = self.echelon.reduce(self.matroid.columns[x] + (0,) * d)
+        if any(vec[:d]):
+            self.free = (x, vec)
+            return None
+        return frozenset(e for e, c in zip(self.order, vec[d:]) if c)
+
+    def add(self, x: int) -> None:
+        self.part |= {x}
+        self._append(x)
+
+    def _append(self, e: int) -> None:
+        # No row carries tag j yet, so e tagged e_j reduces to e reduced
+        # untagged, plus e_j: reuse the reduction circuit(e) just made.
+        d = self.matroid.rows
+        if self.free is not None and self.free[0] == e:
+            vec = self.free[1]
+        else:
+            vec = self.echelon.reduce(self.matroid.columns[e] + (0,) * d)
+        vec[d + len(self.order)] = 1
+        self.echelon.keep(vec)
+        self.order.append(e)
+        self.free = None
 
 
 class LinearMatroid(Matroid):
@@ -344,23 +438,8 @@ class LinearMatroid(Matroid):
         return frozenset(e for e in sorted(self.check_subset(elements))
                          if echelon.add(self.columns[e]))
 
-    def _circuits(self, s: ElementSet) -> CircuitFn:
-        # Column j of s carries the unit tag e_j.  When x reduces to zero
-        # in its column part, its tags are minus its coordinates in s, and
-        # the nonzero ones mark the circuit.
-        order = sorted(s)
-        d, m = self.rows, len(order)
-        echelon = _Echelon(self.prime, d)
-        for j, e in enumerate(order):
-            echelon.add(self.columns[e] + (0,) * j + (1,) + (0,) * (m - j - 1))
-        pad = (0,) * m
-
-        def circuit(x: int) -> ElementSet | None:
-            vec = echelon.reduce(self.columns[x] + pad)
-            if any(vec[:d]):
-                return None
-            return frozenset(e for e, c in zip(order, vec[d:]) if c)
-        return circuit
+    def _prepare(self, s: ElementSet) -> PreparedPart:
+        return _EchelonPart(self, s)
 
     def __repr__(self) -> str:
         return f"LinearMatroid(p={self.prime}, rows={self.rows}, n={self._n})"
@@ -484,6 +563,29 @@ class Restriction(Matroid):
         return f"Restriction({self.inner!r}, elements={list(self.elements)})"
 
 
+class _SlotPart(PreparedPart):
+    # Another copy of a covered element closes a parallel pair; any other
+    # slot closes the lift of its element's inner circuit.
+
+    def __init__(self, matroid: SlotMatroid, part: ElementSet):
+        super().__init__(matroid, part)
+        self.cover = {matroid.slots[j][1]: j for j in part}
+        self.inner = matroid.inner._prepare(frozenset(self.cover))
+
+    def circuit(self, x: int) -> ElementSet | None:
+        e = self.matroid.slots[x][1]
+        if e in self.cover:
+            return frozenset((self.cover[e],))
+        found = self.inner.circuit(e)
+        return None if found is None else frozenset(self.cover[f] for f in found)
+
+    def add(self, x: int) -> None:
+        self.part |= {x}
+        e = self.matroid.slots[x][1]
+        self.cover[e] = x
+        self.inner.add(e)
+
+
 class SlotMatroid(Matroid):
     """Parallel-copy lift of a matroid.
 
@@ -515,19 +617,8 @@ class SlotMatroid(Matroid):
             proj.add(e)
         return self.inner._indep(frozenset(proj))
 
-    def _circuits(self, s: ElementSet) -> CircuitFn:
-        # Another copy of a covered element closes a parallel pair; any
-        # other slot closes the lift of its element's inner circuit.
-        cover = {self.slots[j][1]: j for j in s}
-        inner = self.inner._circuits(frozenset(cover))
-
-        def circuit(x: int) -> ElementSet | None:
-            e = self.slots[x][1]
-            if e in cover:
-                return frozenset((cover[e],))
-            found = inner(e)
-            return None if found is None else frozenset(cover[f] for f in found)
-        return circuit
+    def _prepare(self, s: ElementSet) -> PreparedPart:
+        return _SlotPart(self, s)
 
     def project(self, slot_ids) -> ElementSet:
         """Inner elements covered by the given slots."""

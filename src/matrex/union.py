@@ -5,10 +5,12 @@ M_i (queried only inside an allowed subset C_i of the universe), or returns a
 deficiency certificate: a witness set whose total rank across the arms is
 smaller than its cardinality, which proves no full partition exists.
 
-The exchange arcs are read off fundamental circuits (``Matroid._circuits``):
-one circuit per expanded node and arm instead of one independence query per
-candidate swap, as in Cunningham, "Improved bounds for matroid partition and
-intersection algorithms" (1986).
+The exchange arcs are read off fundamental circuits: one circuit per
+expanded node and arm instead of one independence query per candidate swap,
+as in Cunningham, "Improved bounds for matroid partition and intersection
+algorithms" (1986).  Each arm keeps one prepared part
+(``Matroid._prepare``) for the whole solve and grows it while the part only
+grows, as in the incremental form of Knuth, "Matroid partitioning" (1973).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid
+from .core import ElementSet, Matroid, PreparedPart
 from .errors import InternalVerificationError, ValidationError
 
 
@@ -122,16 +124,18 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
     D_i) means x can take y's place.  Applying the swaps along a shortest
     path keeps every D_i independent.  If no sink is reachable, the set of
     reachable universe nodes is a deficiency witness; it is re-verified by
-    direct rank queries before being returned.  Each arm's fundamental
-    circuits are cached while its part is unchanged, and only for this solve.
+    direct rank queries before being returned.  Each arm keeps, for this
+    solve only, its prepared part and the circuits it answered: a part that
+    only grew is extended in place and keeps its circuits, and a part that
+    lost an element is prepared again when next asked.
     """
     arms = problem.arms
     parts: list[set[int]] = [set() for _ in arms]
     owner: dict[int, int] = {}
-    known: list[dict] = [{} for _ in arms]  # arm i's circuits, see _circuit
+    circuits = [_Circuits(arm.matroid) for arm in arms]
 
     for element in sorted(problem.universe):
-        reached = _augment(arms, parts, owner, known, element)
+        reached = _augment(arms, parts, owner, circuits, element)
         if reached is not None:
             return _certificate(arms, reached)
 
@@ -141,7 +145,7 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
     return result
 
 
-def _augment(arms, parts, owner, known, source) -> set[int] | None:
+def _augment(arms, parts, owner, circuits, source) -> set[int] | None:
     """Insert ``source`` via a shortest augmenting path.
 
     Returns None on success, or the set of reachable universe nodes when no
@@ -161,9 +165,9 @@ def _augment(arms, parts, owner, known, source) -> set[int] | None:
         for i, arm in enumerate(arms):
             if x not in arm.allowed or x in parts[i]:
                 continue
-            circuit = _circuit(arm, parts[i], known[i], x)
+            circuit = circuits[i].circuit(parts[i], x)
             if circuit is None:
-                _apply_path(parts, owner, known, parent, x, i)
+                _apply_path(parts, owner, circuits, parent, x, i)
                 return None
             targets |= circuit
         for y in sorted(targets - parent.keys()):
@@ -173,29 +177,55 @@ def _augment(arms, parts, owner, known, source) -> set[int] | None:
     return set(parent)
 
 
-def _circuit(arm, part, known, x) -> ElementSet | None:
-    """``arm.matroid._circuits(part)`` at x.  ``known`` keeps, for this part,
-    the prepared circuit function (key None) and its answers by x."""
-    if x not in known:
-        if None not in known:
-            known[None] = arm.matroid._circuits(frozenset(part))
-        known[x] = known[None](x)
-    return known[x]
+class _Circuits:
+    """One arm's circuits for its current part: the prepared part, built on
+    first use, and its answers by x."""
+
+    def __init__(self, matroid: Matroid):
+        self.matroid = matroid
+        self.prepared: PreparedPart | None = None
+        self.answers: dict[int, ElementSet | None] = {}
+
+    def circuit(self, part, x) -> ElementSet | None:
+        if x not in self.answers:
+            if self.prepared is None:
+                self.prepared = self.matroid._prepare(frozenset(part))
+            self.answers[x] = self.prepared.circuit(x)
+        return self.answers[x]
+
+    def grow(self, x) -> None:
+        """The part gained ``x``, which had no circuit: every circuit stays,
+        and only the answers "no circuit" may have changed."""
+        if self.prepared is not None:
+            self.prepared.add(x)
+        self.answers = {y: c for y, c in self.answers.items() if c is not None}
+
+    def reset(self) -> None:
+        """The part lost an element: prepare it again when next asked."""
+        self.prepared = None
+        self.answers = {}
 
 
-def _apply_path(parts, owner, known, parent, last, sink_arm) -> None:
+def _apply_path(parts, owner, circuits, parent, last, sink_arm) -> None:
     """Apply the swaps along the path ending with ``last`` -> sink_arm: walking
     back, each node moves into the arm its successor leaves.  The nodes are
-    distinct, so the moves commute; every changed arm drops its circuits."""
+    distinct, so the moves commute.  Every arm on the path before the sink
+    lost an element and drops its circuits; the sink arm, unless it is also
+    one of those, only gained ``last`` and grows its prepared part."""
+    lost = set()
     x, arm = last, sink_arm
     while x is not None:
         old = owner.get(x)
         if old is not None:
             parts[old].discard(x)
+            lost.add(old)
         parts[arm].add(x)
         owner[x] = arm
-        known[arm].clear()
         x, arm = parent[x], old
+    for i in lost:
+        circuits[i].reset()
+    if sink_arm not in lost:
+        circuits[sink_arm].grow(last)
 
 
 def _certificate(arms, reached: set[int]) -> DeficiencyCertificate:

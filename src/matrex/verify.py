@@ -206,28 +206,34 @@ def _shift_sets(bases, parts, offset: int):
 
 def _joint_shift_satisfiable(is_basis, bases, seed) -> bool:
     """Whether some tuple makes every shift-by-one AND shift-by-two set a
-    basis.  Prunes each partial assignment as soon as a decided set fails."""
+    basis.  Prunes each partial assignment as soon as a decided set fails.
+
+    A depth-first search over A_2..A_k, one ``combinations`` iterator per
+    decided level on an explicit stack, so k is not bounded by recursion.
+    """
     k, m = len(bases), len(seed)
     parts: list[ElementSet] = [seed] + [frozenset()] * (k - 1)
-
-    def extend(i: int) -> bool:
-        if i == k:
-            return (
-                is_basis((bases[0] - parts[0]) | parts[k - 1])
-                and is_basis((bases[0] - parts[0]) | parts[k - 2])
-                and is_basis((bases[1] - parts[1]) | parts[k - 1])
-            )
-        for combo in itertools.combinations(sorted(bases[i]), m):
-            parts[i] = frozenset(combo)
-            if not is_basis((bases[i] - parts[i]) | parts[i - 1]):
-                continue
-            if i >= 2 and not is_basis((bases[i] - parts[i]) | parts[i - 2]):
-                continue
-            if extend(i + 1):
-                return True
-        return False
-
-    return extend(1)
+    stack = [itertools.combinations(sorted(bases[1]), m)]
+    while stack:
+        i = len(stack)
+        combo = next(stack[-1], None)
+        if combo is None:
+            stack.pop()
+            continue
+        parts[i] = frozenset(combo)
+        if not is_basis((bases[i] - parts[i]) | parts[i - 1]):
+            continue
+        if i >= 2 and not is_basis((bases[i] - parts[i]) | parts[i - 2]):
+            continue
+        if i + 1 < k:
+            stack.append(itertools.combinations(sorted(bases[i + 1]), m))
+        elif (
+            is_basis((bases[0] - parts[0]) | parts[k - 1])
+            and is_basis((bases[0] - parts[0]) | parts[k - 2])
+            and is_basis((bases[1] - parts[1]) | parts[k - 1])
+        ):
+            return True
+    return False
 
 
 def verify_witness(witness: Shift2Witness) -> bool:

@@ -1,6 +1,7 @@
-"""Fundamental circuits: every class's ``_circuits`` against the generic
-oracle loop and a brute-force minimal-circuit search, and the circuit-based
-partition solver against the one-query-per-arc reference solver."""
+"""Fundamental circuits: every class's prepared part against the generic
+oracle loop and a brute-force minimal-circuit search, grown parts against
+fresh ones, and the circuit-based partition solver against the
+one-query-per-arc reference solver."""
 
 import itertools
 
@@ -17,6 +18,7 @@ from matrex import (
     Matroid,
     PartitionProblem,
     UniformMatroid,
+    core,
     cyclic_exchange,
     disjoint_copies,
     exchange,
@@ -57,11 +59,30 @@ def random_independent(matroid, rng):
 
 
 def assert_circuits_match(matroid, s):
-    own, generic = matroid._circuits(s), Matroid._circuits(matroid, s)
+    own, generic = matroid._prepare(s), core.PreparedPart(matroid, s)
     for x in sorted(matroid.ground_set() - s):
         expected = brute_circuit(matroid, s, x)
-        assert generic(x) == expected, (matroid, s, x)
-        assert own(x) == expected, (matroid, s, x)
+        assert generic.circuit(x) == expected, (matroid, s, x)
+        assert own.circuit(x) == expected, (matroid, s, x)
+
+
+def assert_grows_like_fresh(matroid, rng):
+    """Grow one prepared part by random elements that have no circuit; after
+    every step it answers every x outside the part as a fresh one does."""
+    part = random_independent(matroid, rng)
+    prepared = matroid._prepare(part)
+    while True:
+        fresh = matroid._prepare(part)
+        outside = sorted(matroid.ground_set() - part)
+        for x in outside:
+            assert prepared.circuit(x) == fresh.circuit(x), (matroid, part, x)
+        free = [x for x in outside if fresh.circuit(x) is None]
+        if not free:
+            return
+        x = rng.choice(free)
+        prepared.add(x)
+        part |= {x}
+        assert prepared.part == part
 
 
 # --- per-class circuit properties ------------------------------------------
@@ -110,6 +131,20 @@ def test_slot_circuits_match_the_oracle(inner, k, rng):
     bases += [rng.choice((bases[0], random_basis(inner, rng))) for _ in range(k)]
     lift = disjoint_copies(inner, bases)
     assert_circuits_match(lift, random_independent(lift, rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matroids(), st.randoms(use_true_random=False))
+def test_grown_parts_match_fresh_ones(matroid, rng):
+    assert_grows_like_fresh(matroid, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matroids(max_n=5), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_grown_slot_parts_match_fresh_ones(inner, k, rng):
+    bases = [random_basis(inner, rng)]
+    bases += [rng.choice((bases[0], random_basis(inner, rng))) for _ in range(k)]
+    assert_grows_like_fresh(disjoint_copies(inner, bases), rng)
 
 
 @pytest.mark.parametrize(

@@ -266,6 +266,15 @@ class TestSearchShift2:
         assert obj["found"] is False
         assert obj["report"]["candidates_checked"] == 0
 
+    def test_large_k_exits_5_without_traceback(self):
+        # the joint-shift search goes k levels deep, past the recursion limit
+        proc = run_cli("search-shift2", "--k", "3000", "--budget", "1")
+        assert proc.returncode == 5
+        assert "Traceback" not in proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["found"] is False
+        assert obj["report"]["candidates_checked"] == 1
+
     def test_k2_exits_1(self):
         for argv in (("--k", "2"), ("--k", "3", "--threads", "2")):
             proc = run_cli("search-shift2", *argv)

@@ -11,6 +11,7 @@ from matrex import (
     ExchangeInstance,
     GraphicMatroid,
     InstanceGenSpec,
+    LinearMatroid,
     UniformMatroid,
     ValidationError,
     brute_force_cyclic_exchange,
@@ -22,7 +23,7 @@ from matrex import (
     symmetric_exchange_single,
 )
 
-from matrex import core, exchange
+from matrex import core, exchange, union
 
 from helpers import K4_EDGES, check_every_augmentation, is_forest, mask_to_set
 
@@ -362,24 +363,26 @@ class TestOracleBoundary:
         assert attribute_sizes(k6) == sizes
 
     def test_check_subset_calls_do_not_grow_with_queries(self, monkeypatch):
-        # a query is one evaluation of a slot circuit function
+        # a query is one circuit evaluation of a prepared slot part
         counts = {"check": 0, "query": 0}
-        check, circuits = core.Matroid.check_subset, core.SlotMatroid._circuits
+        check, prepare = core.Matroid.check_subset, core.SlotMatroid._prepare
 
         def counting_check(self, elements):
             counts["check"] += 1
             return check(self, elements)
 
-        def counting_circuits(self, subset):
-            circuit = circuits(self, subset)
+        def counting_prepare(self, subset):
+            part = prepare(self, subset)
+            circuit = part.circuit
 
             def counting_circuit(x):
                 counts["query"] += 1
                 return circuit(x)
-            return counting_circuit
+            part.circuit = counting_circuit
+            return part
 
         monkeypatch.setattr(core.Matroid, "check_subset", counting_check)
-        monkeypatch.setattr(core.SlotMatroid, "_circuits", counting_circuits)
+        monkeypatch.setattr(core.SlotMatroid, "_prepare", counting_prepare)
         observed = []
         for seed in (1, 4):  # 21 and 20 circuit evaluations
             inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed)
@@ -390,6 +393,43 @@ class TestOracleBoundary:
         (check1, query1), (check2, query2) = observed
         assert query1 != query2
         assert check1 == check2 < min(query1, query2)
+
+    def test_parts_are_prepared_once_per_arm_and_loss(self, monkeypatch):
+        # Full preparations of the inner linear parts: at most one per arm,
+        # plus one for each arm that an augmentation took an element from.
+        # Growing either layer of a part by preparing it again breaks that.
+        rng = random.Random(3)
+        matroid = LinearMatroid(2, 8, [[rng.randrange(2) for _ in range(8)] for _ in range(24)])
+        inst = seeded_instance(matroid, 5, seed=3)
+        counts = {"prepared": 0, "losses": 0}
+        prepare, augment = core._EchelonPart.__init__, union._augment
+
+        def counting_prepare(self, *args):
+            counts["prepared"] += 1
+            prepare(self, *args)
+
+        def counting_augment(arms, parts, *rest):
+            before = [set(p) for p in parts]
+            reached = augment(arms, parts, *rest)
+            counts["losses"] += sum(not part >= old for part, old in zip(parts, before))
+            return reached
+
+        monkeypatch.setattr(core._EchelonPart, "__init__", counting_prepare)
+        monkeypatch.setattr(union, "_augment", counting_augment)
+
+        def solve():
+            counts.update(prepared=0, losses=0)
+            cyclic_exchange(inst)
+            return counts["prepared"], inst.k + counts["losses"]
+
+        prepared, bound = solve()
+        assert counts["losses"] > 0
+        assert inst.k < prepared <= bound
+        for layer in (core._EchelonPart, core._SlotPart):
+            with monkeypatch.context() as patch:
+                patch.setattr(layer, "add", core.PreparedPart.add)
+                prepared, bound = solve()
+                assert prepared > bound, layer
 
     def test_bases_are_checked_once_per_solve(self, monkeypatch):
         # k checks in ExchangeInstance and k on the shifted sets; the lift
