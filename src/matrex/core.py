@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 
 from .errors import SizeLimitError, ValidationError
@@ -36,6 +38,15 @@ def _as_int(value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"expected an integer, got {value!r}") from None
+
+
+def _as_ints(values) -> list[int]:
+    """``_as_int`` of each value, in one C-level pass when all are integers."""
+    values = list(values)
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        return [_as_int(v) for v in values]  # raises for the first non-integer
 
 
 class Matroid(ABC):
@@ -311,6 +322,10 @@ class GraphicMatroid(Matroid):
 
 MAX_PRIME = 2**16
 
+#: Columns are shorter than this, so every entry met in a reduction fits in
+#: 64 bits (see ``_Fields``).
+MAX_ROWS = 2**32
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -321,66 +336,137 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# Array typecodes by item size in bytes, narrowest first.
+_FIELD_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
+_SWAP = sys.byteorder == "big"  # arrays are native-endian, packed ints little-endian
+
+
+class _Fields:
+    """The packing of GF(p) vectors of a matrix with ``rows`` rows into ints.
+
+    Entry i of a vector sits in bits [i*bits, (i+1)*bits) of one int.  A
+    field holds ``prime + rows * (prime - 1)**2``: an entry below p, plus
+    one term of at most (p-1)**2 for each of the at most ``rows`` echelon
+    rows it is reduced against.  So a reduction never carries one field into
+    the next, and takes entries mod p only where it reads them.  Fields are
+    1, 2, 4 or 8 bytes wide, so that ``unpack`` and ``pack`` convert a whole
+    vector at C speed.
+    """
+
+    def __init__(self, prime: int, rows: int):
+        top = prime + rows * (prime - 1) ** 2
+        self.size, self.code = next(item for item in _FIELD_CODES if top < 256 ** item[0])
+        self.prime = prime
+        self.bits = 8 * self.size
+        self.mask = (1 << self.bits) - 1
+        self.tables: dict[int, bytes] = {}  # factor -> byte table of ``scale``
+
+    def pack(self, entries) -> int:
+        items = array(self.code, entries)
+        if _SWAP:
+            items.byteswap()
+        return int.from_bytes(items, "little")
+
+    def unpack(self, vec: int, length: int) -> array:
+        """The entries of ``vec``, which has none past the first ``length``."""
+        items = array(self.code, vec.to_bytes(length * self.size, "little"))
+        if _SWAP:
+            items.byteswap()
+        return items
+
+    def scale(self, vec: int, length: int, factor: int) -> int:
+        """``vec`` with each of its ``length`` entries times ``factor``, mod p.
+        One-byte fields go through a byte table, wider ones through a list."""
+        p = self.prime
+        if self.size > 1:
+            return self.pack([a * factor % p for a in self.unpack(vec, length)])
+        table = self.tables.get(factor)
+        if table is None:
+            table = self.tables[factor] = bytes(b * factor % p for b in range(256))
+        return int.from_bytes(vec.to_bytes(length, "little").translate(table), "little")
+
+
 class _Echelon:
     """Rows in echelon form over GF(p), grown one vector at a time.
 
-    Each row is scaled to 1 at its pivot and is zero at the pivots of the
-    rows before it, so one pass over the rows reduces a vector.  Pivots are
-    chosen among the first ``width`` entries; entries past ``width`` ride
-    along and record how each row was combined from its inputs.
+    Vectors are ints packed by ``fields``, ``length`` entries long.  Each row
+    is reduced mod p, scaled to 1 at its pivot and is zero at the pivots of
+    the rows before it, so one pass over the rows reduces a vector, one
+    shift, mask and multiply-add per row.  Pivots are chosen among the
+    first ``width`` entries; entries past ``width`` ride along and record
+    how each row was combined from its inputs.  ``unpivoted`` keeps the
+    columns below ``width`` with no pivot, ascending: a reduced vector is
+    zero there or in all of the first ``width`` entries, mod p.
     """
 
-    def __init__(self, prime: int, width: int):
-        self.prime = prime
-        self.width = width
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot, row)
+    def __init__(self, fields: _Fields, width: int, length: int):
+        self.fields = fields
+        self.length = length
+        self.rows: list[tuple[int, int]] = []  # (pivot shift, row)
+        self.unpivoted = list(range(width))
 
-    def reduce(self, vec) -> list[int]:
-        """``vec`` minus the combination of rows that clears every pivot.
-        Entries are taken mod p only at the end, and where a pivot is read."""
-        p = self.prime
-        for col, row in self.rows:
-            f = vec[col] % p
+    def reduce(self, vec: int) -> int:
+        """``vec`` plus the combination of rows that clears every pivot mod
+        p.  Its entries are not reduced mod p."""
+        p, mask = self.fields.prime, self.fields.mask
+        for shift, row in self.rows:
+            f = (vec >> shift & mask) % p
             if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return [a % p for a in vec]
+                vec += (p - f) * row
+        return vec
 
-    def add(self, vec) -> bool:
+    def pivot(self, vec: int) -> int | None:
+        """The first unpivoted column where the reduced ``vec`` is nonzero
+        mod p, or None when it is in the span of the rows."""
+        p, bits, mask = self.fields.prime, self.fields.bits, self.fields.mask
+        return next((c for c in self.unpivoted if (vec >> c * bits & mask) % p), None)
+
+    def add(self, vec: int) -> bool:
         """Reduce ``vec`` and keep it as a row; False if it was in the span."""
-        return self.keep(self.reduce(vec))
-
-    def keep(self, vec: list[int]) -> bool:
-        """Keep an already reduced ``vec`` as a row; False if it is zero in
-        its first ``width`` entries."""
-        col = next((c for c in range(self.width) if vec[c]), None)
+        if not self.unpivoted:
+            return False
+        vec = self.reduce(vec)
+        col = self.pivot(vec)
         if col is None:
             return False
-        inv = pow(vec[col], self.prime - 2, self.prime)
-        self.rows.append((col, [(a * inv) % self.prime for a in vec]))
+        self.keep(vec, col)
         return True
+
+    def keep(self, vec: int, col: int) -> None:
+        """Keep a reduced ``vec`` whose ``pivot`` is ``col`` as a row."""
+        fields = self.fields
+        shift = col * fields.bits
+        inv = pow(vec >> shift & fields.mask, -1, fields.prime)
+        self.rows.append((shift, fields.scale(vec, self.length, inv)))
+        self.unpivoted.remove(col)
 
 
 class _EchelonPart(PreparedPart):
     # The j-th element added carries the unit tag e_j, in a tag block as wide
     # as the columns are long (an independent part has at most that many
-    # elements).  When x reduces to zero in its column part, its tags are
-    # minus its coordinates in the part, and the nonzero ones mark the circuit.
+    # elements) and packed above the column entries.  When x reduces to zero
+    # in its column part, its tags are minus its coordinates in the part, and
+    # the nonzero ones mark the circuit.
 
     def __init__(self, matroid: LinearMatroid, part: ElementSet):
         super().__init__(matroid, part)
-        self.echelon = _Echelon(matroid.prime, matroid.rows)
+        d = matroid.rows
+        self.echelon = _Echelon(matroid._fields, d, 2 * d)
+        self.tag_shift = d * matroid._fields.bits
         self.order: list[int] = []
-        self.free: tuple[int, list[int]] | None = None  # last x with no circuit, reduced
+        self.free: tuple[int, int, int] | None = None  # last x with no circuit: reduced, pivot
         for e in part:
             self._append(e)
 
     def circuit(self, x: int) -> ElementSet | None:
-        d = self.matroid.rows
-        vec = self.echelon.reduce(self.matroid.columns[x] + (0,) * d)
-        if any(vec[:d]):
-            self.free = (x, vec)
+        vec = self.echelon.reduce(self.matroid._packed[x])
+        col = self.echelon.pivot(vec)
+        if col is not None:
+            self.free = (x, vec, col)
             return None
-        return frozenset(e for e, c in zip(self.order, vec[d:]) if c)
+        fields = self.matroid._fields
+        tags = fields.unpack(vec >> self.tag_shift, len(self.order))
+        return frozenset(e for e, c in zip(self.order, tags) if c % fields.prime)
 
     def add(self, x: int) -> None:
         self.part |= {x}
@@ -389,13 +475,13 @@ class _EchelonPart(PreparedPart):
     def _append(self, e: int) -> None:
         # No row carries tag j yet, so e tagged e_j reduces to e reduced
         # untagged, plus e_j: reuse the reduction circuit(e) just made.
-        d = self.matroid.rows
         if self.free is not None and self.free[0] == e:
-            vec = self.free[1]
+            _, vec, col = self.free
         else:
-            vec = self.echelon.reduce(self.matroid.columns[e] + (0,) * d)
-        vec[d + len(self.order)] = 1
-        self.echelon.keep(vec)
+            vec = self.echelon.reduce(self.matroid._packed[e])
+            col = self.echelon.pivot(vec)
+        tag = 1 << self.tag_shift + len(self.order) * self.matroid._fields.bits
+        self.echelon.keep(vec + tag, col)
         self.order.append(e)
         self.free = None
 
@@ -403,19 +489,21 @@ class _EchelonPart(PreparedPart):
 class LinearMatroid(Matroid):
     """Column matroid of a matrix over GF(p): element i is column i.
 
-    All arithmetic is exact modulo a prime p < 2**16.  Independence, the
-    greedy scan and fundamental circuits all grow one echelon form column by
+    All arithmetic is exact modulo a prime p < 2**16, on columns of fewer
+    than 2**32 entries.  Each column is packed once into an int (``_Fields``)
+    and ``columns`` keeps the entries.  Independence, the greedy scan and
+    fundamental circuits all grow one echelon form of packed rows column by
     column, so none of them repeats an elimination.
     """
 
     def __init__(self, prime: int, rows: int, columns):
         if not (_is_prime(prime) and prime < MAX_PRIME):
             raise ValidationError(f"field characteristic must be a prime below 2**16, got {prime}")
-        if rows < 0:
-            raise ValidationError(f"ambient dimension must be >= 0, got {rows}")
+        if not 0 <= rows < MAX_ROWS:
+            raise ValidationError(f"ambient dimension must be >= 0 and below 2**32, got {rows}")
         cols = []
         for idx, col in enumerate(columns):
-            vec = tuple(_as_int(x) % prime for x in col)
+            vec = tuple([x % prime for x in _as_ints(col)])
             if len(vec) != rows:
                 raise ValidationError(
                     f"column {idx} has {len(vec)} entries, expected {rows}"
@@ -425,18 +513,20 @@ class LinearMatroid(Matroid):
         self.prime = prime
         self.rows = rows
         self.columns = tuple(cols)
+        self._fields = _Fields(prime, rows)
+        self._packed = tuple(map(self._fields.pack, cols))
 
     def _indep(self, s: ElementSet) -> bool:
         if len(s) > self.rows:
             return False
-        echelon = _Echelon(self.prime, self.rows)
-        return all(echelon.add(self.columns[i]) for i in s)
+        echelon = _Echelon(self._fields, self.rows, self.rows)
+        return all(echelon.add(self._packed[i]) for i in s)
 
     def greedy_independent(self, elements) -> ElementSet:
         # The ascending scan of the base class, in one incremental elimination.
-        echelon = _Echelon(self.prime, self.rows)
+        echelon = _Echelon(self._fields, self.rows, self.rows)
         return frozenset(e for e in sorted(self.check_subset(elements))
-                         if echelon.add(self.columns[e]))
+                         if echelon.add(self._packed[e]))
 
     def _prepare(self, s: ElementSet) -> PreparedPart:
         return _EchelonPart(self, s)
@@ -485,12 +575,18 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
         if len(b) != len(members[0]):
             return False, AxiomViolation(members[0], b, None)
 
-    present = set(members)
     for b1 in members:
+        # swaps[e1]: every e2 with b1 - e1 + e2 in the family.  All sets have
+        # one size, so such a member differs from b1 in e1 and e2 only.
+        swaps: dict[int, set[int]] = {e1: set() for e1 in b1}
+        for b in members:
+            added = b - b1
+            if len(added) == 1:
+                (e1,) = b1 - b
+                swaps[e1] |= added
         for b2 in members:
             for e1 in sorted(b1 - b2):
-                base = b1 - {e1}
-                if not any(base | {e2} in present for e2 in sorted(b2 - b1)):
+                if swaps[e1].isdisjoint(b2):
                     return False, AxiomViolation(b1, b2, e1)
     return True, None
 

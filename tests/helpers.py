@@ -12,6 +12,7 @@ import random
 
 from matrex import (
     Arm,
+    AxiomViolation,
     BasisMatroid,
     DeficiencyCertificate,
     GraphicMatroid,
@@ -100,6 +101,62 @@ def gf2_independent(columns):
         if not any(combo):
             return False
     return True
+
+
+def gf_rank(prime, vectors):
+    """Rank over GF(prime) by Gaussian elimination on lists, entry by entry."""
+    rows = [[a % prime for a in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, prime)
+        top = rows[rank] = [a * inv % prime for a in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def gf_greedy(prime, columns, elements):
+    """The ascending greedy scan, one rank computation per element."""
+    picked = []
+    for e in sorted(elements):
+        if gf_rank(prime, [columns[i] for i in picked + [e]]) == len(picked) + 1:
+            picked.append(e)
+    return frozenset(picked)
+
+
+def gf_circuit(prime, columns, part, x):
+    """None if the independent ``part`` + x is independent, otherwise the y of
+    the part that x can replace: those with part - y + x independent."""
+    def rank(s):
+        return gf_rank(prime, [columns[i] for i in s])
+
+    if rank(part | {x}) > len(part):
+        return None
+    return frozenset(y for y in part if rank((part - {y}) | {x}) == len(part))
+
+
+def base_axiom_by_triple_loop(family):
+    """``check_base_axiom`` on a valid nonempty family, as it scanned before
+    it indexed the swaps: for each (b1, b2, e1), one family lookup per e2."""
+    members = [frozenset(b) for b in family]
+    for b in members[1:]:
+        if len(b) != len(members[0]):
+            return False, AxiomViolation(members[0], b, None)
+    present = set(members)
+    for b1 in members:
+        for b2 in members:
+            for e1 in sorted(b1 - b2):
+                base = b1 - {e1}
+                if not any(base | {e2} in present for e2 in sorted(b2 - b1)):
+                    return False, AxiomViolation(b1, b2, e1)
+    return True, None
 
 
 def is_forest(edge_ids, edges, vertex_count):

@@ -14,6 +14,7 @@ K4 = {"type": "graphic", "vertices": 4,
       "edges": [[0, 1], [1, 2], [2, 3], [0, 2], [1, 3], [0, 3]]}
 UNIFORM42 = {"type": "uniform", "n": 4, "rank": 2}
 UNIFORM3 = {"type": "uniform", "n": 3, "rank": 3}
+LINEAR_2X3 = {"type": "linear", "prime": 2, "rows": 2, "columns": [[1, 0], [0, 1], [1, 1]]}
 TWO_RANK1_ARMS = {
     "universe": 2,
     "arms": [
@@ -111,6 +112,21 @@ class TestCheck:
         assert error["type"] == "size-limit"
         assert error["message"] == f"{big} is larger than the input cap of {len(text)} bytes"
 
+    def test_matrix_above_entry_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        from matrex import cli, io
+
+        path = write(tmp_path, "m.json", LINEAR_2X3)
+        monkeypatch.setattr(io, "MAX_MATRIX_ENTRIES", 6)
+        assert cli.main(["check", path]) == 0
+        assert capsys.readouterr().out == "rank 2, 3 elements, 3 bases\n"
+        monkeypatch.setattr(io, "MAX_MATRIX_ENTRIES", 5)
+        assert cli.main(["check", "--json-errors", path]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "size-limit", "message": "a 2x3 matrix exceeds the cap of 5 entries"}
+        # every arm of a partition problem is held to the same cap
+        problem = {"universe": 3, "arms": [{"matroid": LINEAR_2X3, "allowed": [0, 1, 2]}]}
+        assert cli.main(["partition", write(tmp_path, "p.json", problem)]) == 3
+
     def test_undecodable_file_exits_1(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_bytes(b'{"type": "uniform", "n": 4, "rank": \xff}')
@@ -184,6 +200,19 @@ class TestCyclicExchange:
         proc = run_cli("cyclic-exchange", m, b, "--verify", "--cap", "2")
         assert proc.returncode == 3
         assert proc.stdout == ""
+
+    def test_bases_above_slot_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        from matrex import cli, io
+
+        m = write(tmp_path, "m.json", K4)
+        b = write(tmp_path, "b.json", {"bases": [[0, 1, 2], [3, 4, 5]], "a1": [0]})
+        monkeypatch.setattr(io, "MAX_LIFTED_SLOTS", 6)
+        assert cli.main(["cyclic-exchange", m, b]) == 0
+        assert json.loads(capsys.readouterr().out)["A"] == [[0], [5]]
+        monkeypatch.setattr(io, "MAX_LIFTED_SLOTS", 5)
+        assert cli.main(["cyclic-exchange", "--json-errors", m, b]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "size-limit", "message": "6 lifted slots exceed the cap of 5"}
 
     def test_huge_uniform_bases_need_no_scan(self, tmp_path):
         m = write(tmp_path, "m.json", {"type": "uniform", "n": 10**9, "rank": 1})

@@ -22,6 +22,7 @@ from helpers import (
     FANO_COLUMNS,
     K4_EDGES,
     augmentation_holds,
+    base_axiom_by_triple_loop,
     fixture_matroids,
     gf2_independent,
     hereditary_holds,
@@ -264,6 +265,24 @@ def small_linear_matroids(draw):
         )
     )
     return LinearMatroid(prime, rows, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_linear_matroids(), st.sampled_from(("valid", "dropped", "corrupted")),
+       st.randoms(use_true_random=False))
+def test_axiom_check_matches_triple_loop(matroid, change, rng):
+    # valid families, and families with one basis dropped or with one
+    # element of a basis swapped for one outside it; scan order shuffled
+    n = matroid.ground_size
+    family = [sorted(b) for b in matroid.enumerate_bases()]
+    rng.shuffle(family)
+    i = rng.randrange(len(family))
+    outside = sorted(set(range(n)) - set(family[i]))
+    if change == "dropped" and len(family) > 1:
+        family.pop(i)
+    elif change == "corrupted" and family[i] and outside:
+        family[i] = sorted(set(family[i]) - {rng.choice(family[i])} | {rng.choice(outside)})
+    assert check_base_axiom(n, family) == base_axiom_by_triple_loop(family)
 
 
 @settings(max_examples=60, deadline=None)
