@@ -10,6 +10,7 @@ restriction and the parallel-copy lift are built on top.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import sys
@@ -57,13 +58,15 @@ class Matroid(ABC):
     ``_indep``.  Nothing is memoised here; the partition solver caches arcs.
 
     ``_prepare(s)``, for an independent ``s``, returns a ``PreparedPart``:
-    its ``circuit(x)`` gives the fundamental circuit of ``s + x``, and its
-    ``add(x)`` grows the part by an ``x`` that has none.  The default part
-    asks ``_indep`` once per element of ``s`` and prepares again on
-    ``add``; classes with structure (uniform, graphic, linear, the slot
-    lift) return parts that answer each ``x`` directly and grow in place.
-    A subclass author may return a ``PreparedPart`` subclass that overrides
-    ``__init__`` and ``circuit`` only, and inherit ``add``.
+    its ``circuit(x)`` gives the fundamental circuit of ``s + x``, its
+    ``add(x)`` grows the part by an ``x`` that has none, and its
+    ``remove(y)`` drops an element ``y`` of the part.  The default part
+    asks ``_indep`` once per element of ``s`` and prepares again on ``add``
+    and ``remove``; classes with structure (uniform, graphic, linear, the
+    slot lift) return parts that answer each ``x`` directly and change in
+    place.  A subclass author may return a ``PreparedPart`` subclass that
+    overrides ``__init__`` and ``circuit`` only, and inherit ``add`` and
+    ``remove``.
     """
 
     def __init__(self, ground_size: int):
@@ -81,12 +84,18 @@ class Matroid(ABC):
 
     def check_subset(self, elements) -> ElementSet:
         """Normalise ``elements`` to a frozenset of valid ids, or raise."""
-        s = frozenset(_as_int(e) for e in elements)
-        for e in s:
-            if not 0 <= e < self._n:
-                raise ValidationError(
-                    f"element {e} out of range for ground set of size {self._n}"
-                )
+        if iter(elements) is elements:  # a one-shot iterator: keep its items
+            elements = tuple(elements)
+        try:
+            s = frozenset(map(operator.index, elements))
+        except TypeError:
+            s = frozenset(map(_as_int, elements))  # raises for the first non-integer
+        if s and (min(s) < 0 or max(s) >= self._n):
+            for e in s:
+                if not 0 <= e < self._n:
+                    raise ValidationError(
+                        f"element {e} out of range for ground set of size {self._n}"
+                    )
         return s
 
     def is_independent(self, elements) -> bool:
@@ -147,19 +156,21 @@ class Matroid(ABC):
 
 class PreparedPart:
     """The fundamental circuits of an independent set ``part`` of ``matroid``,
-    kept while the part grows.
+    kept while the part changes.
 
     ``circuit(x)``, for ``x`` outside the part, is None when ``part + x`` is
     independent, otherwise the elements of the part on the unique circuit of
     ``part + x`` (an empty set when ``x`` is a loop).  ``add(x)`` grows the
     part by an ``x`` whose circuit is None; circuits found before stay
     valid, since the unique circuit of ``part + x`` is still the unique one
-    of any larger independent part plus ``x``.
+    of any larger independent part plus ``x``.  ``remove(y)`` drops ``y``
+    from the part; circuits found before stay valid exactly when they miss
+    ``y``.
 
     This base class answers through the oracle (once ``part + x`` is
     dependent, ``part - y + x`` is independent exactly when y lies on its
-    circuit), and ``add`` prepares again by re-running ``__init__`` on the
-    larger part; subclasses grow their state in place.
+    circuit), and ``add`` and ``remove`` prepare again by re-running
+    ``__init__`` on the changed part; subclasses change their state in place.
     """
 
     def __init__(self, matroid: Matroid, part: ElementSet):
@@ -175,6 +186,9 @@ class PreparedPart:
     def add(self, x: int) -> None:
         self.__init__(self.matroid, self.part | {x})
 
+    def remove(self, y: int) -> None:
+        self.__init__(self.matroid, self.part - {y})
+
 
 class _UniformPart(PreparedPart):
     def circuit(self, x: int) -> ElementSet | None:
@@ -182,6 +196,9 @@ class _UniformPart(PreparedPart):
 
     def add(self, x: int) -> None:
         self.part |= {x}
+
+    def remove(self, y: int) -> None:
+        self.part -= {y}
 
 
 class UniformMatroid(Matroid):
@@ -207,7 +224,8 @@ class UniformMatroid(Matroid):
 class _ForestPart(PreparedPart):
     # Every tree of the forest is rooted; the circuit of part + x is the tree
     # path between x's endpoints, found by climbing to their meeting point.
-    # Adding x links two trees by re-hanging the smaller one below x.
+    # Adding x links two trees by re-hanging the smaller one below x;
+    # removing y cuts the subtree below y off as a tree rooted at its top.
 
     def __init__(self, matroid: GraphicMatroid, part: ElementSet):
         super().__init__(matroid, part)
@@ -237,6 +255,18 @@ class _ForestPart(PreparedPart):
         self.part |= {x}
         self._link(x)
 
+    def remove(self, y: int) -> None:
+        self.part -= {y}
+        u, v = self.matroid.edges[y]
+        if self.up[u] != (v, y):
+            u, v = v, u
+        # u hangs below v by y: cut it off and root its subtree at u.
+        self.adjacent[u].remove((v, y))
+        self.adjacent[v].remove((u, y))
+        self.up[u], self.depth[u], self.root[u] = None, 0, u
+        self.size[u] = self._spread(u, None)
+        self.size[self.root[v]] -= self.size[u]
+
     def _link(self, i: int) -> None:
         u, v = self.matroid.edges[i]
         for w in (u, v):
@@ -249,15 +279,36 @@ class _ForestPart(PreparedPart):
         self.size[top] += self.size.pop(self.root[u])
         # Hang u below v, then walk u's old tree outwards from u.
         self.up[u], self.depth[u], self.root[u] = (v, i), self.depth[v] + 1, top
-        stack = [(u, v)]
-        while stack:
-            a, came_from = stack.pop()
-            for b, j in self.adjacent[a]:
-                if b != came_from:
-                    self.up[b], self.depth[b], self.root[b] = (a, j), self.depth[a] + 1, top
-                    stack.append((b, a))
+        self._spread(u, v)
         self.adjacent[u].append((v, i))
         self.adjacent[v].append((u, i))
+
+    def _spread(self, u: int, came_from: int | None) -> int:
+        """Hang every vertex reached from u, away from ``came_from``, below
+        u, in u's tree; returns the number of vertices reached, u included."""
+        top, count = self.root[u], 1
+        stack = [(u, came_from)]
+        while stack:
+            a, prev = stack.pop()
+            for b, j in self.adjacent[a]:
+                if b != prev:
+                    self.up[b], self.depth[b], self.root[b] = (a, j), self.depth[a] + 1, top
+                    stack.append((b, a))
+                    count += 1
+        return count
+
+
+def _check_edge(idx: int, e, vertex_count: int) -> tuple[int, int]:
+    """Edge ``idx``, ``e``, as a pair of vertex ids, or raise."""
+    pair = tuple(_as_int(v) for v in e)
+    if len(pair) != 2:
+        raise ValidationError(f"edge {idx} must be a vertex pair, got {e!r}")
+    for v in pair:
+        if not 0 <= v < vertex_count:
+            raise ValidationError(
+                f"edge {idx} endpoint {v} out of range for {vertex_count} vertices"
+            )
+    return pair
 
 
 class GraphicMatroid(Matroid):
@@ -270,17 +321,18 @@ class GraphicMatroid(Matroid):
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
             raise ValidationError(f"vertex count must be >= 0, got {vertex_count}")
-        edge_list = []
-        for idx, e in enumerate(edges):
-            pair = tuple(_as_int(v) for v in e)
-            if len(pair) != 2:
-                raise ValidationError(f"edge {idx} must be a vertex pair, got {e!r}")
-            for v in pair:
-                if not 0 <= v < vertex_count:
-                    raise ValidationError(
-                        f"edge {idx} endpoint {v} out of range for {vertex_count} vertices"
-                    )
-            edge_list.append(pair)
+        # One C-level pass over all endpoints; the per-edge check below runs
+        # only when something is wrong, and raises for the first bad edge.
+        edges = list(edges)
+        try:
+            ok = set(map(len, edges)) <= {2}
+            ends = list(map(operator.index, itertools.chain.from_iterable(edges))) if ok else []
+        except TypeError:  # an edge without a length, or a non-integer endpoint
+            ok = False
+        if ok and (not ends or (min(ends) >= 0 and max(ends) < vertex_count)):
+            edge_list = list(zip(ends[::2], ends[1::2]))
+        else:
+            edge_list = [_check_edge(idx, e, vertex_count) for idx, e in enumerate(edges)]
         super().__init__(len(edge_list))
         self.vertex_count = vertex_count
         self.edges = tuple(edge_list)
@@ -387,7 +439,8 @@ class _Fields:
 
 
 class _Echelon:
-    """Rows in echelon form over GF(p), grown one vector at a time.
+    """Rows in echelon form over GF(p), grown one vector at a time and
+    shrunk one row at a time.
 
     Vectors are ints packed by ``fields``, ``length`` entries long.  Each row
     is reduced mod p, scaled to 1 at its pivot and is zero at the pivots of
@@ -440,20 +493,41 @@ class _Echelon:
         self.rows.append((shift, fields.scale(vec, self.length, inv)))
         self.unpivoted.remove(col)
 
+    def drop(self, at: int) -> None:
+        """Drop the last row whose field at bit ``at`` is nonzero, first
+        using it to clear that field in the rows before it; the rows after
+        it are zero there already.  Every kept row keeps its pivot, since
+        the dropped row is zero at the pivots of the rows before it, and the
+        dropped row's pivot column is unpivoted again."""
+        fields = self.fields
+        p, mask = fields.prime, fields.mask
+        rows = self.rows
+        r = next(r for r in reversed(range(len(rows))) if rows[r][1] >> at & mask)
+        shift, last = rows.pop(r)
+        inv = pow(last >> at & mask, -1, p)
+        for i in range(r):
+            f = rows[i][1] >> at & mask
+            if f:
+                cleared = rows[i][1] + (p - f) * inv % p * last
+                rows[i] = (rows[i][0], fields.scale(cleared, self.length, 1))
+        bisect.insort(self.unpivoted, shift // fields.bits)
+
 
 class _EchelonPart(PreparedPart):
-    # The j-th element added carries the unit tag e_j, in a tag block as wide
+    # Each element of the part carries a unit tag e_j, in a tag block as wide
     # as the columns are long (an independent part has at most that many
     # elements) and packed above the column entries.  When x reduces to zero
     # in its column part, its tags are minus its coordinates in the part, and
-    # the nonzero ones mark the circuit.
+    # the nonzero ones mark the circuit.  Removing y drops the row that holds
+    # y's tag last and leaves y's slot in ``order`` vacant for the next add.
 
     def __init__(self, matroid: LinearMatroid, part: ElementSet):
         super().__init__(matroid, part)
         d = matroid.rows
         self.echelon = _Echelon(matroid._fields, d, 2 * d)
         self.tag_shift = d * matroid._fields.bits
-        self.order: list[int] = []
+        self.order: list[int | None] = []  # the element tagged e_j, None if vacant
+        self.vacant: list[int] = []
         self.free: tuple[int, int, int] | None = None  # last x with no circuit: reduced, pivot
         for e in part:
             self._append(e)
@@ -472,6 +546,14 @@ class _EchelonPart(PreparedPart):
         self.part |= {x}
         self._append(x)
 
+    def remove(self, y: int) -> None:
+        self.part -= {y}
+        j = self.order.index(y)
+        self.echelon.drop(self.tag_shift + j * self.matroid._fields.bits)
+        self.order[j] = None
+        self.vacant.append(j)
+        self.free = None
+
     def _append(self, e: int) -> None:
         # No row carries tag j yet, so e tagged e_j reduces to e reduced
         # untagged, plus e_j: reuse the reduction circuit(e) just made.
@@ -480,9 +562,13 @@ class _EchelonPart(PreparedPart):
         else:
             vec = self.echelon.reduce(self.matroid._packed[e])
             col = self.echelon.pivot(vec)
-        tag = 1 << self.tag_shift + len(self.order) * self.matroid._fields.bits
-        self.echelon.keep(vec + tag, col)
-        self.order.append(e)
+        if self.vacant:
+            j = self.vacant.pop()
+            self.order[j] = e
+        else:
+            j = len(self.order)
+            self.order.append(e)
+        self.echelon.keep(vec + (1 << self.tag_shift + j * self.matroid._fields.bits), col)
         self.free = None
 
 
@@ -680,6 +766,12 @@ class _SlotPart(PreparedPart):
         e = self.matroid.slots[x][1]
         self.cover[e] = x
         self.inner.add(e)
+
+    def remove(self, y: int) -> None:
+        self.part -= {y}
+        e = self.matroid.slots[y][1]
+        del self.cover[e]
+        self.inner.remove(e)
 
 
 class SlotMatroid(Matroid):

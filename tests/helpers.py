@@ -305,31 +305,37 @@ def reference_partition(problem):
 def check_every_augmentation(monkeypatch):
     """Re-check the solver state after every successful augmentation: the
     parts are disjoint and each independent in its arm through the validated
-    public query; each arm's kept prepared part holds its current part and
+    public query; an arm that had a prepared part still holds the same one,
+    whatever it lost; each kept prepared part holds its current part and
     answers every x in allowed - part as a freshly prepared one does; an arm
-    whose part grew keeps no "no circuit" answer; and every kept answer
-    still matches the oracle, both for part + x and for each part - y + x.
-    Returns the list of inserted sources."""
+    whose part grew keeps no "no circuit" answer; every kept circuit lies
+    inside the part; and every kept answer still matches the oracle, both
+    for part + x and for each part - y + x.  Returns the list of inserted
+    sources."""
     augment = union._augment
     augmented = []
 
     def checking(arms, parts, owner, circuits, source):
-        before = [set(p) for p in parts]
+        before = [(set(p), c.prepared) for p, c in zip(parts, circuits)]
         reached = augment(arms, parts, owner, circuits, source)
         if reached is None:
             assert sum(map(len, parts)) == len(set().union(*parts)), "parts must stay disjoint"
-            for arm, part, old, kept in zip(arms, parts, before, circuits):
+            for arm, part, (old, prepared), kept in zip(arms, parts, before, circuits):
                 assert arm.is_independent(part), "parts must stay independent"
+                if prepared is not None:
+                    assert kept.prepared is prepared, "an arm must keep its prepared part"
                 if kept.prepared is not None:
                     assert kept.prepared.part == part, "a kept prepared part must hold the part"
                     fresh = arm.matroid._prepare(frozenset(part))
                     for x in sorted(arm.allowed - part):
                         assert kept.prepared.circuit(x) == fresh.circuit(x), \
                             "a kept prepared part must answer as a fresh one"
-                if part > old:
+                if len(part) > len(old):
                     assert None not in kept.answers.values(), \
                         "a part that grew must drop its 'no circuit' answers"
                 for x, circuit in kept.answers.items():
+                    assert circuit is None or circuit <= part, \
+                        "a kept circuit must lie inside the part"
                     assert (circuit is None) == arm.is_independent(part | {x}), \
                         "a cached sink arc must match the oracle"
                     for y in part:

@@ -1,6 +1,6 @@
 """Fundamental circuits: every class's prepared part against the generic
-oracle loop and a brute-force minimal-circuit search, grown parts against
-fresh ones, and the circuit-based partition solver against the
+oracle loop and a brute-force minimal-circuit search, grown and shrunk parts
+against fresh ones, and the circuit-based partition solver against the
 one-query-per-arc reference solver."""
 
 import itertools
@@ -85,6 +85,32 @@ def assert_grows_like_fresh(matroid, rng):
         assert prepared.part == part
 
 
+def assert_changes_like_fresh(matroid, rng):
+    """Add and remove random elements of one prepared part, asking for the
+    circuit of each element before adding it, as the solver does; after
+    every step the part answers every x outside it as a fresh one does."""
+    part = random_independent(matroid, rng)
+    prepared = matroid._prepare(part)
+    for _ in range(2 * matroid.ground_size + 2):
+        fresh = matroid._prepare(part)
+        outside = sorted(matroid.ground_set() - part)
+        for x in outside:
+            assert prepared.circuit(x) == fresh.circuit(x), (matroid, part, x)
+        free = [x for x in outside if fresh.circuit(x) is None]
+        if part and (not free or rng.random() < 0.5):
+            y = rng.choice(sorted(part))
+            prepared.remove(y)
+            part -= {y}
+        elif free:
+            x = rng.choice(free)
+            assert prepared.circuit(x) is None
+            prepared.add(x)
+            part |= {x}
+        else:  # an empty part and only loops outside it
+            return
+        assert prepared.part == part
+
+
 # --- per-class circuit properties ------------------------------------------
 
 
@@ -146,6 +172,20 @@ def test_grown_slot_parts_match_fresh_ones(inner, k, rng):
     bases = [random_basis(inner, rng)]
     bases += [rng.choice((bases[0], random_basis(inner, rng))) for _ in range(k)]
     assert_grows_like_fresh(disjoint_copies(inner, bases), rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matroids(), st.randoms(use_true_random=False))
+def test_changed_parts_match_fresh_ones(matroid, rng):
+    assert_changes_like_fresh(matroid, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matroids(max_n=5), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_changed_slot_parts_match_fresh_ones(inner, k, rng):
+    bases = [random_basis(inner, rng)]
+    bases += [rng.choice((bases[0], random_basis(inner, rng))) for _ in range(k)]
+    assert_changes_like_fresh(disjoint_copies(inner, bases), rng)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
-"""Random and malformed input files through the in-process CLI.
+"""Random and malformed input files and argv integers through the
+in-process CLI.
 
-Whatever the files hold, ``cli.main`` must return one of the documented
-exit codes for file commands (0-4) and let no other exception escape.
+Whatever the files and the integer options hold, ``cli.main`` must return
+one of the documented exit codes (0-4 for file commands, 0, 1 or 5 for
+``search-shift2``) and let no other exception escape.
 """
 
 import contextlib
@@ -116,7 +118,7 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def run_main(workdir, argv, texts):
+def run_main(workdir, argv, texts, codes=frozenset({0, 1, 2, 3, 4})):
     paths = []
     for i, text in enumerate(texts):
         path = workdir / f"in{i}.json"
@@ -125,7 +127,8 @@ def run_main(workdir, argv, texts):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([argv[0], *paths, *argv[1:]])
-    assert code in {0, 1, 2, 3, 4}, (code, texts, out.getvalue(), err.getvalue())
+    assert code in codes, (code, argv, texts, out.getvalue(), err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 fuzz = settings(max_examples=150, deadline=None,
@@ -150,3 +153,30 @@ def test_exchange_files(workdir, inputs, broken, verify, data):
 @given(problems().flatmap(file_text))
 def test_problem_files(workdir, text):
     run_main(workdir, ["partition"], [text])
+
+
+# --- argv integers -------------------------------------------------------------
+
+#: small or negative values, plus ``--k`` values far past the catalog's size
+#: with a budget small enough to keep every search fast
+SEARCH_K = st.one_of(st.integers(-3, 40), st.sampled_from((900, 3000)))
+
+
+@st.composite
+def search_argv(draw):
+    k = draw(SEARCH_K)
+    budget = draw(st.integers(-3, 40 if k <= 40 else 2))
+    return ["search-shift2", "--k", str(k), "--budget", str(budget)]
+
+
+@fuzz
+@given(search_argv())
+def test_search_integers(workdir, argv):
+    run_main(workdir, argv, [], codes={0, 1, 5})
+
+
+@fuzz
+@given(st.sampled_from(("check", "enumerate-bases")), matroids().flatmap(file_text),
+       st.integers(-3, 40))
+def test_cap_integers(workdir, command, text, cap):
+    run_main(workdir, [command, "--cap", str(cap)], [text])

@@ -200,6 +200,43 @@ class TestDisjointCopies:
             assert lift.full_rank() == k4.rank(union)
 
 
+class TestValidation:
+    # The fast C-level passes fall back to a per-item check that names the
+    # first bad item, in input order for ids and edges.
+    @pytest.mark.parametrize("elements, message", [
+        ([1, "a", 9], "expected an integer, got 'a'"),
+        (iter([1, 2, "b"]), "expected an integer, got 'b'"),
+        ((x for x in [4, 3, 7]), "element 7 out of range for ground set of size 5"),
+        ([0, -1], "element -1 out of range for ground set of size 5"),
+        ([1.5], "expected an integer, got 1.5"),
+    ])
+    def test_check_subset_names_the_first_bad_id(self, elements, message):
+        with pytest.raises(ValidationError) as info:
+            UniformMatroid(5, 2).check_subset(elements)
+        assert str(info.value) == message
+
+    def test_check_subset_keeps_every_item_of_an_iterator(self):
+        assert UniformMatroid(5, 2).check_subset(x for x in (True, 4, 2, 4)) == {1, 2, 4}
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1], [0, 1, 2]], "edge 1 must be a vertex pair, got [0, 1, 2]"),
+        ([[0, 1], [0, 3], ["a", 1]], "edge 1 endpoint 3 out of range for 3 vertices"),
+        ([[0, 1], ["x", 5]], "expected an integer, got 'x'"),
+        ([[0, 1], [0]], "edge 1 must be a vertex pair, got [0]"),
+        ([iter([0, 1]), [2, -1]], "edge 1 endpoint -1 out of range for 3 vertices"),
+        (["ab"], "expected an integer, got 'a'"),
+    ])
+    def test_graphic_edges_name_the_first_bad_edge(self, edges, message):
+        with pytest.raises(ValidationError) as info:
+            GraphicMatroid(3, edges)
+        assert str(info.value) == message
+
+    def test_graphic_edges_become_int_pairs(self):
+        matroid = GraphicMatroid(3, ((True, 2), [0, 1]))
+        assert matroid.edges == ((1, 2), (0, 1))
+        assert all(type(v) is int for edge in matroid.edges for v in edge)
+
+
 class TestMatroidAxioms:
     """Exhaustive verification of the defining properties, n <= 10."""
 

@@ -4,7 +4,7 @@
 1, 2, 4 or 8 bytes wide depending on the prime and the number of rows.  The
 primes below reach every width as rows run from 0 to 40, and entries lean
 towards 0, 1 and p - 1, the values that make reductions sum the largest
-terms.  Rank, the greedy witness, fundamental circuits and grown parts are
+terms.  Rank, the greedy witness, fundamental circuits and changed parts are
 compared with ``gf_rank`` in ``helpers``, which reduces lists entry by entry.
 """
 
@@ -86,6 +86,28 @@ def test_grown_parts_match_lists(matroid, rng):
         x = rng.choice(free)
         prepared.add(x)
         part |= {x}
+
+
+@settings(max_examples=50, deadline=None)
+@given(packed_matroids(), st.randoms(use_true_random=False))
+def test_changed_parts_match_lists(matroid, rng):
+    # removals drop a row and leave a tag slot vacant for the next add
+    part = reference_independent(matroid, rng)
+    prepared = matroid._prepare(part)
+    for _ in range(matroid.ground_size + 2):
+        assert_circuits_match(matroid, prepared, part)
+        free = [x for x in sorted(matroid.ground_set() - part)
+                if gf_circuit(matroid.prime, matroid.columns, part, x) is None]
+        if part and (not free or rng.random() < 0.5):
+            y = rng.choice(sorted(part))
+            prepared.remove(y)
+            part -= {y}
+        elif free:
+            x = rng.choice(free)
+            prepared.add(x)
+            part |= {x}
+        else:
+            return
 
 
 def chain(prime, rows):
