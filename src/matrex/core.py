@@ -361,9 +361,11 @@ class GraphicMatroid(Matroid):
         return all(self._joins(s))
 
     def greedy_independent(self, elements) -> ElementSet:
-        # The ascending scan of the base class, growing one forest.
+        # The ascending scan of the base class, growing one forest.  It stops
+        # once the forest spans: no later edge can join two of its trees.
         ordered = sorted(self.check_subset(elements))
-        return frozenset(i for i, joins in zip(ordered, self._joins(ordered)) if joins)
+        joined = (i for i, joins in zip(ordered, self._joins(ordered)) if joins)
+        return frozenset(itertools.islice(joined, max(self.vertex_count - 1, 0)))
 
     def _prepare(self, s: ElementSet) -> PreparedPart:
         return _ForestPart(self, s)
@@ -759,7 +761,7 @@ class _SlotPart(PreparedPart):
         if e in self.cover:
             return frozenset((self.cover[e],))
         found = self.inner.circuit(e)
-        return None if found is None else frozenset(self.cover[f] for f in found)
+        return None if found is None else frozenset(map(self.cover.__getitem__, found))
 
     def add(self, x: int) -> None:
         self.part |= {x}
@@ -838,5 +840,9 @@ def disjoint_copies(matroid: Matroid, bases) -> SlotMatroid:
     for idx, b in enumerate(normalized):
         if not matroid.is_basis(b):
             raise ValidationError(f"bases[{idx}] is not a basis of the matroid")
-    slots = [(i, e) for i, b in enumerate(normalized) for e in sorted(b)]
-    return SlotMatroid(matroid, slots)
+    return _lift(matroid, normalized)
+
+
+def _lift(matroid: Matroid, bases) -> SlotMatroid:
+    """The lift of ``disjoint_copies``, for bases already validated."""
+    return SlotMatroid(matroid, [(i, e) for i, b in enumerate(bases) for e in sorted(b)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid, SlotMatroid, canon
+from .core import ElementSet, Matroid, SlotMatroid, _lift, canon
 from .errors import InternalVerificationError, ValidationError
 from .union import DeficiencyCertificate, PartitionProblem, matroid_partition
 
@@ -72,11 +72,7 @@ def build_color_classes(instance: ExchangeInstance) -> ColorClasses:
     if instance.k < 2:
         raise ValidationError("color classes are defined for k >= 2")
     k = instance.k
-    # The slots of ``disjoint_copies``, without re-checking the bases that
-    # ExchangeInstance has already validated.
-    lifted = SlotMatroid(
-        instance.matroid, [(i, e) for i, b in enumerate(instance.bases) for e in sorted(b)]
-    )
+    lifted = _lift(instance.matroid, instance.bases)  # ExchangeInstance validated them
 
     lists: list[frozenset[int]] = []
     for tag, element in lifted.slots:

@@ -6,8 +6,9 @@ loudly.  ``dumps`` is deterministic (sorted keys, fixed separators), which is
 what makes byte-identical CLI output possible.
 
 A file's size does not bound the work it asks for, so the parsers refuse
-linear matrices above ``MAX_MATRIX_ENTRIES`` entries and bases files above
-``MAX_LIFTED_SLOTS`` slots with a SizeLimitError.  The matroid classes
+linear matrices above ``MAX_MATRIX_ENTRIES`` entries, bases files above
+``MAX_LIFTED_SLOTS`` slots and problem files whose universe is larger than
+``MAX_UNIVERSE`` with a SizeLimitError.  The matroid classes
 themselves have no such caps.
 """
 
@@ -28,6 +29,12 @@ MAX_MATRIX_ENTRIES = 2**20
 #: Largest bases file, in lifted slots (the summed sizes of its bases, k*r for
 #: k bases of rank r): each slot is one element of the exchange's partition.
 MAX_LIFTED_SLOTS = 2**12
+
+#: Largest universe of a partition problem file, checked before the universe
+#: is built.  A two-arm U(n/2, n) problem of this size solves in about 0.7 s
+#: under CPython 3.11 on one core of a 2-core Xeon virtual machine, and one
+#: four times larger in about 12 s.
+MAX_UNIVERSE = 2**14
 
 
 def dumps(obj) -> str:
@@ -178,6 +185,8 @@ def problem_from_json(obj) -> PartitionProblem:
     n = _int_field(obj, "universe", "problem")
     if n < 0:
         raise FormatError("problem.universe must be >= 0")
+    if n > MAX_UNIVERSE:
+        raise SizeLimitError(f"a universe of {n} elements exceeds the cap of {MAX_UNIVERSE}")
     arms_raw = obj["arms"]
     if not isinstance(arms_raw, list) or not arms_raw:
         raise FormatError("problem.arms must be a nonempty array")

@@ -124,18 +124,23 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
     D_i) means x can take y's place.  Applying the swaps along a shortest
     path keeps every D_i independent.  If no sink is reachable, the set of
     reachable universe nodes is a deficiency witness; it is re-verified by
-    direct rank queries before being returned.  Each arm keeps, for this
-    solve only, its prepared part and the circuits it answered: every move
-    along a path is applied to the part in place, and only the answers it
-    may have changed are dropped.
+    direct rank queries before being returned.  The arms that allow each
+    element are listed once per solve.  Each arm keeps, for this solve
+    only, its prepared part and the circuits it answered: every move along
+    a path is applied to the part in place, and only the answers it may
+    have changed are dropped.
     """
     arms = problem.arms
     parts: list[set[int]] = [set() for _ in arms]
     owner: dict[int, int] = {}
-    circuits = [_Circuits(arm.matroid) for arm in arms]
+    circuits = [_Circuits(arm) for arm in arms]
+    arms_of: dict[int, list[int]] = {x: [] for x in problem.universe}
+    for i, arm in enumerate(arms):
+        for x in arm.allowed:
+            arms_of[x].append(i)
 
     for element in sorted(problem.universe):
-        reached = _augment(arms, parts, owner, circuits, element)
+        reached = _augment(arms_of, parts, owner, circuits, element)
         if reached is not None:
             return _certificate(arms, reached)
 
@@ -145,34 +150,41 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
     return result
 
 
-def _augment(arms, parts, owner, circuits, source) -> set[int] | None:
+def _augment(arms_of, parts, owner, circuits, source) -> set[int] | None:
     """Insert ``source`` via a shortest augmenting path.
 
     Returns None on success, or the set of reachable universe nodes when no
-    sink can be reached.  Each expanded node x asks every arm i that allows
-    it, with x outside D_i, for the circuit of D_i + x: there is none when x
-    can join D_i (a sink arc), and otherwise its elements are exactly the y
-    that x can replace.  Ties are broken deterministically: nodes are
-    scanned in first-discovered order, sink arcs in ascending arm index,
-    swap-arc targets in ascending element id.
+    sink can be reached.  ``arms_of[x]`` lists, in ascending order, the arms
+    that allow x.  Each expanded node x asks each of them except its owner
+    for the circuit of D_i + x: there is none when x can join D_i (a sink
+    arc), and otherwise its elements are exactly the y that x can replace.
+    So one expansion costs its own arms and circuits, whatever the number
+    of arms or of nodes reached.  Ties are broken deterministically: nodes
+    are scanned in first-discovered order, sink arcs in ascending arm
+    index, swap-arc targets in ascending element id.
     """
     parent: dict[int, int | None] = {source: None}
     queue: deque[int] = deque([source])
 
     while queue:
         x = queue.popleft()
-        targets: set[int] = set()
-        for i, arm in enumerate(arms):
-            if x not in arm.allowed or x in parts[i]:
+        home = owner.get(x)
+        found = []
+        for i in arms_of[x]:
+            if i == home:
                 continue
             circuit = circuits[i].circuit(parts[i], x)
             if circuit is None:
                 _apply_path(parts, owner, circuits, parent, x, i)
                 return None
-            targets |= circuit
-        for y in sorted(targets - parent.keys()):
-            parent[y] = x
-            queue.append(y)
+            found.append(circuit)
+        if found:
+            # difference() with a dict probes it once per target; the
+            # ``-`` operator with ``parent.keys()`` would walk all of it.
+            targets = found[0].union(*found[1:]) if len(found) > 1 else found[0]
+            for y in sorted(targets.difference(parent)):
+                parent[y] = x
+                queue.append(y)
 
     return set(parent)
 
@@ -181,15 +193,15 @@ class _Circuits:
     """One arm's circuits for its current part: the prepared part, built on
     first use, and its answers by x."""
 
-    def __init__(self, matroid: Matroid):
-        self.matroid = matroid
+    def __init__(self, arm: Arm):
+        self.arm = arm
         self.prepared: PreparedPart | None = None
         self.answers: dict[int, ElementSet | None] = {}
 
     def circuit(self, part, x) -> ElementSet | None:
         if x not in self.answers:
             if self.prepared is None:
-                self.prepared = self.matroid._prepare(frozenset(part))
+                self.prepared = self.arm.matroid._prepare(frozenset(part))
             self.answers[x] = self.prepared.circuit(x)
         return self.answers[x]
 

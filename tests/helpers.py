@@ -259,6 +259,35 @@ def random_problem(seed, max_n=8, max_k=3):
     return PartitionProblem(frozenset(range(n)), arms)
 
 
+def exchange_shaped_problem(seed, max_n=16, max_k=6):
+    """A deterministic random problem with the shape of the exchange's: up to
+    ``max_k`` uniform or graphic arms, each element allowed in at most 2 of
+    them (a cyclic pair {j, j+1 mod k}, or a random one or two arms and
+    rarely none).  Ranks are drawn so that both outcomes are common."""
+    rng = random.Random(seed)
+    n = rng.randint(1, max_n)
+    k = rng.randint(1, max_k)
+    cyclic = rng.random() < 0.5
+    lists = []
+    for _ in range(n):
+        j = rng.randrange(k)
+        if cyclic:
+            lists.append({j, (j + 1) % k})
+        else:
+            size = 0 if rng.random() < 0.02 else min(k, rng.choice((1, 2, 2)))
+            lists.append(set(rng.sample(range(k), size)))
+    arms = []
+    for i in range(k):
+        allowed = frozenset(x for x, listed in enumerate(lists) if i in listed)
+        if rng.random() < 0.5:
+            matroid = UniformMatroid(n, rng.randint(len(allowed) // 3, (len(allowed) + 1) // 2))
+        else:
+            vertices = rng.randint(2, 6)
+            matroid = GraphicMatroid(vertices, [rng.sample(range(vertices), 2) for _ in range(n)])
+        arms.append(Arm(allowed, matroid))
+    return PartitionProblem(frozenset(range(n)), arms)
+
+
 def reference_partition(problem):
     """The augmenting-path solver with one independence query per arc, as
     ``matroid_partition`` was before it read arcs off fundamental circuits.
@@ -303,24 +332,28 @@ def reference_partition(problem):
 
 
 def check_every_augmentation(monkeypatch):
-    """Re-check the solver state after every successful augmentation: the
-    parts are disjoint and each independent in its arm through the validated
-    public query; an arm that had a prepared part still holds the same one,
-    whatever it lost; each kept prepared part holds its current part and
-    answers every x in allowed - part as a freshly prepared one does; an arm
-    whose part grew keeps no "no circuit" answer; every kept circuit lies
-    inside the part; and every kept answer still matches the oracle, both
-    for part + x and for each part - y + x.  Returns the list of inserted
-    sources."""
+    """Re-check the solver state after every augmentation: each element's arm
+    list holds the arms that allow it, in ascending order.  After every
+    successful one, also: the parts are disjoint and each independent in its
+    arm through the validated public query; an arm that had a prepared part
+    still holds the same one, whatever it lost; each kept prepared part
+    holds its current part and answers every x in allowed - part as a
+    freshly prepared one does; an arm whose part grew keeps no "no circuit"
+    answer; every kept circuit lies inside the part; and every kept answer
+    still matches the oracle, both for part + x and for each part - y + x.
+    Returns the list of inserted sources."""
     augment = union._augment
     augmented = []
 
-    def checking(arms, parts, owner, circuits, source):
+    def checking(arms_of, parts, owner, circuits, source):
         before = [(set(p), c.prepared) for p, c in zip(parts, circuits)]
-        reached = augment(arms, parts, owner, circuits, source)
+        reached = augment(arms_of, parts, owner, circuits, source)
+        assert all(listed == [i for i, kept in enumerate(circuits) if x in kept.arm.allowed]
+                   for x, listed in arms_of.items()), "arms_of must list x's arms in ascending order"
         if reached is None:
             assert sum(map(len, parts)) == len(set().union(*parts)), "parts must stay disjoint"
-            for arm, part, (old, prepared), kept in zip(arms, parts, before, circuits):
+            for part, (old, prepared), kept in zip(parts, before, circuits):
+                arm = kept.arm
                 assert arm.is_independent(part), "parts must stay independent"
                 if prepared is not None:
                     assert kept.prepared is prepared, "an arm must keep its prepared part"

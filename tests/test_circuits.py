@@ -4,6 +4,7 @@ against fresh ones, and the circuit-based partition solver against the
 one-query-per-arc reference solver."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from matrex import (
     Arm,
     BasisMatroid,
+    DeficiencyCertificate,
     GraphicMatroid,
     InstanceGenSpec,
     LinearMatroid,
@@ -24,9 +26,16 @@ from matrex import (
     exchange,
     matroid_partition,
     random_instance,
+    union,
 )
 
-from helpers import K4_EDGES, fixture_matroids, random_problem, reference_partition
+from helpers import (
+    K4_EDGES,
+    exchange_shaped_problem,
+    fixture_matroids,
+    random_problem,
+    reference_partition,
+)
 
 
 def brute_circuit(matroid, s, x):
@@ -236,6 +245,47 @@ def test_greedy_scan_matches_generic(matroid, elements):
     assert matroid.greedy_independent(elements) == Matroid.greedy_independent(matroid, elements)
 
 
+def complete_graph(vertices):
+    return [[u, v] for u in range(vertices) for v in range(u + 1, vertices)]
+
+
+@pytest.mark.parametrize(
+    "matroid",
+    [GraphicMatroid(v, complete_graph(v)) for v in range(9)] + [
+        GraphicMatroid(7, K4_EDGES),  # three isolated vertices
+        GraphicMatroid(6, complete_graph(4) + [[1, 1], [0, 1], [4, 4]]),
+        GraphicMatroid(1, [[0, 0], [0, 0]]),  # self-loops only
+        GraphicMatroid(3, [[2, 2], [0, 0], [1, 1]]),
+    ],
+    ids=repr,
+)
+def test_graphic_greedy_scan_stops_once_spanning(matroid, monkeypatch):
+    # The same witness as the generic scan.  The scan examines every edge
+    # up to the one that makes the forest span (vertex_count - 1 edges), and
+    # none after it.
+    examined = []
+    joins = GraphicMatroid._joins
+
+    def counting_joins(self, ids):
+        for joined in joins(self, ids):
+            examined.append(joined)
+            yield joined
+
+    monkeypatch.setattr(GraphicMatroid, "_joins", counting_joins)
+    rng = random.Random(matroid.ground_size)
+    ground = matroid.ground_set()
+    subsets = [ground] + [frozenset(e for e in ground if rng.random() < 0.6) for _ in range(20)]
+    for elements in subsets:
+        examined.clear()
+        witness = matroid.greedy_independent(elements)
+        ordered = sorted(elements)
+        if len(witness) < matroid.vertex_count - 1:
+            assert len(examined) == len(ordered), elements
+        else:  # the forest spans at its last edge
+            assert len(examined) == (ordered.index(max(witness)) + 1 if witness else 0), elements
+        assert witness == Matroid.greedy_independent(matroid, elements), elements
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: linear_matroids(n, primes=(2, 3, 5))),
        st.frozensets(st.integers(0, 5)))
@@ -254,6 +304,33 @@ def test_linear_independence_matches_combinations(matroid, elements):
 def test_solver_matches_reference_on_random_problems(seed):
     problem = random_problem(seed)
     assert matroid_partition(problem) == reference_partition(problem)
+
+
+def test_solver_matches_reference_on_exchange_shaped_problems(monkeypatch):
+    # Each element in at most 2 of up to 6 arms, as in the exchange.  Both
+    # outcomes must come up, certificates with more than one reached node
+    # (so the witness compares the whole search) and paths that swap.
+    augment, lengths = union._augment, []
+
+    def measuring(arms_of, parts, owner, circuits, source):
+        before = dict(owner)
+        reached = augment(arms_of, parts, owner, circuits, source)
+        if reached is None:
+            lengths.append(sum(before.get(x) != arm for x, arm in owner.items()) - 1)
+        return reached
+
+    monkeypatch.setattr(union, "_augment", measuring)
+    witnesses = []
+    for seed in range(1000):
+        problem = exchange_shaped_problem(seed)
+        outcome = matroid_partition(problem)
+        assert outcome == reference_partition(problem), seed
+        if isinstance(outcome, DeficiencyCertificate):
+            witnesses.append(outcome.size)
+    assert 200 < len(witnesses) < 800  # 663
+    assert sum(size > 2 for size in witnesses) > 200  # 432
+    assert sum(length > 0 for length in lengths) > 200  # 387
+    assert max(lengths) > 2
 
 
 @st.composite

@@ -228,6 +228,28 @@ class TestPartition:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"parts": [[0], [1]]}
 
+    def test_universe_above_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        from matrex import cli, io
+
+        path = write(tmp_path, "p.json", TWO_RANK1_ARMS)
+        monkeypatch.setattr(io, "MAX_UNIVERSE", 2)
+        assert cli.main(["partition", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {"parts": [[0], [1]]}
+        monkeypatch.setattr(io, "MAX_UNIVERSE", 1)
+        assert cli.main(["partition", "--json-errors", path]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "size-limit", "message": "a universe of 2 elements exceeds the cap of 1"}
+
+    def test_huge_universe_exits_3_before_building_it(self, tmp_path):
+        # building the universe of 10**9 ids would overrun the 1 GB cap at once
+        obj = {"universe": 10**9, "arms": [
+            {"matroid": {"type": "uniform", "n": 10**9, "rank": 1}, "allowed": []}]}
+        proc = run_cli("partition", write(tmp_path, "p.json", obj), memory_limit=2**30)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "a universe of 1000000000 elements exceeds the cap" in proc.stderr
+
     def test_certificate_exits_4(self, tmp_path):
         obj = {
             "universe": 3,

@@ -408,9 +408,9 @@ class TestOracleBoundary:
             counts["prepared"] += 1
             prepare(self, *args)
 
-        def counting_augment(arms, parts, *rest):
+        def counting_augment(arms_of, parts, *rest):
             before = [set(p) for p in parts]
-            reached = augment(arms, parts, *rest)
+            reached = augment(arms_of, parts, *rest)
             counts["losses"] += sum(not part >= old for part, old in zip(parts, before))
             return reached
 
