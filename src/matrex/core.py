@@ -55,7 +55,8 @@ class Matroid(ABC):
 
     Subclasses implement ``_indep``, the one oracle method, on trusted
     frozensets: the public methods validate ids once, internal code calls
-    ``_indep``.  Nothing is memoised here; the partition solver caches arcs.
+    ``_indep``.  Nothing is memoised here; the partition solver keeps one
+    prepared part per arm.
 
     ``_prepare(s)``, for an independent ``s``, returns a ``PreparedPart``:
     its ``circuit(x)`` gives the fundamental circuit of ``s + x``, its
@@ -298,9 +299,29 @@ class _ForestPart(PreparedPart):
         return count
 
 
+def _int_pairs(items, ranged: slice, bound: int, check) -> list[tuple[int, int]]:
+    """``items`` as pairs of ints whose flattened ``ranged`` entries lie in
+    range(bound).  One C-level pass does the common case; only when something
+    is wrong does ``check(idx, item, bound)`` run on each item in turn, and it
+    raises for the first bad one."""
+    items = list(items)
+    try:
+        ok = set(map(len, items)) <= {2}
+        flat = list(map(operator.index, itertools.chain.from_iterable(items))) if ok else []
+    except TypeError:  # an item without a length, or a non-integer entry
+        ok = False
+    tested = flat[ranged] if ok else []
+    if ok and (not tested or (min(tested) >= 0 and max(tested) < bound)):
+        return list(zip(flat[::2], flat[1::2]))
+    return [check(idx, item, bound) for idx, item in enumerate(items)]
+
+
 def _check_edge(idx: int, e, vertex_count: int) -> tuple[int, int]:
     """Edge ``idx``, ``e``, as a pair of vertex ids, or raise."""
-    pair = tuple(_as_int(v) for v in e)
+    try:
+        pair = tuple(map(_as_int, e))
+    except TypeError:  # not iterable
+        pair = ()
     if len(pair) != 2:
         raise ValidationError(f"edge {idx} must be a vertex pair, got {e!r}")
     for v in pair:
@@ -321,18 +342,7 @@ class GraphicMatroid(Matroid):
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
             raise ValidationError(f"vertex count must be >= 0, got {vertex_count}")
-        # One C-level pass over all endpoints; the per-edge check below runs
-        # only when something is wrong, and raises for the first bad edge.
-        edges = list(edges)
-        try:
-            ok = set(map(len, edges)) <= {2}
-            ends = list(map(operator.index, itertools.chain.from_iterable(edges))) if ok else []
-        except TypeError:  # an edge without a length, or a non-integer endpoint
-            ok = False
-        if ok and (not ends or (min(ends) >= 0 and max(ends) < vertex_count)):
-            edge_list = list(zip(ends[::2], ends[1::2]))
-        else:
-            edge_list = [_check_edge(idx, e, vertex_count) for idx, e in enumerate(edges)]
+        edge_list = _int_pairs(edges, slice(None), vertex_count, _check_edge)
         super().__init__(len(edge_list))
         self.vertex_count = vertex_count
         self.edges = tuple(edge_list)
@@ -776,6 +786,18 @@ class _SlotPart(PreparedPart):
         self.inner.remove(e)
 
 
+def _check_slot(j: int, item, ground_size: int) -> tuple[int, int]:
+    """Slot ``j``, ``item``, as a (tag, element) pair of ints, or raise."""
+    try:
+        tag, elem = item
+    except (TypeError, ValueError):
+        raise ValidationError(f"slot {j} must be a (tag, element) pair, got {item!r}") from None
+    tag, elem = _as_int(tag), _as_int(elem)
+    if not 0 <= elem < ground_size:
+        raise ValidationError(f"slot {j} copies element {elem}, out of range")
+    return tag, elem
+
+
 class SlotMatroid(Matroid):
     """Parallel-copy lift of a matroid.
 
@@ -786,13 +808,7 @@ class SlotMatroid(Matroid):
     """
 
     def __init__(self, inner: Matroid, slots):
-        pairs = []
-        for j, item in enumerate(slots):
-            tag, elem = item
-            tag, elem = _as_int(tag), _as_int(elem)
-            if not 0 <= elem < inner.ground_size:
-                raise ValidationError(f"slot {j} copies element {elem}, out of range")
-            pairs.append((tag, elem))
+        pairs = _int_pairs(slots, slice(1, None, 2), inner.ground_size, _check_slot)
         super().__init__(len(pairs))
         self.inner = inner
         self.slots = tuple(pairs)

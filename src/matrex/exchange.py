@@ -74,20 +74,16 @@ def build_color_classes(instance: ExchangeInstance) -> ColorClasses:
     k = instance.k
     lifted = _lift(instance.matroid, instance.bases)  # ExchangeInstance validated them
 
+    moved, kept = frozenset({1}), frozenset({0})
+    pairs = [frozenset({tag, (tag + 1) % k}) for tag in range(k)]
     lists: list[frozenset[int]] = []
-    for tag, element in lifted.slots:
-        if tag == 0:
-            lists.append(frozenset({1}) if element in instance.seed else frozenset({0}))
-        elif tag == k - 1:
-            lists.append(frozenset({k - 1, 0}))
-        else:
-            lists.append(frozenset({tag, tag + 1}))
-
-    classes = tuple(
-        frozenset(s for s, allowed in enumerate(lists) if j in allowed)
-        for j in range(k)
-    )
-    return ColorClasses(lifted, classes, tuple(lists))
+    members: list[list[int]] = [[] for _ in range(k)]
+    for s, (tag, element) in enumerate(lifted.slots):
+        allowed = (moved if element in instance.seed else kept) if tag == 0 else pairs[tag]
+        lists.append(allowed)
+        for j in allowed:
+            members[j].append(s)
+    return ColorClasses(lifted, tuple(map(frozenset, members)), tuple(lists))
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,9 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
             f"the induced partition problem is always feasible, but a deficiency "
             f"certificate of size {outcome.size} was returned; this is a bug"
         )
-    blocks = [lifted.block(i) for i in range(k)]
+    blocks: list[set[int]] = [set() for _ in range(k)]
+    for slot, (tag, _) in enumerate(lifted.slots):
+        blocks[tag].add(slot)
     slot_parts = outcome.parts
 
     seed_slots = frozenset(lifted.slot_of(0, e) for e in seed)

@@ -8,9 +8,10 @@ smaller than its cardinality, which proves no full partition exists.
 The exchange arcs are read off fundamental circuits: one circuit per
 expanded node and arm instead of one independence query per candidate swap,
 as in Cunningham, "Improved bounds for matroid partition and intersection
-algorithms" (1986).  Each arm keeps one prepared part
-(``Matroid._prepare``) for the whole solve and applies every swap to it in
-place, as in the incremental form of Knuth, "Matroid partitioning" (1973).
+algorithms" (1986).  Each arm's only state is one prepared part
+(``Matroid._prepare``): it holds the arm's set D_i for the whole solve,
+answers its circuits, and takes every swap in place, as in the incremental
+form of Knuth, "Matroid partitioning" (1973).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid, PreparedPart
+from .core import ElementSet, Matroid
 from .errors import InternalVerificationError, ValidationError
 
 
@@ -125,43 +126,41 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
     path keeps every D_i independent.  If no sink is reachable, the set of
     reachable universe nodes is a deficiency witness; it is re-verified by
     direct rank queries before being returned.  The arms that allow each
-    element are listed once per solve.  Each arm keeps, for this solve
-    only, its prepared part and the circuits it answered: every move along
-    a path is applied to the part in place, and only the answers it may
-    have changed are dropped.
+    element are listed once per solve.  Each arm's only state is its
+    prepared part, made once from the empty set: it holds D_i, answers the
+    circuits, and takes every move along a path in place.
     """
     arms = problem.arms
-    parts: list[set[int]] = [set() for _ in arms]
+    prepared = [arm.matroid._prepare(frozenset()) for arm in arms]
     owner: dict[int, int] = {}
-    circuits = [_Circuits(arm) for arm in arms]
     arms_of: dict[int, list[int]] = {x: [] for x in problem.universe}
     for i, arm in enumerate(arms):
         for x in arm.allowed:
             arms_of[x].append(i)
 
     for element in sorted(problem.universe):
-        reached = _augment(arms_of, parts, owner, circuits, element)
+        reached = _augment(arms_of, prepared, owner, element)
         if reached is not None:
             return _certificate(arms, reached)
 
-    result = Partition(tuple(frozenset(p) for p in parts))
+    result = Partition(tuple(p.part for p in prepared))
     if not verify_partition(problem, result):
         raise InternalVerificationError("the computed partition failed re-verification")
     return result
 
 
-def _augment(arms_of, parts, owner, circuits, source) -> set[int] | None:
+def _augment(arms_of, prepared, owner, source) -> set[int] | None:
     """Insert ``source`` via a shortest augmenting path.
 
     Returns None on success, or the set of reachable universe nodes when no
     sink can be reached.  ``arms_of[x]`` lists, in ascending order, the arms
-    that allow x.  Each expanded node x asks each of them except its owner
-    for the circuit of D_i + x: there is none when x can join D_i (a sink
-    arc), and otherwise its elements are exactly the y that x can replace.
-    So one expansion costs its own arms and circuits, whatever the number
-    of arms or of nodes reached.  Ties are broken deterministically: nodes
-    are scanned in first-discovered order, sink arcs in ascending arm
-    index, swap-arc targets in ascending element id.
+    that allow x.  Each expanded node x asks the prepared part of each of
+    them except its owner for the circuit of D_i + x: there is none when x
+    can join D_i (a sink arc), and otherwise its elements are exactly the y
+    that x can replace.  So one expansion costs its own arms and circuits,
+    whatever the number of arms or of nodes reached.  Ties are broken
+    deterministically: nodes are scanned in first-discovered order, sink
+    arcs in ascending arm index, swap-arc targets in ascending element id.
     """
     parent: dict[int, int | None] = {source: None}
     queue: deque[int] = deque([source])
@@ -173,9 +172,9 @@ def _augment(arms_of, parts, owner, circuits, source) -> set[int] | None:
         for i in arms_of[x]:
             if i == home:
                 continue
-            circuit = circuits[i].circuit(parts[i], x)
+            circuit = prepared[i].circuit(x)
             if circuit is None:
-                _apply_path(parts, owner, circuits, parent, x, i)
+                _apply_path(prepared, owner, parent, x, i)
                 return None
             found.append(circuit)
         if found:
@@ -189,65 +188,24 @@ def _augment(arms_of, parts, owner, circuits, source) -> set[int] | None:
     return set(parent)
 
 
-class _Circuits:
-    """One arm's circuits for its current part: the prepared part, built on
-    first use, and its answers by x."""
-
-    def __init__(self, arm: Arm):
-        self.arm = arm
-        self.prepared: PreparedPart | None = None
-        self.answers: dict[int, ElementSet | None] = {}
-
-    def circuit(self, part, x) -> ElementSet | None:
-        if x not in self.answers:
-            if self.prepared is None:
-                self.prepared = self.arm.matroid._prepare(frozenset(part))
-            self.answers[x] = self.prepared.circuit(x)
-        return self.answers[x]
-
-    def change(self, lost, gained) -> None:
-        """The part lost the elements ``lost`` and gained ``gained``.  Losses
-        go first, so the part stays independent at every step.  A circuit
-        stays valid while it misses ``lost``.  "No circuit" stays valid
-        unless the part grew: every element gained in place of a lost one
-        had a circuit in the part, so the span did not change."""
-        if self.prepared is not None:
-            for y in lost:
-                self.prepared.remove(y)
-            for x in gained:
-                self.prepared.add(x)
-        if lost:
-            self.answers = {x: c for x, c in self.answers.items()
-                            if c is None or c.isdisjoint(lost)}
-        if len(gained) > len(lost):
-            self.answers = {x: c for x, c in self.answers.items() if c is not None}
-
-
-def _apply_path(parts, owner, circuits, parent, last, sink_arm) -> None:
+def _apply_path(prepared, owner, parent, last, sink_arm) -> None:
     """Apply the swaps along the path ending with ``last`` -> sink_arm: walking
-    back, each node moves into the arm its successor leaves.  The nodes are
-    distinct, so the moves commute.  An arm that loses a node gains the
-    node before it, so every arm on the path gained something; each then
-    applies all its losses and gains to its circuits at once."""
-    if parent[last] is None:  # about 96% of paths: last joins the sink arm directly
-        parts[sink_arm].add(last)
-        owner[last] = sink_arm
-        circuits[sink_arm].change((), (last,))
-        return
-    lost: dict[int, list[int]] = {}
-    gained: dict[int, list[int]] = {}
+    back, each node moves into the arm its successor leaves.  All removals
+    go first, so every part stays independent at every step.  The first
+    addition is ``last`` to the sink arm, whose circuit query was the last
+    one made, so a sink part that lost nothing may reuse that query's work."""
+    moves = []
     x, arm = last, sink_arm
     while x is not None:
         old = owner.get(x)
-        if old is not None:
-            parts[old].discard(x)
-            lost.setdefault(old, []).append(x)
-        parts[arm].add(x)
+        moves.append((x, old, arm))
         owner[x] = arm
-        gained.setdefault(arm, []).append(x)
         x, arm = parent[x], old
-    for i, xs in gained.items():
-        circuits[i].change(lost.get(i, ()), xs)
+    for x, old, _ in moves:
+        if old is not None:
+            prepared[old].remove(x)
+    for x, _, new in moves:
+        prepared[new].add(x)
 
 
 def _certificate(arms, reached: set[int]) -> DeficiencyCertificate:

@@ -334,49 +334,45 @@ def reference_partition(problem):
 def check_every_augmentation(monkeypatch):
     """Re-check the solver state after every augmentation: each element's arm
     list holds the arms that allow it, in ascending order.  After every
-    successful one, also: the parts are disjoint and each independent in its
-    arm through the validated public query; an arm that had a prepared part
-    still holds the same one, whatever it lost; each kept prepared part
-    holds its current part and answers every x in allowed - part as a
-    freshly prepared one does; an arm whose part grew keeps no "no circuit"
-    answer; every kept circuit lies inside the part; and every kept answer
-    still matches the oracle, both for part + x and for each part - y + x.
-    Returns the list of inserted sources."""
-    augment = union._augment
-    augmented = []
+    successful one, also: each arm keeps the same prepared part, and it
+    holds the elements that ``owner`` assigns to the arm; the parts are
+    disjoint and each independent in its arm through the validated public
+    query; and each prepared part answers every x in allowed - part as a
+    freshly prepared one does.  The arms are those of the partition problem
+    built last, which must be the one being solved.  Returns the list of
+    inserted sources."""
+    augment, init = union._augment, union.PartitionProblem.__init__
+    problems, augmented = [], []
 
-    def checking(arms_of, parts, owner, circuits, source):
-        before = [(set(p), c.prepared) for p, c in zip(parts, circuits)]
-        reached = augment(arms_of, parts, owner, circuits, source)
-        assert all(listed == [i for i, kept in enumerate(circuits) if x in kept.arm.allowed]
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        problems.append(self)
+
+    def checking(arms_of, prepared, owner, source):
+        arms = problems[-1].arms
+        assert len(prepared) == len(arms) and all(
+            kept.matroid is arm.matroid for kept, arm in zip(prepared, arms)), \
+            "the solve must be of the problem built last"
+        before = list(prepared)
+        reached = augment(arms_of, prepared, owner, source)
+        assert all(listed == [i for i, arm in enumerate(arms) if x in arm.allowed]
                    for x, listed in arms_of.items()), "arms_of must list x's arms in ascending order"
         if reached is None:
+            parts = [kept.part for kept in prepared]
             assert sum(map(len, parts)) == len(set().union(*parts)), "parts must stay disjoint"
-            for part, (old, prepared), kept in zip(parts, before, circuits):
-                arm = kept.arm
+            for i, (arm, kept, old) in enumerate(zip(arms, prepared, before)):
+                assert kept is old, "an arm must keep its prepared part"
+                part = kept.part
+                assert part == {x for x, home in owner.items() if home == i}, \
+                    "a prepared part must hold the arm's part"
                 assert arm.is_independent(part), "parts must stay independent"
-                if prepared is not None:
-                    assert kept.prepared is prepared, "an arm must keep its prepared part"
-                if kept.prepared is not None:
-                    assert kept.prepared.part == part, "a kept prepared part must hold the part"
-                    fresh = arm.matroid._prepare(frozenset(part))
-                    for x in sorted(arm.allowed - part):
-                        assert kept.prepared.circuit(x) == fresh.circuit(x), \
-                            "a kept prepared part must answer as a fresh one"
-                if len(part) > len(old):
-                    assert None not in kept.answers.values(), \
-                        "a part that grew must drop its 'no circuit' answers"
-                for x, circuit in kept.answers.items():
-                    assert circuit is None or circuit <= part, \
-                        "a kept circuit must lie inside the part"
-                    assert (circuit is None) == arm.is_independent(part | {x}), \
-                        "a cached sink arc must match the oracle"
-                    for y in part:
-                        swap = circuit is not None and y in circuit
-                        assert swap == arm.is_independent((part - {y}) | {x}), \
-                            "a cached swap arc must match the oracle"
+                fresh = arm.matroid._prepare(frozenset(part))
+                for x in sorted(arm.allowed - part):
+                    assert kept.circuit(x) == fresh.circuit(x), \
+                        "a kept prepared part must answer as a fresh one"
             augmented.append(source)
         return reached
 
+    monkeypatch.setattr(union.PartitionProblem, "__init__", recording)
     monkeypatch.setattr(union, "_augment", checking)
     return augmented

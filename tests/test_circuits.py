@@ -312,9 +312,9 @@ def test_solver_matches_reference_on_exchange_shaped_problems(monkeypatch):
     # (so the witness compares the whole search) and paths that swap.
     augment, lengths = union._augment, []
 
-    def measuring(arms_of, parts, owner, circuits, source):
+    def measuring(arms_of, prepared, owner, source):
         before = dict(owner)
-        reached = augment(arms_of, parts, owner, circuits, source)
+        reached = augment(arms_of, prepared, owner, source)
         if reached is None:
             lengths.append(sum(before.get(x) != arm for x, arm in owner.items()) - 1)
         return reached

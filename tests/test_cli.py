@@ -70,6 +70,21 @@ class TestCheck:
         proc = run_cli("check", "/nonexistent/m.json")
         assert proc.returncode == 1
 
+    def test_console_script_entry_exits_with_main_code(self, tmp_path, monkeypatch, capsys):
+        # ``entry`` is the ``matrex`` console script: it reads sys.argv
+        from matrex import cli
+
+        monkeypatch.setattr(sys, "argv", ["matrex", "check", write(tmp_path, "m.json", UNIFORM42)])
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+        assert info.value.code == 0
+        assert capsys.readouterr().out == "rank 2, 4 elements, 6 bases\n"
+        monkeypatch.setattr(sys, "argv", ["matrex", "check", str(tmp_path / "missing.json")])
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+        assert info.value.code == 1
+        assert capsys.readouterr().out == ""
+
     def test_over_cap_omits_basis_count(self, tmp_path):
         path = write(tmp_path, "m.json", {"type": "uniform", "n": 25, "rank": 3})
         proc = run_cli("check", path)

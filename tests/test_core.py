@@ -12,6 +12,7 @@ from matrex import (
     GraphicMatroid,
     LinearMatroid,
     SizeLimitError,
+    SlotMatroid,
     UniformMatroid,
     ValidationError,
     check_base_axiom,
@@ -225,11 +226,30 @@ class TestValidation:
         ([[0, 1], [0]], "edge 1 must be a vertex pair, got [0]"),
         ([iter([0, 1]), [2, -1]], "edge 1 endpoint -1 out of range for 3 vertices"),
         (["ab"], "expected an integer, got 'a'"),
+        ([[0, 1], 5], "edge 1 must be a vertex pair, got 5"),
     ])
     def test_graphic_edges_name_the_first_bad_edge(self, edges, message):
         with pytest.raises(ValidationError) as info:
             GraphicMatroid(3, edges)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("slots, message", [
+        ([(0, 1), (0,)], "slot 1 must be a (tag, element) pair, got (0,)"),
+        ([(0, 1, 2)], "slot 0 must be a (tag, element) pair, got (0, 1, 2)"),
+        ([(0, 1), 5], "slot 1 must be a (tag, element) pair, got 5"),
+        ([(0, 1), (1, "a")], "expected an integer, got 'a'"),
+        ([(0, 1), (1, 3), ("x", 0)], "slot 1 copies element 3, out of range"),
+        ([(0, -1)], "slot 0 copies element -1, out of range"),
+    ])
+    def test_slots_name_the_first_bad_slot(self, slots, message):
+        with pytest.raises(ValidationError) as info:
+            SlotMatroid(UniformMatroid(3, 2), slots)
+        assert str(info.value) == message
+
+    def test_slots_become_int_pairs(self):
+        lift = SlotMatroid(UniformMatroid(3, 2), ((True, 2), [0, 1], iter([1, 0])))
+        assert lift.slots == ((1, 2), (0, 1), (1, 0))
+        assert all(type(v) is int for slot in lift.slots for v in slot)
 
     def test_graphic_edges_become_int_pairs(self):
         matroid = GraphicMatroid(3, ((True, 2), [0, 1]))

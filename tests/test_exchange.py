@@ -408,10 +408,10 @@ class TestOracleBoundary:
             counts["prepared"] += 1
             prepare(self, *args)
 
-        def counting_augment(arms_of, parts, *rest):
-            before = [set(p) for p in parts]
-            reached = augment(arms_of, parts, *rest)
-            counts["losses"] += sum(not part >= old for part, old in zip(parts, before))
+        def counting_augment(arms_of, prepared, *rest):
+            before = [p.part for p in prepared]
+            reached = augment(arms_of, prepared, *rest)
+            counts["losses"] += sum(not p.part >= old for p, old in zip(prepared, before))
             return reached
 
         monkeypatch.setattr(core._EchelonPart, "__init__", counting_prepare)
