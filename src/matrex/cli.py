@@ -73,19 +73,15 @@ def _read_json(path: str):
     return io.loads(data)
 
 
-def _emit(args, payload: dict) -> None:
-    text = io.dumps(payload)
+def _write(args, text: str) -> None:
     if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_text(args, line: str) -> None:
-    if args.output:
-        Path(args.output).write_text(line + "\n")
-    else:
-        sys.stdout.write(line + "\n")
+def _emit(args, payload: dict) -> None:
+    _write(args, io.dumps(payload))
 
 
 def _note(args, message: str) -> None:
@@ -100,7 +96,7 @@ def cmd_check(args) -> int:
     line = f"rank {matroid.full_rank()}, {matroid.ground_size} elements"
     if matroid.ground_size <= args.cap:
         line += f", {len(matroid.enumerate_bases(cap=args.cap))} bases"
-    _emit_text(args, line)
+    _write(args, line + "\n")
     return EXIT_OK
 
 
@@ -183,14 +179,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="matrex", description="Matroid base-exchange toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p):
         p.add_argument("--json-errors", action="store_true",
                        help="emit errors as JSON on stdout instead of text on stderr")
         p.add_argument("--verbose", action="store_true",
                        help="print progress diagnostics to stderr")
-        if output:
-            p.add_argument("--output", metavar="PATH", default=None,
-                           help="write the result to PATH instead of stdout")
+        p.add_argument("--output", metavar="PATH", default=None,
+                       help="write the result to PATH instead of stdout")
 
     p = sub.add_parser("check", help="validate a matroid file and report rank/size")
     p.add_argument("matroid_file")

@@ -812,7 +812,6 @@ class SlotMatroid(Matroid):
         super().__init__(len(pairs))
         self.inner = inner
         self.slots = tuple(pairs)
-        self._by_pair = {pair: j for j, pair in enumerate(pairs)}
 
     def _indep(self, s: ElementSet) -> bool:
         proj: set[int] = set()
@@ -825,21 +824,6 @@ class SlotMatroid(Matroid):
 
     def _prepare(self, s: ElementSet) -> PreparedPart:
         return _SlotPart(self, s)
-
-    def project(self, slot_ids) -> ElementSet:
-        """Inner elements covered by the given slots."""
-        return frozenset(self.slots[j][1] for j in self.check_subset(slot_ids))
-
-    def block(self, tag: int) -> ElementSet:
-        """All slots carrying basis tag ``tag``."""
-        return frozenset(j for j, (t, _) in enumerate(self.slots) if t == tag)
-
-    def slot_of(self, tag: int, element: int) -> int:
-        """The slot id of copy (tag, element)."""
-        j = self._by_pair.get((tag, element))
-        if j is None:
-            raise ValidationError(f"no slot copies element {element} for basis {tag}")
-        return j
 
     def __repr__(self) -> str:
         return f"SlotMatroid({self.inner!r}, slots={len(self.slots)})"

@@ -128,8 +128,8 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
     For k = 1 the cycle is degenerate: A_1 shifts onto itself and the single
     shifted set is B_1 itself.  For k >= 2 the pipeline lifts to disjoint
     copies, builds the color classes, partitions the slots, and reads off
-    A_i as the slots of B_i claimed by part i+1.  Every shifted set is
-    re-checked to be a basis before returning.
+    A_i as the elements whose B_i slots left part i (for part i+1).  Every
+    shifted set is re-checked to be a basis before returning.
     """
     matroid, bases, seed = instance.matroid, instance.bases, instance.seed
     k = instance.k
@@ -139,33 +139,37 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
         return ExchangeResult(parts=(seed,), shifted=(bases[0],), partition=(slots,))
 
     classes = build_color_classes(instance)
-    lifted = classes.lifted
-    problem = PartitionProblem.from_restrictions(lifted, classes.classes)
+    problem = PartitionProblem.from_restrictions(classes.lifted, classes.classes)
     outcome = matroid_partition(problem)
     if isinstance(outcome, DeficiencyCertificate):
         raise InternalVerificationError(
             f"the induced partition problem is always feasible, but a deficiency "
             f"certificate of size {outcome.size} was returned; this is a bug"
         )
-    blocks: list[set[int]] = [set() for _ in range(k)]
-    for slot, (tag, _) in enumerate(lifted.slots):
-        blocks[tag].add(slot)
-    slot_parts = outcome.parts
+    # One pass over the parts: a slot (tag, e) outside part tag has moved on,
+    # so e belongs to A_tag; every slot adds e to its part's projection.
+    slots = classes.lifted.slots
+    exchanged: list[set[int]] = [set() for _ in range(k)]
+    projections: list[set[int]] = []
+    for i, part in enumerate(outcome.parts):
+        projection = set()
+        for slot in part:
+            tag, e = slots[slot]
+            projection.add(e)
+            if tag != i:
+                exchanged[tag].add(e)
+        projections.append(projection)
 
-    seed_slots = frozenset(lifted.slot_of(0, e) for e in seed)
-    if slot_parts[1] & blocks[0] != seed_slots:
+    parts = [frozenset(a) for a in exchanged]
+    if parts[0] != seed:
         raise InternalVerificationError(
             "part 1 does not meet basis 0 exactly in the seed slots"
         )
 
-    parts = [seed]
-    for i in range(1, k):
-        parts.append(lifted.project(slot_parts[(i + 1) % k] & blocks[i]))
-
     shifted = []
     for i in range(k):
         s = (bases[i] - parts[i]) | parts[i - 1]
-        if lifted.project(slot_parts[i]) != s:
+        if projections[i] != s:
             raise InternalVerificationError(
                 f"partition part {i} does not project onto shifted set {i}"
             )
@@ -179,7 +183,7 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
             )
         shifted.append(s)
 
-    return ExchangeResult(tuple(parts), tuple(shifted), slot_parts)
+    return ExchangeResult(tuple(parts), tuple(shifted), outcome.parts)
 
 
 def multiple_symmetric_exchange(matroid: Matroid, basis1, basis2, subset1) -> ElementSet:

@@ -21,9 +21,11 @@ from .core import (
     LinearMatroid,
     Matroid,
     UniformMatroid,
+    canon,
 )
-from .errors import GenerationError, SizeLimitError, ValidationError
+from .errors import FormatError, GenerationError, SizeLimitError, ValidationError
 from .exchange import ExchangeInstance
+from .io import element_array, matroid_from_json, matroid_to_json
 
 #: Default gate on the total size of the bases for exponential enumeration.
 BRUTE_FORCE_CAP = 16
@@ -271,8 +273,6 @@ def verify_witness(witness: Shift2Witness) -> bool:
 
 def witness_to_json(witness: Shift2Witness) -> dict:
     """Serialize a witness alongside the matroid file format."""
-    from .core import canon
-
     return {
         "k": witness.k,
         "matroid": witness.description,
@@ -284,9 +284,6 @@ def witness_to_json(witness: Shift2Witness) -> dict:
 
 def witness_from_json(obj) -> Shift2Witness:
     """Rebuild a witness from its serialized form (for replay/re-verification)."""
-    from .errors import FormatError
-    from .io import element_array, matroid_from_json
-
     required = {"k", "matroid", "bases", "a1", "tuples_checked"}
     if not isinstance(obj, dict) or obj.keys() != required:
         raise FormatError(f"witness must be an object with fields {sorted(required)}")
@@ -326,65 +323,21 @@ def _search_catalog():
     ]
 
 
-class _Search:
-    """State of one witness search run: budget accounting and candidate scan."""
-
-    def __init__(self, k, budget, time_limit, seed):
-        self.k = k
-        self.budget = budget
-        self.seed = seed
-        self.time_limit = time_limit
-        self.deadline = None if time_limit is None else time.monotonic() + time_limit
-        self.checked = 0
-        self.matroids_examined = 0
-        self.phase_counts = {"catalog": 0, "random_linear": 0}
-
-    def out_of_budget(self) -> bool:
-        if self.budget is not None and self.checked >= self.budget:
-            return True
-        return self.deadline is not None and time.monotonic() >= self.deadline
-
-    def scan(self, phase: str, matroid: Matroid) -> Shift2Witness | None:
-        """Try every (bases tuple, A_1) candidate of one matroid in fixed
-        order; returns the first verified witness, if any."""
-        from .io import matroid_to_json
-
-        self.matroids_examined += 1
-        bases_list = matroid.enumerate_bases()
-        basis_lookup = frozenset(bases_list)
-        is_basis = basis_lookup.__contains__
-        r = matroid.full_rank()
-
-        for bases in itertools.product(bases_list, repeat=self.k):
-            for size in range(r + 1):
-                for a1_combo in itertools.combinations(sorted(bases[0]), size):
-                    if self.out_of_budget():
-                        return None
-                    self.checked += 1
-                    self.phase_counts[phase] += 1
-                    a1 = frozenset(a1_combo)
-                    if _joint_shift_satisfiable(is_basis, bases, a1):
-                        continue
-                    tuple_space = 1
-                    for b in bases[1:]:
-                        tuple_space *= math.comb(len(b), size)
-                    witness = Shift2Witness(
-                        matroid, matroid_to_json(matroid), bases, a1, tuple_space
-                    )
-                    if verify_witness(witness):
-                        return witness
-        return None
-
-    def report(self) -> ExhaustionReport:
-        return ExhaustionReport(
-            k=self.k,
-            seed=self.seed,
-            budget=self.budget,
-            time_limit=self.time_limit,
-            candidates_checked=self.checked,
-            matroids_examined=self.matroids_examined,
-            phase_counts=dict(self.phase_counts),
+def _search_matroids(k: int, seed: int):
+    """The (phase, matroid) pairs the search scans, in order: the catalog,
+    then an endless seeded stream of rank-3 random linear matroids."""
+    for matroid in _search_catalog():
+        yield "catalog", matroid
+    rng = random.Random(seed)
+    while True:
+        prime = rng.choice((2, 3, 5))
+        n = rng.randrange(4, 13)
+        spec = InstanceGenSpec(
+            "linear", k=k, seed=rng.getrandbits(48), prime=prime, rows=3, n=n
         )
+        matroid = _draw_matroid(spec, random.Random(spec.seed))
+        if matroid is not None and matroid.full_rank() == 3:
+            yield "random_linear", matroid
 
 
 def search_shift2_counterexample(
@@ -407,27 +360,46 @@ def search_shift2_counterexample(
     if k < 3:
         raise ValidationError(f"the shift-by-two question needs k >= 3, got {k}")
 
-    search = _Search(k, budget, time_limit, seed)
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    checked = matroids_examined = 0
+    phase_counts = {"catalog": 0, "random_linear": 0}
 
-    for matroid in _search_catalog():
-        if search.out_of_budget():
+    def spent() -> bool:
+        if budget is not None and checked >= budget:
+            return True
+        return deadline is not None and time.monotonic() >= deadline
+
+    for phase, matroid in _search_matroids(k, seed):
+        if spent():
             break
-        witness = search.scan("catalog", matroid)
-        if witness is not None:
-            return witness
-
-    rng = random.Random(seed)
-    while not search.out_of_budget():
-        prime = rng.choice((2, 3, 5))
-        n = rng.randrange(4, 13)
-        spec = InstanceGenSpec(
-            "linear", k=k, seed=rng.getrandbits(48), prime=prime, rows=3, n=n
+        matroids_examined += 1
+        bases_list = matroid.enumerate_bases()
+        is_basis = frozenset(bases_list).__contains__
+        r = matroid.full_rank()
+        candidates = (
+            (bases, frozenset(a1))
+            for bases in itertools.product(bases_list, repeat=k)
+            for size in range(r + 1)
+            for a1 in itertools.combinations(sorted(bases[0]), size)
         )
-        matroid = _draw_matroid(spec, random.Random(spec.seed))
-        if matroid is None or matroid.full_rank() != 3:
-            continue
-        witness = search.scan("random_linear", matroid)
-        if witness is not None:
-            return witness
+        for bases, a1 in candidates:
+            if spent():
+                break
+            checked += 1
+            phase_counts[phase] += 1
+            if _joint_shift_satisfiable(is_basis, bases, a1):
+                continue
+            tuple_space = math.prod(math.comb(len(b), len(a1)) for b in bases[1:])
+            witness = Shift2Witness(matroid, matroid_to_json(matroid), bases, a1, tuple_space)
+            if verify_witness(witness):
+                return witness
 
-    return search.report()
+    return ExhaustionReport(
+        k=k,
+        seed=seed,
+        budget=budget,
+        time_limit=time_limit,
+        candidates_checked=checked,
+        matroids_examined=matroids_examined,
+        phase_counts=phase_counts,
+    )

@@ -172,13 +172,13 @@ class TestDisjointCopies:
         assert lift.ground_size == 4
         assert lift.slots == ((0, 0), (0, 1), (1, 0), (1, 2))
         # two copies of inner element 0 form a circuit
-        assert not lift.is_independent({lift.slot_of(0, 0), lift.slot_of(1, 0)})
+        assert not lift.is_independent({lift.slots.index((0, 0)), lift.slots.index((1, 0))})
 
     def test_lifted_copies_are_bases(self):
         m = UniformMatroid(3, 2)
         lift = disjoint_copies(m, [{0, 1}, {0, 2}])
-        assert lift.is_basis(lift.block(0))
-        assert lift.is_basis(lift.block(1))
+        for tag in (0, 1):
+            assert lift.is_basis({j for j, (t, _) in enumerate(lift.slots) if t == tag})
 
     def test_disjoint_bases_mirror_inner_independence(self):
         k4 = GraphicMatroid(4, K4_EDGES)
@@ -186,7 +186,8 @@ class TestDisjointCopies:
         for size in range(4):
             for combo in itertools.combinations(range(6), size):
                 slots = frozenset(combo)
-                assert lift.is_independent(slots) == k4.is_independent(lift.project(slots))
+                projection = {lift.slots[j][1] for j in slots}
+                assert lift.is_independent(slots) == k4.is_independent(projection)
 
     def test_non_basis_input_names_index(self):
         k4 = GraphicMatroid(4, K4_EDGES)

@@ -1,7 +1,11 @@
 """Color classes, the rank-sum diagnostic, and the cyclic exchange pipeline."""
 
+import os
 import random
+import subprocess
+import sys
 from collections.abc import Sized
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from matrex import (
     ExchangeInstance,
     GraphicMatroid,
     InstanceGenSpec,
+    InternalVerificationError,
     LinearMatroid,
     UniformMatroid,
     ValidationError,
@@ -40,6 +45,10 @@ def k4_pair(a1=frozenset({0})):
     return ExchangeInstance(k4, (frozenset({0, 1, 2}), frozenset({3, 4, 5})), a1)
 
 
+def slots_of_basis(lift, tag):
+    return {j for j, (t, _) in enumerate(lift.slots) if t == tag}
+
+
 class TestColorClasses:
     def test_three_bases_with_singleton_seed(self):
         classes = build_color_classes(uniform_triple())
@@ -58,8 +67,8 @@ class TestColorClasses:
     def test_two_bases(self):
         classes = build_color_classes(k4_pair())
         lift = classes.lifted
-        b1_slots, b2_slots = lift.block(0), lift.block(1)
-        seed_slot = lift.slot_of(0, 0)
+        b1_slots, b2_slots = slots_of_basis(lift, 0), slots_of_basis(lift, 1)
+        seed_slot = lift.slots.index((0, 0))
         assert classes.classes[0] == (b1_slots - {seed_slot}) | b2_slots
         assert classes.classes[1] == {seed_slot} | b2_slots
         for s in sorted(b2_slots):
@@ -68,8 +77,8 @@ class TestColorClasses:
     def test_empty_seed(self):
         classes = build_color_classes(k4_pair(frozenset()))
         lift = classes.lifted
-        assert classes.classes[1] == lift.block(1)
-        for s in sorted(lift.block(0)):
+        assert classes.classes[1] == slots_of_basis(lift, 1)
+        for s in sorted(slots_of_basis(lift, 0)):
             assert classes.lists[s] == frozenset({0})
 
     def test_k1_rejected(self):
@@ -174,7 +183,7 @@ class TestCyclicExchange:
         result = cyclic_exchange(inst)
         lift = build_color_classes(inst).lifted
         for i, d in enumerate(result.partition):
-            assert lift.project(d) == result.shifted[i]
+            assert {lift.slots[j][1] for j in d} == result.shifted[i]
 
     def test_non_basis_input_rejected(self):
         k4 = GraphicMatroid(4, K4_EDGES)
@@ -185,6 +194,80 @@ class TestCyclicExchange:
         k4 = GraphicMatroid(4, K4_EDGES)
         with pytest.raises(ValidationError, match="seed"):
             ExchangeInstance(k4, (frozenset({0, 1, 2}), frozenset({3, 4, 5})), frozenset({3}))
+
+
+def corrupt_partition(monkeypatch, corrupt):
+    """Make ``cyclic_exchange`` read ``corrupt(parts)`` in place of the
+    solver's slot parts (passed as a list of sets, one per part)."""
+    solve = exchange.matroid_partition
+
+    def corrupted(problem):
+        parts = corrupt([set(p) for p in solve(problem).parts])
+        return union.Partition(tuple(map(frozenset, parts)))
+
+    monkeypatch.setattr(exchange, "matroid_partition", corrupted)
+
+
+def move(parts, slot, to=None):
+    """Take ``slot`` out of its part and, unless ``to`` is None, put it in part ``to``."""
+    for p in parts:
+        p.discard(slot)
+    if to is not None:
+        parts[to].add(slot)
+    return parts
+
+
+# uniform_triple's slots: 0->(0,0) 1->(0,1) 2->(1,2) 3->(1,3) 4->(2,4) 5->(2,5);
+# k4_pair's: slot j copies element j, slots 0-2 of basis 0 and 3-5 of basis 1
+CORRUPTIONS = {
+    # a non-seed slot of bases[0] joins the seed slot in part 1
+    "seed": (uniform_triple, lambda parts: move(parts, 1, 1),
+             "part 1 does not meet basis 0 exactly in the seed slots"),
+    # a kept slot of bases[0] belongs to no part
+    "projection": (uniform_triple, lambda parts: move(parts, 1),
+                   "partition part 0 does not project onto shifted set 0"),
+    # bases[1]'s kept slot also moves to part 2, so A_2 gets two elements
+    "size": (uniform_triple,
+             lambda parts: move(parts, next(s for s in parts[1] if s in (2, 3)), 2),
+             "exchange set 1 has size 2, expected 1"),
+    # A_2 = {3}: right-sized and consistent, but not an exchange
+    "is_basis": (k4_pair, lambda parts: [{1, 2, 3}, {0, 4, 5}],
+                 r"shifted set 1 \(\[0, 4, 5\]\) is not a basis"),
+}
+
+
+class TestReadBackChecks:
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupted_partition_raises(self, monkeypatch, case):
+        make, corrupt, message = CORRUPTIONS[case]
+        corrupt_partition(monkeypatch, corrupt)
+        with pytest.raises(InternalVerificationError, match=message):
+            cyclic_exchange(make())
+
+    def test_wrong_tuple_is_not_an_exchange(self):
+        assert (frozenset({3}),) not in brute_force_cyclic_exchange(k4_pair())
+
+    def test_checks_survive_optimize_flag(self):
+        tests = Path(__file__).resolve().parent
+        script = (
+            "import pytest, test_exchange as t\n"
+            "make, corrupt, _ = t.CORRUPTIONS['seed']\n"
+            "print('debug', __debug__)\n"
+            "with pytest.MonkeyPatch.context() as patch:\n"
+            "    t.corrupt_partition(patch, corrupt)\n"
+            "    try:\n"
+            "        t.cyclic_exchange(make())\n"
+            "    except t.InternalVerificationError as exc:\n"
+            "        print('raised', exc)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "debug False", "raised part 1 does not meet basis 0 exactly in the seed slots"]
 
 
 class TestSymmetricExchange:

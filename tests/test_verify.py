@@ -1,7 +1,12 @@
 """Brute-force oracle, instance generator, and the shift-by-two search."""
 
+import contextlib
+import hashlib
+import io
+
 import pytest
 
+from matrex import cli, verify
 from matrex import (
     ExchangeInstance,
     ExhaustionReport,
@@ -22,6 +27,27 @@ from matrex.io import matroid_to_json
 from matrex.verify import exhaustion_to_json, witness_from_json, witness_to_json
 
 from helpers import K4_EDGES
+
+#: sha256 of ``matrex search-shift2`` (exit code and JSON) for k in {3, 4},
+#: budgets {0, 1, 50, 100, 1000} and seeds {0, 1, 2}, one entry per run
+GOLDEN_SEARCH_DIGEST = "0f9bb89b457c5a3bc0bb6977b6556e54b0cd2d5d9a6d67b589aeb00f9220df6d"
+
+#: the same sweep with the catalog cut to U(3,3), which holds no witness, so
+#: runs cross from the catalog into the seeded random linear phase
+GOLDEN_SEARCH_DIGEST_RANDOM = "e5b9a6d51f28cb246d4cc96d5e600d8e41da73dc1e535d88162050eb261f32b9"
+
+
+def search_sweep_digest() -> str:
+    digest = hashlib.sha256()
+    for k in (3, 4):
+        for budget in (0, 1, 50, 100, 1000):
+            for seed in (0, 1, 2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["search-shift2", "--k", str(k), "--budget", str(budget),
+                                     "--seed", str(seed)])
+                digest.update(f"{code} {out.getvalue()}".encode())
+    return digest.hexdigest()
 
 
 class TestBruteForce:
@@ -155,6 +181,14 @@ class TestSearch:
         assert a.candidates_checked == 100
         assert a.phase_counts["catalog"] == 100
         assert exhaustion_to_json(a) == exhaustion_to_json(b)
+
+    def test_outputs_match_golden_digest(self):
+        # pins the candidate order, the budget checks and every report count
+        assert search_sweep_digest() == GOLDEN_SEARCH_DIGEST
+
+    def test_random_phase_matches_golden_digest(self, monkeypatch):
+        monkeypatch.setattr(verify, "_search_catalog", lambda: [UniformMatroid(3, 3)])
+        assert search_sweep_digest() == GOLDEN_SEARCH_DIGEST_RANDOM
 
     def test_witness_serialization_round_trip(self):
         w = k4_witness()
