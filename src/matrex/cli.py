@@ -223,7 +223,8 @@ def build_parser() -> _Parser:
                    help="maximum number of candidates to examine")
     p.add_argument("--time-limit", type=float, default=None,
                    help="wall-clock limit in seconds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the random linear phase only; k = 3..7 stop at K_4 before it")
     common(p)
     p.set_defaults(func=cmd_search_shift2)
 

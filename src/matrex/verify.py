@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import FormatError, GenerationError, SizeLimitError, ValidationError
 from .exchange import ExchangeInstance
-from .io import element_array, matroid_from_json, matroid_to_json
+from .io import _int_field, element_array, matroid_from_json, matroid_to_json
 
 #: Default gate on the total size of the bases for exponential enumeration.
 BRUTE_FORCE_CAP = 16
@@ -37,25 +37,52 @@ DEFAULT_SEARCH_BUDGET = 1_000_000
 def brute_force_cyclic_exchange(instance: ExchangeInstance, cap: int = BRUTE_FORCE_CAP):
     """All tuples (A_2, ..., A_k) whose cyclic shift makes every set a basis.
 
-    Enumerates every A_i of size |A_1| inside B_i and keeps the tuples whose
-    k shifted sets (B_i \\ A_i) u A_{i-1} are all bases.  Tuples appear in
-    lexicographic order of the chosen subsets.
+    A pruned depth-first search over every A_i of size |A_1| inside B_i: a
+    partial tuple is dropped as soon as one of its decided shifted sets
+    (B_i \\ A_i) u A_{i-1} is not a basis.  It returns the same list, in the
+    same lexicographic order of the chosen subsets, as enumerating every
+    tuple and testing all k sets would.
     """
     if instance.k < 2:
         raise ValidationError("brute force enumeration needs k >= 2")
     total = sum(len(b) for b in instance.bases)
     if total > cap:
         raise SizeLimitError(f"total basis size {total} exceeds brute force cap {cap}")
+    return list(_shift_tuples(instance.matroid.is_basis, instance.bases, instance.seed, (1,)))
 
-    matroid, bases, seed = instance.matroid, instance.bases, instance.seed
-    k, m = instance.k, len(instance.seed)
-    pools = [itertools.combinations(sorted(b), m) for b in bases[1:]]
-    solutions = []
-    for combo in itertools.product(*pools):
-        parts = (seed,) + tuple(frozenset(c) for c in combo)
-        if all(matroid.is_basis((bases[i] - parts[i]) | parts[i - 1]) for i in range(k)):
-            solutions.append(parts[1:])
-    return solutions
+
+def _shift_tuples(is_basis, bases, seed, offsets):
+    """Yield, in lexicographic order, every (A_2, ..., A_k) with |A_i| = |A_1|
+    and A_i inside B_i for which every set (B_i \\ A_i) u A_{(i-o) mod k},
+    for every o in ``offsets``, is a basis.
+
+    A depth-first search over A_2..A_k, one ``combinations`` iterator per
+    decided level on an explicit stack, so k is not bounded by recursion.
+    Each set is tested at the level that decides the later of its two parts.
+    """
+    k, m = len(bases), len(seed)
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for o in offsets:
+        for i in range(k):
+            j = (i - o) % k
+            checks[max(i, j)].append((i, j))
+    # Level 0 is never tested: its sets have i = j = 0, and (B_0 \ A_0) u A_0
+    # is B_0, a basis by input.
+    parts: list[ElementSet] = [seed] * k
+    stack = [itertools.combinations(sorted(bases[1]), m)]
+    while stack:
+        level = len(stack)
+        combo = next(stack[-1], None)
+        if combo is None:
+            stack.pop()
+            continue
+        parts[level] = frozenset(combo)
+        if not all(is_basis((bases[i] - parts[i]) | parts[j]) for i, j in checks[level]):
+            continue
+        if level + 1 < k:
+            stack.append(itertools.combinations(sorted(bases[level + 1]), m))
+        else:
+            yield tuple(parts[1:])
 
 
 @dataclass(frozen=True)
@@ -206,38 +233,6 @@ def _shift_sets(bases, parts, offset: int):
     return [(bases[i] - parts[i]) | parts[(i - offset) % k] for i in range(k)]
 
 
-def _joint_shift_satisfiable(is_basis, bases, seed) -> bool:
-    """Whether some tuple makes every shift-by-one AND shift-by-two set a
-    basis.  Prunes each partial assignment as soon as a decided set fails.
-
-    A depth-first search over A_2..A_k, one ``combinations`` iterator per
-    decided level on an explicit stack, so k is not bounded by recursion.
-    """
-    k, m = len(bases), len(seed)
-    parts: list[ElementSet] = [seed] + [frozenset()] * (k - 1)
-    stack = [itertools.combinations(sorted(bases[1]), m)]
-    while stack:
-        i = len(stack)
-        combo = next(stack[-1], None)
-        if combo is None:
-            stack.pop()
-            continue
-        parts[i] = frozenset(combo)
-        if not is_basis((bases[i] - parts[i]) | parts[i - 1]):
-            continue
-        if i >= 2 and not is_basis((bases[i] - parts[i]) | parts[i - 2]):
-            continue
-        if i + 1 < k:
-            stack.append(itertools.combinations(sorted(bases[i + 1]), m))
-        elif (
-            is_basis((bases[0] - parts[0]) | parts[k - 1])
-            and is_basis((bases[0] - parts[0]) | parts[k - 2])
-            and is_basis((bases[1] - parts[1]) | parts[k - 1])
-        ):
-            return True
-    return False
-
-
 def verify_witness(witness: Shift2Witness) -> bool:
     """Re-check every witness invariant from scratch by flat enumeration.
 
@@ -291,12 +286,13 @@ def witness_from_json(obj) -> Shift2Witness:
     if not isinstance(obj["bases"], list):
         raise FormatError("witness.bases must be an array of element arrays")
     bases = tuple(element_array(b, "witness.bases[i]") for b in obj["bases"])
-    if obj["k"] != len(bases):
+    if _int_field(obj, "k", "witness") != len(bases):
         raise FormatError("witness.k does not match the number of bases")
     a1 = element_array(obj["a1"], "witness.a1")
-    if not isinstance(obj["tuples_checked"], int):
-        raise FormatError("witness.tuples_checked must be an integer")
-    return Shift2Witness(matroid, obj["matroid"], bases, a1, obj["tuples_checked"])
+    tuples_checked = _int_field(obj, "tuples_checked", "witness")
+    if tuples_checked < 0:
+        raise FormatError(f"witness.tuples_checked must be >= 0, got {tuples_checked}")
+    return Shift2Witness(matroid, obj["matroid"], bases, a1, tuples_checked)
 
 
 def exhaustion_to_json(report: ExhaustionReport) -> dict:
@@ -304,26 +300,24 @@ def exhaustion_to_json(report: ExhaustionReport) -> dict:
 
 
 def _search_catalog():
-    """Rank-3 matroids scanned first, in fixed order."""
+    """Rank-3 matroids scanned first, in fixed order, each built only when
+    the scan reaches it."""
     k4_edges = [[0, 1], [1, 2], [2, 3], [0, 2], [1, 3], [0, 3]]
     gf2_nonzero = [c for c in itertools.product((0, 1), repeat=3) if any(c)]
+    yield GraphicMatroid(4, k4_edges)
+    yield LinearMatroid(2, 3, gf2_nonzero)
+    yield LinearMatroid(3, 3, gf2_nonzero)
+    yield GraphicMatroid(4, k4_edges + [[0, 1]])
+    yield UniformMatroid(5, 3)
     k5 = GraphicMatroid(5, [[u, v] for u in range(5) for v in range(u + 1, 5)])
-    truncated_k5 = BasisMatroid(
+    yield BasisMatroid(
         10,
         [s for s in itertools.combinations(range(10), 3) if k5.is_independent(s)],
         validate=False,
     )
-    return [
-        GraphicMatroid(4, k4_edges),
-        LinearMatroid(2, 3, gf2_nonzero),
-        LinearMatroid(3, 3, gf2_nonzero),
-        GraphicMatroid(4, k4_edges + [[0, 1]]),
-        UniformMatroid(5, 3),
-        truncated_k5,
-    ]
 
 
-def _search_matroids(k: int, seed: int):
+def _search_matroids(seed: int):
     """The (phase, matroid) pairs the search scans, in order: the catalog,
     then an endless seeded stream of rank-3 random linear matroids."""
     for matroid in _search_catalog():
@@ -332,11 +326,10 @@ def _search_matroids(k: int, seed: int):
     while True:
         prime = rng.choice((2, 3, 5))
         n = rng.randrange(4, 13)
-        spec = InstanceGenSpec(
-            "linear", k=k, seed=rng.getrandbits(48), prime=prime, rows=3, n=n
-        )
-        matroid = _draw_matroid(spec, random.Random(spec.seed))
-        if matroid is not None and matroid.full_rank() == 3:
+        draw = random.Random(rng.getrandbits(48))
+        columns = [[draw.randrange(prime) for _ in range(3)] for _ in range(n)]
+        matroid = LinearMatroid(prime, 3, columns)
+        if matroid.full_rank() == 3:
             yield "random_linear", matroid
 
 
@@ -369,17 +362,16 @@ def search_shift2_counterexample(
             return True
         return deadline is not None and time.monotonic() >= deadline
 
-    for phase, matroid in _search_matroids(k, seed):
+    for phase, matroid in _search_matroids(seed):
         if spent():
             break
         matroids_examined += 1
         bases_list = matroid.enumerate_bases()
         is_basis = frozenset(bases_list).__contains__
-        r = matroid.full_rank()
         candidates = (
             (bases, frozenset(a1))
             for bases in itertools.product(bases_list, repeat=k)
-            for size in range(r + 1)
+            for size in range(len(bases[0]) + 1)
             for a1 in itertools.combinations(sorted(bases[0]), size)
         )
         for bases, a1 in candidates:
@@ -387,7 +379,7 @@ def search_shift2_counterexample(
                 break
             checked += 1
             phase_counts[phase] += 1
-            if _joint_shift_satisfiable(is_basis, bases, a1):
+            if next(_shift_tuples(is_basis, bases, a1, (1, 2)), None) is not None:
                 continue
             tuple_space = math.prod(math.comb(len(b), len(a1)) for b in bases[1:])
             witness = Shift2Witness(matroid, matroid_to_json(matroid), bases, a1, tuple_space)

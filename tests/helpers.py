@@ -159,6 +159,21 @@ def base_axiom_by_triple_loop(family):
     return True, None
 
 
+def flat_shift_tuples(is_basis, bases, seed, offsets):
+    """Every (A_2, ..., A_k) whose sets (B_i - A_i) | A_{(i-o) mod k} are all
+    bases for every o in ``offsets``, by testing all sets of every tuple of
+    the full product, in lexicographic order."""
+    k, m = len(bases), len(seed)
+    pools = [itertools.combinations(sorted(b), m) for b in bases[1:]]
+    solutions = []
+    for combo in itertools.product(*pools):
+        parts = (seed,) + tuple(frozenset(c) for c in combo)
+        if all(is_basis((bases[i] - parts[i]) | parts[(i - o) % k])
+               for o in offsets for i in range(k)):
+            solutions.append(parts[1:])
+    return solutions
+
+
 def is_forest(edge_ids, edges, vertex_count):
     """Acyclicity by DFS component counting (no union-find)."""
     chosen = [edges[i] for i in edge_ids]

@@ -8,8 +8,10 @@ import pytest
 
 from matrex import cli, verify
 from matrex import (
+    BasisMatroid,
     ExchangeInstance,
     ExhaustionReport,
+    FormatError,
     GenerationError,
     GraphicMatroid,
     InstanceGenSpec,
@@ -26,7 +28,7 @@ from matrex import (
 from matrex.io import matroid_to_json
 from matrex.verify import exhaustion_to_json, witness_from_json, witness_to_json
 
-from helpers import K4_EDGES
+from helpers import K4_EDGES, flat_shift_tuples
 
 #: sha256 of ``matrex search-shift2`` (exit code and JSON) for k in {3, 4},
 #: budgets {0, 1, 50, 100, 1000} and seeds {0, 1, 2}, one entry per run
@@ -84,6 +86,39 @@ class TestBruteForce:
         inst = ExchangeInstance(m, (frozenset({0}),), frozenset())
         with pytest.raises(ValidationError):
             brute_force_cyclic_exchange(inst)
+
+
+class TestShiftTuples:
+    def test_walker_matches_flat_product_with_fewer_queries(self):
+        specs = [
+            ("uniform", dict(n=6, rank=2)),
+            ("graphic", dict(vertices=4, n=6)),
+            ("linear", dict(prime=3, rows=3, n=6)),
+            ("bases", dict(n=6, rank=3)),
+        ]
+        walker_calls = flat_calls = compared = 0
+        for seed in range(80):
+            cls, params = specs[seed % 4]
+            k = 2 + seed % 4
+            inst = random_instance(InstanceGenSpec(cls, k=k, seed=seed, **params))
+            for offsets in ((1,), (1, 2)) if k >= 3 else ((1,),):
+                calls = [0, 0]
+
+                def counted(side):
+                    def is_basis(s):
+                        calls[side] += 1
+                        return inst.matroid.is_basis(s)
+                    return is_basis
+
+                walked = list(verify._shift_tuples(counted(0), inst.bases, inst.seed, offsets))
+                flat = flat_shift_tuples(counted(1), inst.bases, inst.seed, offsets)
+                assert walked == flat, (seed, offsets)
+                assert calls[0] <= calls[1], (seed, offsets, calls)
+                walker_calls += calls[0]
+                flat_calls += calls[1]
+                compared += 1
+        assert compared == 140
+        assert walker_calls < flat_calls
 
 
 class TestRandomInstance:
@@ -190,12 +225,54 @@ class TestSearch:
         monkeypatch.setattr(verify, "_search_catalog", lambda: [UniformMatroid(3, 3)])
         assert search_sweep_digest() == GOLDEN_SEARCH_DIGEST_RANDOM
 
+    def test_catalog_is_built_only_as_far_as_the_scan_goes(self, monkeypatch):
+        # the K_4 witness ends a k = 3 search long before the truncated K_5
+        built = []
+        init = BasisMatroid.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BasisMatroid, "__init__", counting_init)
+        assert isinstance(search_shift2_counterexample(3, budget=1000), Shift2Witness)
+        assert built == []
+
+    @pytest.mark.parametrize("k", range(3, 8))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_k_stops_at_a_k4_witness(self, k, seed):
+        # --seed steers only the random linear phase, which comes after the
+        # whole catalog, so every seed returns the same K_4 witness
+        out = search_shift2_counterexample(k, budget=256, seed=seed)
+        assert isinstance(out, Shift2Witness)
+        assert out.description == k4_witness().description
+        assert out.tuples_checked == 3 ** (k - 1)
+        assert verify_witness(out)
+
     def test_witness_serialization_round_trip(self):
         w = k4_witness()
         obj = witness_to_json(w)
         back = witness_from_json(obj)
         assert witness_to_json(back) == obj
         assert verify_witness(back)
+
+
+class TestWitnessFromJson:
+    @pytest.mark.parametrize("field,value", [
+        ("tuples_checked", True),
+        ("tuples_checked", -1),
+        ("k", 3.0),
+    ])
+    def test_rejects_bad_counts(self, field, value):
+        obj = {**witness_to_json(k4_witness()), field: value}
+        with pytest.raises(FormatError):
+            witness_from_json(obj)
+
+    def test_rejects_boolean_k(self):
+        obj = witness_to_json(k4_witness())
+        obj = {**obj, "k": True, "bases": obj["bases"][:1]}
+        with pytest.raises(FormatError):
+            witness_from_json(obj)
 
 
 class TestVerifyWitness:
