@@ -18,12 +18,14 @@ from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
 
-from .errors import SizeLimitError, ValidationError
+from .errors import InternalVerificationError, SizeLimitError, ValidationError
 
 #: Default ground-size gate for operations that enumerate all r-subsets.
 ENUMERATION_CAP = 20
 
-#: Largest basis family whose O(|family|^2 * r) exchange-axiom check runs.
+#: Largest basis family whose exchange-axiom check runs.  The check makes
+#: O(|family|^2) operations on n-bit masks, plus one per element of each
+#: difference b1 - b2.
 AXIOM_CHECK_CAP = 256
 
 ElementSet = frozenset[int]
@@ -39,6 +41,42 @@ def _as_int(value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"expected an integer, got {value!r}") from None
+
+
+def _element_set(elements, n: int) -> ElementSet:
+    """``elements`` as a frozenset of ids in range(n), or raise."""
+    try:
+        if iter(elements) is elements:  # a one-shot iterator: keep its items
+            elements = tuple(elements)
+    except TypeError:  # not iterable
+        raise ValidationError(f"expected a set of element ids, got {elements!r}") from None
+    try:
+        s = frozenset(map(operator.index, elements))
+    except TypeError:
+        s = frozenset(map(_as_int, elements))  # raises for the first non-integer
+    if s and (min(s) < 0 or max(s) >= n):
+        for e in s:
+            if not 0 <= e < n:
+                raise ValidationError(f"element {e} out of range for ground set of size {n}")
+    return s
+
+
+def _mask(s) -> int:
+    """The bitmask of a set of element ids: bit e is set for each e in ``s``."""
+    mask = 0
+    for e in s:
+        mask |= 1 << e
+    return mask
+
+
+def _elements(mask: int) -> ElementSet:
+    """The element ids whose bits are set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def _as_ints(values) -> list[int]:
@@ -63,9 +101,9 @@ class Matroid(ABC):
     ``add(x)`` grows the part by an ``x`` that has none, and its
     ``remove(y)`` drops an element ``y`` of the part.  The default part
     asks ``_indep`` once per element of ``s`` and prepares again on ``add``
-    and ``remove``; classes with structure (uniform, graphic, linear, the
-    slot lift) return parts that answer each ``x`` directly and change in
-    place.  A subclass author may return a ``PreparedPart`` subclass that
+    and ``remove``; classes with structure (uniform, graphic, linear, basis
+    families, the slot lift) return parts that answer each ``x`` directly
+    and change in place.  A subclass author may return a ``PreparedPart`` subclass that
     overrides ``__init__`` and ``circuit`` only, and inherit ``add`` and
     ``remove``.
     """
@@ -85,19 +123,7 @@ class Matroid(ABC):
 
     def check_subset(self, elements) -> ElementSet:
         """Normalise ``elements`` to a frozenset of valid ids, or raise."""
-        if iter(elements) is elements:  # a one-shot iterator: keep its items
-            elements = tuple(elements)
-        try:
-            s = frozenset(map(operator.index, elements))
-        except TypeError:
-            s = frozenset(map(_as_int, elements))  # raises for the first non-integer
-        if s and (min(s) < 0 or max(s) >= self._n):
-            for e in s:
-                if not 0 <= e < self._n:
-                    raise ValidationError(
-                        f"element {e} out of range for ground set of size {self._n}"
-                    )
-        return s
+        return _element_set(elements, self._n)
 
     def is_independent(self, elements) -> bool:
         return self._indep(self.check_subset(elements))
@@ -172,6 +198,9 @@ class PreparedPart:
     dependent, ``part - y + x`` is independent exactly when y lies on its
     circuit), and ``add`` and ``remove`` prepare again by re-running
     ``__init__`` on the changed part; subclasses change their state in place.
+    They also refuse, with an InternalVerificationError, an ``add`` that
+    would make the part dependent and a ``remove`` of a non-member, mostly
+    for the price of one comparison on each move.
     """
 
     def __init__(self, matroid: Matroid, part: ElementSet):
@@ -190,16 +219,29 @@ class PreparedPart:
     def remove(self, y: int) -> None:
         self.__init__(self.matroid, self.part - {y})
 
+    def _dependent(self, x: int) -> InternalVerificationError:
+        name = type(self.matroid).__name__
+        return InternalVerificationError(f"{name} part: adding {x} makes it dependent")
+
+    def _drop(self, y: int) -> None:
+        """Take ``y`` out of ``part``, or refuse a non-member."""
+        if y not in self.part:
+            name = type(self.matroid).__name__
+            raise InternalVerificationError(f"{name} part: {y} is not in the part")
+        self.part -= {y}
+
 
 class _UniformPart(PreparedPart):
     def circuit(self, x: int) -> ElementSet | None:
         return self.part if len(self.part) >= self.matroid.rank_bound else None
 
     def add(self, x: int) -> None:
+        if len(self.part) >= self.matroid.rank_bound:
+            raise self._dependent(x)
         self.part |= {x}
 
     def remove(self, y: int) -> None:
-        self.part -= {y}
+        self._drop(y)
 
 
 class UniformMatroid(Matroid):
@@ -253,11 +295,11 @@ class _ForestPart(PreparedPart):
         return frozenset(path)
 
     def add(self, x: int) -> None:
-        self.part |= {x}
         self._link(x)
+        self.part |= {x}
 
     def remove(self, y: int) -> None:
-        self.part -= {y}
+        self._drop(y)
         u, v = self.matroid.edges[y]
         if self.up[u] != (v, y):
             u, v = v, u
@@ -274,6 +316,8 @@ class _ForestPart(PreparedPart):
             if w not in self.root:
                 self.up[w], self.depth[w], self.root[w], self.size[w] = None, 0, w, 1
                 self.adjacent[w] = []
+        if self.root[u] == self.root[v]:  # a self-loop, or both ends in one tree
+            raise self._dependent(i)
         if self.size[self.root[u]] > self.size[self.root[v]]:
             u, v = v, u
         top = self.root[v]
@@ -555,11 +599,11 @@ class _EchelonPart(PreparedPart):
         return frozenset(e for e, c in zip(self.order, tags) if c % fields.prime)
 
     def add(self, x: int) -> None:
-        self.part |= {x}
         self._append(x)
+        self.part |= {x}
 
     def remove(self, y: int) -> None:
-        self.part -= {y}
+        self._drop(y)
         j = self.order.index(y)
         self.echelon.drop(self.tag_shift + j * self.matroid._fields.bits)
         self.order[j] = None
@@ -574,6 +618,8 @@ class _EchelonPart(PreparedPart):
         else:
             vec = self.echelon.reduce(self.matroid._packed[e])
             col = self.echelon.pivot(vec)
+            if col is None:  # e is in the span of the part
+                raise self._dependent(e)
         if self.vacant:
             j = self.vacant.pop()
             self.order[j] = e
@@ -657,43 +703,91 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
     ascending order) if any exists.  Families of more than AXIOM_CHECK_CAP
     sets raise SizeLimitError.
     """
-    members = []
-    for b in family:
-        s = frozenset(_as_int(e) for e in b)
-        for e in s:
-            if not 0 <= e < n:
-                raise ValidationError(f"element {e} out of range for ground set of size {n}")
-        members.append(s)
-    if not members:
+    masks = [_mask(_element_set(b, n)) for b in family]
+    if not masks:
         raise ValidationError("basis family must be nonempty")
-    if len(members) > AXIOM_CHECK_CAP:
-        raise SizeLimitError(f"{len(members)} bases exceed the axiom check cap {AXIOM_CHECK_CAP}")
+    violation = _axiom_violation(masks)
+    return violation is None, violation
 
-    for b in members[1:]:
-        if len(b) != len(members[0]):
-            return False, AxiomViolation(members[0], b, None)
 
-    for b1 in members:
-        # swaps[e1]: every e2 with b1 - e1 + e2 in the family.  All sets have
-        # one size, so such a member differs from b1 in e1 and e2 only.
-        swaps: dict[int, set[int]] = {e1: set() for e1 in b1}
-        for b in members:
-            added = b - b1
-            if len(added) == 1:
-                (e1,) = b1 - b
-                swaps[e1] |= added
-        for b2 in members:
-            for e1 in sorted(b1 - b2):
-                if swaps[e1].isdisjoint(b2):
-                    return False, AxiomViolation(b1, b2, e1)
-    return True, None
+def _axiom_violation(masks: list[int]) -> AxiomViolation | None:
+    """The first violation of ``check_base_axiom`` by a nonempty family of
+    bitmasks, in its scan order, or None."""
+    if len(masks) > AXIOM_CHECK_CAP:
+        raise SizeLimitError(f"{len(masks)} bases exceed the axiom check cap {AXIOM_CHECK_CAP}")
+    size = masks[0].bit_count()
+    for b in masks[1:]:
+        if b.bit_count() != size:
+            return AxiomViolation(_elements(masks[0]), _elements(b), None)
+
+    for b1 in masks:
+        # swaps[e1]: the mask of every e2 with b1 - e1 + e2 in the family,
+        # keyed by the bit of e1.  All sets have one size, so such a member
+        # differs from b1 in e1 and e2 only.
+        swaps: dict[int, int] = {}
+        outside = ~b1
+        for b in masks:
+            added = b & outside
+            if added and not added & (added - 1):
+                removed = b1 & ~b
+                swaps[removed] = swaps.get(removed, 0) | added
+        for b2 in masks:
+            rest = b1 & ~b2
+            while rest:  # the e1 of b1 - b2, lowest first
+                e1 = rest & -rest
+                if not swaps.get(e1, 0) & b2:
+                    return AxiomViolation(_elements(b1), _elements(b2), e1.bit_length() - 1)
+                rest ^= e1
+    return None
+
+
+class _BasisPart(PreparedPart):
+    # The part is a bitmask.  part + x is independent when some basis covers
+    # it; otherwise y is on its circuit when some basis covers part - y + x,
+    # that is when part + x misses that basis in y alone.  ``cover`` is the
+    # last basis found to cover the part (0 before the first), so an add
+    # that keeps it covered is checked by one test.
+
+    def __init__(self, matroid: BasisMatroid, part: ElementSet):
+        super().__init__(matroid, part)
+        self.mask = _mask(part)
+        self.cover = 0
+
+    def circuit(self, x: int) -> ElementSet | None:
+        grown = self.mask | 1 << x
+        closing = 0
+        for b in self.matroid._masks:
+            missing = grown & ~b
+            if not missing:
+                self.cover = b
+                return None
+            if not missing & (missing - 1):
+                closing |= missing
+        # A basis missing x alone covers the part, and closes no circuit.
+        return _elements(closing & ~(1 << x))
+
+    def add(self, x: int) -> None:
+        grown = self.mask | 1 << x
+        if grown & ~self.cover:
+            self.cover = next((b for b in self.matroid._masks if not grown & ~b), 0)
+            if not self.cover:
+                raise self._dependent(x)
+        self.mask = grown
+        self.part |= {x}
+
+    def remove(self, y: int) -> None:
+        self._drop(y)
+        self.mask ^= 1 << y
 
 
 class BasisMatroid(Matroid):
     """Matroid given explicitly by its basis family.
 
-    The exchange axiom is validated at construction (up to AXIOM_CHECK_CAP
-    bases); ``validate=False`` skips it for large, already-trusted families.
+    ``bases`` holds the family in lexicographic order, and each basis is
+    also kept as a bitmask, which independence, circuits and the axiom
+    check work on.  The exchange axiom is validated at construction (up to
+    AXIOM_CHECK_CAP bases); ``validate=False`` skips it for large,
+    already-trusted families.
     """
 
     def __init__(self, n: int, bases, validate: bool = True):
@@ -704,19 +798,32 @@ class BasisMatroid(Matroid):
         size = len(family[0])
         if any(len(b) != size for b in family):
             raise ValidationError("all bases must have the same cardinality")
+        masks = dict(zip(family, map(_mask, family)))
         if validate:
-            ok, violation = check_base_axiom(n, family)
-            if not ok:
+            violation = _axiom_violation([masks[b] for b in family])
+            if violation is not None:
                 raise ValidationError(f"exchange axiom violated: {violation}")
-        self.bases = tuple(sorted(set(family), key=canon))
-        self._basis_set = frozenset(self.bases)
+        self.bases = tuple(sorted(masks, key=canon))
+        self._masks = tuple(masks[b] for b in self.bases)
+        self._family = frozenset(self._masks)
         self._full_rank = size
 
     def _indep(self, s: ElementSet) -> bool:
-        return any(s <= b for b in self.bases)
+        m = _mask(s)
+        return any(not m & ~b for b in self._masks)
+
+    def _prepare(self, s: ElementSet) -> PreparedPart:
+        return _BasisPart(self, s)
 
     def is_basis(self, elements) -> bool:
-        return self.check_subset(elements) in self._basis_set
+        return _mask(self.check_subset(elements)) in self._family
+
+    def enumerate_bases(self, cap: int = ENUMERATION_CAP) -> list[ElementSet]:
+        # The generic scan's result: ``bases`` is in its order.  Above the
+        # cap, the generic method raises.
+        if self._n > cap:
+            return super().enumerate_bases(cap)
+        return list(self.bases)
 
     def __repr__(self) -> str:
         return f"BasisMatroid(n={self._n}, bases={len(self.bases)})"
@@ -774,13 +881,15 @@ class _SlotPart(PreparedPart):
         return None if found is None else frozenset(map(self.cover.__getitem__, found))
 
     def add(self, x: int) -> None:
-        self.part |= {x}
         e = self.matroid.slots[x][1]
-        self.cover[e] = x
+        if e in self.cover:  # another copy of e is in the part
+            raise self._dependent(x)
         self.inner.add(e)
+        self.part |= {x}
+        self.cover[e] = x
 
     def remove(self, y: int) -> None:
-        self.part -= {y}
+        self._drop(y)
         e = self.matroid.slots[y][1]
         del self.cover[e]
         self.inner.remove(e)

@@ -8,9 +8,11 @@ dumber route.
 
 import collections
 import itertools
+import operator
 import random
 
 from matrex import (
+    AXIOM_CHECK_CAP,
     Arm,
     AxiomViolation,
     BasisMatroid,
@@ -19,7 +21,9 @@ from matrex import (
     LinearMatroid,
     Partition,
     PartitionProblem,
+    SizeLimitError,
     UniformMatroid,
+    ValidationError,
     disjoint_copies,
     union,
 )
@@ -140,6 +144,41 @@ def gf_circuit(prime, columns, part, x):
     if rank(part | {x}) > len(part):
         return None
     return frozenset(y for y in part if rank((part - {y}) | {x}) == len(part))
+
+
+def base_axiom_by_sets(n, family):
+    """``check_base_axiom`` on frozensets, as it was before it worked on
+    bitmasks: the same validation, scan order and first violation."""
+    members = []
+    for b in family:
+        s = frozenset(map(operator.index, b))
+        for e in s:
+            if not 0 <= e < n:
+                raise ValidationError(f"element {e} out of range for ground set of size {n}")
+        members.append(s)
+    if not members:
+        raise ValidationError("basis family must be nonempty")
+    if len(members) > AXIOM_CHECK_CAP:
+        raise SizeLimitError(f"{len(members)} bases exceed the axiom check cap {AXIOM_CHECK_CAP}")
+
+    for b in members[1:]:
+        if len(b) != len(members[0]):
+            return False, AxiomViolation(members[0], b, None)
+
+    for b1 in members:
+        # swaps[e1]: every e2 with b1 - e1 + e2 in the family.  All sets have
+        # one size, so such a member differs from b1 in e1 and e2 only.
+        swaps = {e1: set() for e1 in b1}
+        for b in members:
+            added = b - b1
+            if len(added) == 1:
+                (e1,) = b1 - b
+                swaps[e1] |= added
+        for b2 in members:
+            for e1 in sorted(b1 - b2):
+                if swaps[e1].isdisjoint(b2):
+                    return False, AxiomViolation(b1, b2, e1)
+    return True, None
 
 
 def base_axiom_by_triple_loop(family):

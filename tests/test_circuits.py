@@ -16,6 +16,7 @@ from matrex import (
     DeficiencyCertificate,
     GraphicMatroid,
     InstanceGenSpec,
+    InternalVerificationError,
     LinearMatroid,
     Matroid,
     PartitionProblem,
@@ -30,6 +31,7 @@ from matrex import (
 )
 
 from helpers import (
+    FANO_COLUMNS,
     K4_EDGES,
     exchange_shaped_problem,
     fixture_matroids,
@@ -210,6 +212,9 @@ def test_changed_slot_parts_match_fresh_ones(inner, k, rng):
         GraphicMatroid(4, [[0, 1], [1, 2], [2, 2], [0, 1], [0, 2], [1, 0], [3, 2]]),
         GraphicMatroid(4, K4_EDGES),
         BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]),
+        # a loop (4) and a coloop (3); rank 0 with loops only
+        BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+        BasisMatroid(3, [[]]),
         disjoint_copies(GraphicMatroid(4, K4_EDGES), [{0, 1, 2}, {0, 1, 2}, {3, 4, 5}]),
         disjoint_copies(UniformMatroid(4, 2), [{0, 1}, {0, 1}]),
     ] + fixture_matroids(),
@@ -221,6 +226,82 @@ def test_circuits_of_every_independent_set(matroid):
         for s in itertools.combinations(range(n), size):
             if matroid.is_independent(s):
                 assert_circuits_match(matroid, frozenset(s))
+
+
+BASIS_CORPUS = [
+    BasisMatroid(7, LinearMatroid(2, 3, FANO_COLUMNS).enumerate_bases()),
+    BasisMatroid(6, GraphicMatroid(4, K4_EDGES).enumerate_bases()),
+    BasisMatroid(6, UniformMatroid(6, 3).enumerate_bases()),
+    BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    BasisMatroid(6, [[0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5],
+                     [1, 3, 4], [1, 3, 5]]),  # three parallel pairs
+    BasisMatroid(3, [[]]),
+]
+
+
+@pytest.mark.parametrize("matroid", BASIS_CORPUS, ids=repr)
+def test_basis_parts_change_like_generic_ones(matroid):
+    # Seeded add and remove sequences: after every step the part answers
+    # every x outside it as the generic oracle part does.
+    for seed in range(20):
+        rng = random.Random(seed)
+        part = random_independent(matroid, rng)
+        prepared = matroid._prepare(part)
+        for _ in range(2 * matroid.ground_size + 2):
+            generic = core.PreparedPart(matroid, part)
+            outside = sorted(matroid.ground_set() - part)
+            for x in outside:
+                assert prepared.circuit(x) == generic.circuit(x), (matroid, part, x)
+            free = [x for x in outside if generic.circuit(x) is None]
+            if part and (not free or rng.random() < 0.5):
+                y = rng.choice(sorted(part))
+                prepared.remove(y)
+                part -= {y}
+            elif free:
+                x = rng.choice(free)
+                prepared.add(x)
+                part |= {x}
+            else:
+                break
+            assert prepared.part == part
+
+
+# (matroid, an independent part, an x that would make it dependent, a y outside it)
+MISUSES = [
+    (UniformMatroid(4, 2), {0, 1}, 2, 3),
+    (GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)]), {0, 1}, 2, 2),  # K_3
+    (GraphicMatroid(3, [(0, 1), (2, 2)]), {0}, 1, 1),  # a self-loop
+    (LinearMatroid(3, 2, [[1, 0], [0, 1], [1, 2]]), {0, 1}, 2, 2),
+    (LinearMatroid(2, 2, [[1, 0], [0, 0]]), set(), 1, 0),  # a zero column
+    (BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]), {0, 1}, 2, 3),
+    (BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]), {0}, 3, 1),  # a loop
+    (disjoint_copies(UniformMatroid(3, 2), [{0, 1}, {0, 1}]), {0}, 2, 1),  # parallel copies
+]
+
+
+@pytest.mark.parametrize("matroid, part, x, y", MISUSES, ids=lambda v: repr(v)[:40])
+def test_prepared_parts_refuse_misuse(matroid, part, x, y):
+    # An add that makes the part dependent and a remove of a non-member both
+    # raise, name the class and the element, and leave the part as it was.
+    prepared = matroid._prepare(frozenset(part))
+    name = type(matroid).__name__
+    with pytest.raises(InternalVerificationError, match=f"^{name} part: adding {x} makes"):
+        prepared.add(x)
+    with pytest.raises(InternalVerificationError, match=f"^{name} part: {y} is not in the part"):
+        prepared.remove(y)
+    assert prepared.part == part
+    fresh = matroid._prepare(frozenset(part))
+    for e in sorted(matroid.ground_set() - part):
+        assert prepared.circuit(e) == fresh.circuit(e)
+
+
+def test_slot_part_refuses_an_inner_dependent_add():
+    # The inner part refuses, naming the inner element the slot copies.
+    lift = disjoint_copies(GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)]), [{0, 1}, {1, 2}])
+    prepared = lift._prepare(frozenset({0, 1}))  # slots copying edges 0 and 1
+    with pytest.raises(InternalVerificationError, match="^GraphicMatroid part: adding 2 makes"):
+        prepared.add(3)  # slot 3 copies edge 2
+    assert prepared.part == {0, 1}
 
 
 # --- one-pass greedy scans ----------------------------------------------------

@@ -114,6 +114,29 @@ class TestCheck:
         assert proc.stdout == ""
         assert "286 bases exceed the axiom check cap 256" in proc.stderr
 
+    @pytest.mark.parametrize("dropped", [False, True], ids=["valid", "basis-dropped"])
+    def test_rank_6000_bases_file(self, tmp_path, dropped):
+        # A free part of 5,992 elements plus eight U(1, 2) summands: 256
+        # bases of rank 6,000 in a 7 MiB file.  Without basis 1, the first
+        # basis cannot trade its 6006 for anything in the basis that ends
+        # with 6005 and 6007.
+        free = list(range(5992))
+        family = [free + [5992 + 2 * i + pick for i, pick in enumerate(picks)]
+                  for picks in itertools.product((0, 1), repeat=8)]
+        if dropped:
+            del family[1]
+        text = json.dumps({"type": "bases", "n": 6008, "bases": family}, separators=(",", ":"))
+        assert 7 * 2**20 < len(text) < 8 * 2**20
+        proc = run_cli("check", write(tmp_path, "m.json", text))
+        if dropped:
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: exchange axiom violated: B1=[0, 1, 2, ")
+            assert proc.stderr.endswith(", 6005, 6007], e1=6006\n")
+        else:
+            assert proc.returncode == 0
+            assert proc.stdout == "rank 6000, 6008 elements\n"
+
     def test_input_file_above_cap_exits_3(self, tmp_path, monkeypatch, capsys):
         from matrex import cli
 

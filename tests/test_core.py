@@ -11,6 +11,7 @@ from matrex import (
     BasisMatroid,
     GraphicMatroid,
     LinearMatroid,
+    Matroid,
     SizeLimitError,
     SlotMatroid,
     UniformMatroid,
@@ -23,6 +24,7 @@ from helpers import (
     FANO_COLUMNS,
     K4_EDGES,
     augmentation_holds,
+    base_axiom_by_sets,
     base_axiom_by_triple_loop,
     fixture_matroids,
     gf2_independent,
@@ -247,6 +249,16 @@ class TestValidation:
             SlotMatroid(UniformMatroid(3, 2), slots)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("call", [
+        lambda: UniformMatroid(3, 1).is_independent(5),
+        lambda: GraphicMatroid(3, [(0, 1)]).rank(None),
+        lambda: BasisMatroid(3, [1]),
+        lambda: check_base_axiom(3, [1]),
+    ], ids=["is_independent", "rank", "BasisMatroid", "check_base_axiom"])
+    def test_a_non_iterable_set_is_a_validation_error(self, call):
+        with pytest.raises(ValidationError, match="expected a set of element ids, got"):
+            call()
+
     def test_slots_become_int_pairs(self):
         lift = SlotMatroid(UniformMatroid(3, 2), ((True, 2), [0, 1], iter([1, 0])))
         assert lift.slots == ((1, 2), (0, 1), (1, 0))
@@ -361,3 +373,71 @@ def test_graphic_independence_matches_dfs_oracle(edges):
     for mask in range(1 << m.ground_size):
         ids = mask_to_set(mask)
         assert m.is_independent(ids) == is_forest(sorted(ids), m.edges, 5)
+
+
+@st.composite
+def families(draw):
+    """A basis family on n <= 8 elements, in scan order: the bases of a
+    GF(2) or GF(3) column matroid, or random sets of one size, then perhaps
+    perturbed by dropping a set, replacing one by a random set of the same
+    size, resizing one or repeating one.  Returns (n, family)."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        prime = draw(st.sampled_from((2, 3)))
+        rows = draw(st.integers(1, 4))
+        column = st.lists(st.integers(0, prime - 1), min_size=rows, max_size=rows)
+        family = LinearMatroid(prime, rows, draw(st.lists(column, min_size=n, max_size=n)))\
+            .enumerate_bases()
+    else:
+        size = draw(st.integers(0, n))
+        family = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=size, max_size=size),
+                               min_size=1, max_size=12))
+    family = draw(st.permutations(family))
+    i = draw(st.integers(0, len(family) - 1))
+    change = draw(st.sampled_from(("valid", "dropped", "replaced", "resized", "repeated")))
+    if change == "dropped" and len(family) > 1:
+        family.pop(i)
+    elif change == "replaced":
+        family[i] = draw(st.frozensets(st.integers(0, n - 1), min_size=len(family[i]),
+                                       max_size=len(family[i])))
+    elif change == "resized":
+        family[i] = family[i] ^ {draw(st.integers(0, n - 1))}
+    elif change == "repeated":
+        family.insert(draw(st.integers(0, len(family))), family[i])
+    return n, [sorted(b) for b in family]
+
+
+@settings(max_examples=400, deadline=None)
+@given(families())
+def test_mask_axiom_check_matches_set_reference(case):
+    # the same verdict and first violation, and construction fails with it
+    n, family = case
+    expected = base_axiom_by_sets(n, family)
+    assert check_base_axiom(n, family) == expected
+    sizes = {len(b) for b in family}
+    if len(sizes) > 1:
+        with pytest.raises(ValidationError, match="same cardinality"):
+            BasisMatroid(n, family)
+    elif expected[1] is not None:
+        with pytest.raises(ValidationError) as info:
+            BasisMatroid(n, family)
+        assert str(info.value) == f"exchange axiom violated: {expected[1]}"
+    else:
+        BasisMatroid(n, family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families())
+def test_basis_queries_match_the_family(case):
+    # enumeration against the generic scan, and independence and basis
+    # tests of every subset against the family as sets; invalid families too
+    n, family = case
+    if len({len(b) for b in family}) > 1:
+        return
+    matroid = BasisMatroid(n, family, validate=False)
+    assert matroid.enumerate_bases() == Matroid.enumerate_bases(matroid)
+    bases = {frozenset(b) for b in family}
+    for mask in range(1 << n):
+        s = mask_to_set(mask)
+        assert matroid.is_independent(s) == any(s <= b for b in bases), s
+        assert matroid.is_basis(s) == (s in bases), s
