@@ -61,20 +61,33 @@ def _element_set(elements, n: int) -> ElementSet:
     return s
 
 
-def _mask(s) -> int:
-    """The bitmask of a set of element ids: bit e is set for each e in ``s``."""
+def _dense(sets) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Bit positions for the elements of ``sets``: bit i stands for the i-th
+    smallest of them, so a mask costs the size of their union, however
+    large the ids.  Returns the position of each element and the elements
+    in bit order."""
+    elements = tuple(sorted(set().union(*sets)))
+    return {e: i for i, e in enumerate(elements)}, elements
+
+
+def _mask(s, bit: dict[int, int]) -> int | None:
+    """The bitmask of ``s`` under the positions ``bit``, or None when some
+    element of ``s`` has no position."""
     mask = 0
     for e in s:
-        mask |= 1 << e
+        i = bit.get(e)
+        if i is None:
+            return None
+        mask |= 1 << i
     return mask
 
 
-def _elements(mask: int) -> ElementSet:
-    """The element ids whose bits are set in ``mask``."""
+def _elements(mask: int, elements: tuple[int, ...]) -> ElementSet:
+    """The elements whose bits are set in ``mask``."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        out.append(elements[low.bit_length() - 1])
         mask ^= low
     return frozenset(out)
 
@@ -703,22 +716,24 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
     ascending order) if any exists.  Families of more than AXIOM_CHECK_CAP
     sets raise SizeLimitError.
     """
-    masks = [_mask(_element_set(b, n)) for b in family]
-    if not masks:
+    sets = [_element_set(b, n) for b in family]
+    if not sets:
         raise ValidationError("basis family must be nonempty")
-    violation = _axiom_violation(masks)
+    bit, elements = _dense(sets)
+    violation = _axiom_violation([_mask(b, bit) for b in sets], elements)
     return violation is None, violation
 
 
-def _axiom_violation(masks: list[int]) -> AxiomViolation | None:
+def _axiom_violation(masks: list[int], elements: tuple[int, ...]) -> AxiomViolation | None:
     """The first violation of ``check_base_axiom`` by a nonempty family of
-    bitmasks, in its scan order, or None."""
+    bitmasks, in its scan order, or None.  Bit i stands for ``elements[i]``,
+    and ``elements`` ascends, so the lowest bit is the smallest element."""
     if len(masks) > AXIOM_CHECK_CAP:
         raise SizeLimitError(f"{len(masks)} bases exceed the axiom check cap {AXIOM_CHECK_CAP}")
     size = masks[0].bit_count()
     for b in masks[1:]:
         if b.bit_count() != size:
-            return AxiomViolation(_elements(masks[0]), _elements(b), None)
+            return AxiomViolation(_elements(masks[0], elements), _elements(b, elements), None)
 
     for b1 in masks:
         # swaps[e1]: the mask of every e2 with b1 - e1 + e2 in the family,
@@ -736,7 +751,8 @@ def _axiom_violation(masks: list[int]) -> AxiomViolation | None:
             while rest:  # the e1 of b1 - b2, lowest first
                 e1 = rest & -rest
                 if not swaps.get(e1, 0) & b2:
-                    return AxiomViolation(_elements(b1), _elements(b2), e1.bit_length() - 1)
+                    return AxiomViolation(_elements(b1, elements), _elements(b2, elements),
+                                          elements[e1.bit_length() - 1])
                 rest ^= e1
     return None
 
@@ -744,40 +760,41 @@ def _axiom_violation(masks: list[int]) -> AxiomViolation | None:
 class _BasisPart(PreparedPart):
     # The part is a bitmask.  part + x is independent when some basis covers
     # it; otherwise y is on its circuit when some basis covers part - y + x,
-    # that is when part + x misses that basis in y alone.  ``cover`` is the
-    # last basis found to cover the part (0 before the first), so an add
-    # that keeps it covered is checked by one test.
+    # that is when part + x misses that basis in y alone.  An element in no
+    # basis is a loop, and has no bit.
 
     def __init__(self, matroid: BasisMatroid, part: ElementSet):
         super().__init__(matroid, part)
-        self.mask = _mask(part)
-        self.cover = 0
+        self.mask = _mask(part, matroid._bit)
 
     def circuit(self, x: int) -> ElementSet | None:
-        grown = self.mask | 1 << x
+        i = self.matroid._bit.get(x)
+        if i is None:
+            return frozenset()
+        grown = self.mask | 1 << i
         closing = 0
         for b in self.matroid._masks:
             missing = grown & ~b
             if not missing:
-                self.cover = b
                 return None
             if not missing & (missing - 1):
                 closing |= missing
         # A basis missing x alone covers the part, and closes no circuit.
-        return _elements(closing & ~(1 << x))
+        return _elements(closing & ~(1 << i), self.matroid._elements)
 
     def add(self, x: int) -> None:
-        grown = self.mask | 1 << x
-        if grown & ~self.cover:
-            self.cover = next((b for b in self.matroid._masks if not grown & ~b), 0)
-            if not self.cover:
-                raise self._dependent(x)
+        i = self.matroid._bit.get(x)
+        if i is None:  # a loop
+            raise self._dependent(x)
+        grown = self.mask | 1 << i
+        if all(grown & ~b for b in self.matroid._masks):
+            raise self._dependent(x)
         self.mask = grown
         self.part |= {x}
 
     def remove(self, y: int) -> None:
         self._drop(y)
-        self.mask ^= 1 << y
+        self.mask ^= 1 << self.matroid._bit[y]
 
 
 class BasisMatroid(Matroid):
@@ -785,9 +802,10 @@ class BasisMatroid(Matroid):
 
     ``bases`` holds the family in lexicographic order, and each basis is
     also kept as a bitmask, which independence, circuits and the axiom
-    check work on.  The exchange axiom is validated at construction (up to
-    AXIOM_CHECK_CAP bases); ``validate=False`` skips it for large,
-    already-trusted families.
+    check work on.  Bit i stands for the i-th smallest element of the union
+    of the bases; the other elements are loops.  The exchange axiom is
+    validated at construction (up to AXIOM_CHECK_CAP bases);
+    ``validate=False`` skips it for large, already-trusted families.
     """
 
     def __init__(self, n: int, bases, validate: bool = True):
@@ -798,9 +816,10 @@ class BasisMatroid(Matroid):
         size = len(family[0])
         if any(len(b) != size for b in family):
             raise ValidationError("all bases must have the same cardinality")
-        masks = dict(zip(family, map(_mask, family)))
+        self._bit, self._elements = _dense(family)
+        masks = {b: _mask(b, self._bit) for b in family}
         if validate:
-            violation = _axiom_violation([masks[b] for b in family])
+            violation = _axiom_violation([masks[b] for b in family], self._elements)
             if violation is not None:
                 raise ValidationError(f"exchange axiom violated: {violation}")
         self.bases = tuple(sorted(masks, key=canon))
@@ -809,14 +828,14 @@ class BasisMatroid(Matroid):
         self._full_rank = size
 
     def _indep(self, s: ElementSet) -> bool:
-        m = _mask(s)
-        return any(not m & ~b for b in self._masks)
+        m = _mask(s, self._bit)
+        return m is not None and any(not m & ~b for b in self._masks)
 
     def _prepare(self, s: ElementSet) -> PreparedPart:
         return _BasisPart(self, s)
 
     def is_basis(self, elements) -> bool:
-        return _mask(self.check_subset(elements)) in self._family
+        return _mask(self.check_subset(elements), self._bit) in self._family
 
     def enumerate_bases(self, cap: int = ENUMERATION_CAP) -> list[ElementSet]:
         # The generic scan's result: ``bases`` is in its order.  Above the

@@ -96,14 +96,16 @@ def assert_grows_like_fresh(matroid, rng):
         assert prepared.part == part
 
 
-def assert_changes_like_fresh(matroid, rng):
+def assert_changes_like_fresh(matroid, rng, prepare=None):
     """Add and remove random elements of one prepared part, asking for the
     circuit of each element before adding it, as the solver does; after
-    every step the part answers every x outside it as a fresh one does."""
+    every step the part answers every x outside it as a fresh one made by
+    ``prepare`` (by default the matroid's own) does."""
+    prepare = prepare or matroid._prepare
     part = random_independent(matroid, rng)
     prepared = matroid._prepare(part)
     for _ in range(2 * matroid.ground_size + 2):
-        fresh = matroid._prepare(part)
+        fresh = prepare(part)
         outside = sorted(matroid.ground_set() - part)
         for x in outside:
             assert prepared.circuit(x) == fresh.circuit(x), (matroid, part, x)
@@ -236,34 +238,16 @@ BASIS_CORPUS = [
     BasisMatroid(6, [[0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5],
                      [1, 3, 4], [1, 3, 5]]),  # three parallel pairs
     BasisMatroid(3, [[]]),
+    BasisMatroid(7, [[1, 6], [3, 6], [1, 3]]),  # loops between the other elements
 ]
 
 
 @pytest.mark.parametrize("matroid", BASIS_CORPUS, ids=repr)
 def test_basis_parts_change_like_generic_ones(matroid):
-    # Seeded add and remove sequences: after every step the part answers
-    # every x outside it as the generic oracle part does.
+    # Seeded add and remove sequences against the generic oracle part.
     for seed in range(20):
-        rng = random.Random(seed)
-        part = random_independent(matroid, rng)
-        prepared = matroid._prepare(part)
-        for _ in range(2 * matroid.ground_size + 2):
-            generic = core.PreparedPart(matroid, part)
-            outside = sorted(matroid.ground_set() - part)
-            for x in outside:
-                assert prepared.circuit(x) == generic.circuit(x), (matroid, part, x)
-            free = [x for x in outside if generic.circuit(x) is None]
-            if part and (not free or rng.random() < 0.5):
-                y = rng.choice(sorted(part))
-                prepared.remove(y)
-                part -= {y}
-            elif free:
-                x = rng.choice(free)
-                prepared.add(x)
-                part |= {x}
-            else:
-                break
-            assert prepared.part == part
+        assert_changes_like_fresh(matroid, random.Random(seed),
+                                  lambda part: core.PreparedPart(matroid, part))
 
 
 # (matroid, an independent part, an x that would make it dependent, a y outside it)

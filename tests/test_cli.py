@@ -105,6 +105,14 @@ class TestCheck:
         assert proc.returncode == 0
         assert proc.stdout == "rank 1, 1000000000 elements\n"
 
+    def test_huge_ids_in_bases_file_stay_small(self, tmp_path):
+        # a bitmask indexed by raw ids would take 125 MB per basis here
+        family = [[10**9 - 1 - i] for i in range(256)]
+        path = write(tmp_path, "m.json", {"type": "bases", "n": 10**9, "bases": family})
+        proc = run_cli("check", path, memory_limit=2**30)
+        assert proc.returncode == 0
+        assert proc.stdout == "rank 1, 1000000000 elements\n"
+
     def test_oversized_bases_family_exits_3(self, tmp_path):
         family = [list(b) for b in itertools.combinations(range(13), 3)]
         assert len(family) == 286

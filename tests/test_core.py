@@ -426,6 +426,16 @@ def test_mask_axiom_check_matches_set_reference(case):
         BasisMatroid(n, family)
 
 
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_mask_axiom_check_takes_sparse_huge_ids(case):
+    # ids spread up to 10**9 keep their order, so the first violation too;
+    # masks over raw ids would not fit in memory
+    n, family = case
+    spread = [[10**8 * e + 7 for e in b] for b in family]
+    assert check_base_axiom(10**9, spread) == base_axiom_by_sets(10**9, spread)
+
+
 @settings(max_examples=200, deadline=None)
 @given(families())
 def test_basis_queries_match_the_family(case):
