@@ -36,11 +36,23 @@ def canon(s) -> list[int]:
     return sorted(s)
 
 
-def _as_int(value) -> int:
+def _as_int(value, name: str | None = None) -> int:
+    """``value`` as an int, or raise; the message names ``name`` if given."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValidationError(f"expected an integer, got {value!r}") from None
+        expected = f"{name} must be an integer" if name else "expected an integer"
+        raise ValidationError(f"{expected}, got {value!r}") from None
+
+
+def _listed(values, expected: str) -> list:
+    """The items of ``values``, or raise "``expected``, got ..." when it is
+    not iterable."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValidationError(f"{expected}, got {values!r}") from None
+    return list(items)
 
 
 def _element_set(elements, n: int) -> ElementSet:
@@ -92,9 +104,8 @@ def _elements(mask: int, elements: tuple[int, ...]) -> ElementSet:
     return frozenset(out)
 
 
-def _as_ints(values) -> list[int]:
+def _as_ints(values: list) -> list[int]:
     """``_as_int`` of each value, in one C-level pass when all are integers."""
-    values = list(values)
     try:
         return list(map(operator.index, values))
     except TypeError:
@@ -122,6 +133,7 @@ class Matroid(ABC):
     """
 
     def __init__(self, ground_size: int):
+        ground_size = _as_int(ground_size, "ground size")
         if ground_size < 0:
             raise ValidationError(f"ground size must be >= 0, got {ground_size}")
         self._n = ground_size
@@ -198,39 +210,41 @@ class PreparedPart:
     """The fundamental circuits of an independent set ``part`` of ``matroid``,
     kept while the part changes.
 
-    ``circuit(x)``, for ``x`` outside the part, is None when ``part + x`` is
-    independent, otherwise the elements of the part on the unique circuit of
-    ``part + x`` (an empty set when ``x`` is a loop).  ``add(x)`` grows the
-    part by an ``x`` whose circuit is None; circuits found before stay
-    valid, since the unique circuit of ``part + x`` is still the unique one
-    of any larger independent part plus ``x``.  ``remove(y)`` drops ``y``
-    from the part; circuits found before stay valid exactly when they miss
-    ``y``.
+    ``part`` is a set that the part owns and changes in place: callers read
+    it, but never keep or mutate it.  ``circuit(x)``, for ``x`` outside the
+    part, is None when ``part + x`` is independent, otherwise a new
+    frozenset of the elements of the part on the unique circuit of
+    ``part + x`` (empty when ``x`` is a loop).  ``add(x)`` grows the part
+    by an ``x`` whose circuit is None; circuits found before stay valid,
+    since the unique circuit of ``part + x`` is still the unique one of any
+    larger independent part plus ``x``.  ``remove(y)`` drops ``y`` from the
+    part; circuits found before stay valid exactly when they miss ``y``.
 
-    This base class answers through the oracle (once ``part + x`` is
-    dependent, ``part - y + x`` is independent exactly when y lies on its
-    circuit), and ``add`` and ``remove`` prepare again by re-running
-    ``__init__`` on the changed part; subclasses change their state in place.
-    They also refuse, with an InternalVerificationError, an ``add`` that
-    would make the part dependent and a ``remove`` of a non-member, mostly
-    for the price of one comparison on each move.
+    This base class answers through the oracle, on frozensets (once
+    ``part + x`` is dependent, ``part - y + x`` is independent exactly when
+    y lies on its circuit), and ``add`` and ``remove`` prepare again by
+    re-running ``__init__`` on a frozenset of the changed part; subclasses
+    change their state, ``part`` included, in place.  They also refuse,
+    with an InternalVerificationError, an ``add`` that would make the part
+    dependent and a ``remove`` of a non-member, mostly for the price of one
+    comparison on each move.
     """
 
     def __init__(self, matroid: Matroid, part: ElementSet):
         self.matroid = matroid
-        self.part = part
+        self.part = set(part)
 
     def circuit(self, x: int) -> ElementSet | None:
-        m, s = self.matroid, self.part
+        m, s = self.matroid, frozenset(self.part)
         if m._indep(s | {x}):
             return None
         return frozenset(y for y in s if m._indep((s - {y}) | {x}))
 
     def add(self, x: int) -> None:
-        self.__init__(self.matroid, self.part | {x})
+        self.__init__(self.matroid, frozenset(self.part | {x}))
 
     def remove(self, y: int) -> None:
-        self.__init__(self.matroid, self.part - {y})
+        self.__init__(self.matroid, frozenset(self.part - {y}))
 
     def _dependent(self, x: int) -> InternalVerificationError:
         name = type(self.matroid).__name__
@@ -241,17 +255,17 @@ class PreparedPart:
         if y not in self.part:
             name = type(self.matroid).__name__
             raise InternalVerificationError(f"{name} part: {y} is not in the part")
-        self.part -= {y}
+        self.part.remove(y)
 
 
 class _UniformPart(PreparedPart):
     def circuit(self, x: int) -> ElementSet | None:
-        return self.part if len(self.part) >= self.matroid.rank_bound else None
+        return frozenset(self.part) if len(self.part) >= self.matroid.rank_bound else None
 
     def add(self, x: int) -> None:
         if len(self.part) >= self.matroid.rank_bound:
             raise self._dependent(x)
-        self.part |= {x}
+        self.part.add(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -262,6 +276,7 @@ class UniformMatroid(Matroid):
 
     def __init__(self, n: int, r: int):
         super().__init__(n)
+        r = _as_int(r, "rank bound")
         if not 0 <= r <= n:
             raise ValidationError(f"rank bound must satisfy 0 <= r <= n, got r={r}, n={n}")
         self.rank_bound = r
@@ -309,7 +324,7 @@ class _ForestPart(PreparedPart):
 
     def add(self, x: int) -> None:
         self._link(x)
-        self.part |= {x}
+        self.part.add(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -356,12 +371,11 @@ class _ForestPart(PreparedPart):
         return count
 
 
-def _int_pairs(items, ranged: slice, bound: int, check) -> list[tuple[int, int]]:
+def _int_pairs(items: list, ranged: slice, bound: int, check) -> list[tuple[int, int]]:
     """``items`` as pairs of ints whose flattened ``ranged`` entries lie in
     range(bound).  One C-level pass does the common case; only when something
     is wrong does ``check(idx, item, bound)`` run on each item in turn, and it
     raises for the first bad one."""
-    items = list(items)
     try:
         ok = set(map(len, items)) <= {2}
         flat = list(map(operator.index, itertools.chain.from_iterable(items))) if ok else []
@@ -397,8 +411,10 @@ class GraphicMatroid(Matroid):
     """
 
     def __init__(self, vertex_count: int, edges):
+        vertex_count = _as_int(vertex_count, "vertex count")
         if vertex_count < 0:
             raise ValidationError(f"vertex count must be >= 0, got {vertex_count}")
+        edges = _listed(edges, "edges must be a sequence of vertex pairs")
         edge_list = _int_pairs(edges, slice(None), vertex_count, _check_edge)
         super().__init__(len(edge_list))
         self.vertex_count = vertex_count
@@ -613,7 +629,7 @@ class _EchelonPart(PreparedPart):
 
     def add(self, x: int) -> None:
         self._append(x)
-        self.part |= {x}
+        self.part.add(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -654,12 +670,16 @@ class LinearMatroid(Matroid):
     """
 
     def __init__(self, prime: int, rows: int, columns):
+        prime = _as_int(prime, "field characteristic")
         if not (_is_prime(prime) and prime < MAX_PRIME):
             raise ValidationError(f"field characteristic must be a prime below 2**16, got {prime}")
+        rows = _as_int(rows, "ambient dimension")
         if not 0 <= rows < MAX_ROWS:
             raise ValidationError(f"ambient dimension must be >= 0 and below 2**32, got {rows}")
         cols = []
+        columns = _listed(columns, "columns must be a sequence of integer vectors")
         for idx, col in enumerate(columns):
+            col = _listed(col, f"column {idx} must be a sequence of integers")
             vec = tuple([x % prime for x in _as_ints(col)])
             if len(vec) != rows:
                 raise ValidationError(
@@ -790,7 +810,7 @@ class _BasisPart(PreparedPart):
         if all(grown & ~b for b in self.matroid._masks):
             raise self._dependent(x)
         self.mask = grown
-        self.part |= {x}
+        self.part.add(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -810,6 +830,7 @@ class BasisMatroid(Matroid):
 
     def __init__(self, n: int, bases, validate: bool = True):
         super().__init__(n)
+        bases = _listed(bases, "bases must be a sequence of element sets")
         family = [self.check_subset(b) for b in bases]
         if not family:
             raise ValidationError("basis family must be nonempty")
@@ -897,14 +918,20 @@ class _SlotPart(PreparedPart):
         if e in self.cover:
             return frozenset((self.cover[e],))
         found = self.inner.circuit(e)
-        return None if found is None else frozenset(map(self.cover.__getitem__, found))
+        if found is None:
+            return None
+        if len(found) == len(self.cover):
+            # A circuit lies in the part, so this one is all of it: its
+            # lift is the whole slot part, taken in one copy.
+            return frozenset(self.part)
+        return frozenset(map(self.cover.__getitem__, found))
 
     def add(self, x: int) -> None:
         e = self.matroid.slots[x][1]
         if e in self.cover:  # another copy of e is in the part
             raise self._dependent(x)
         self.inner.add(e)
-        self.part |= {x}
+        self.part.add(x)
         self.cover[e] = x
 
     def remove(self, y: int) -> None:
@@ -936,6 +963,7 @@ class SlotMatroid(Matroid):
     """
 
     def __init__(self, inner: Matroid, slots):
+        slots = _listed(slots, "slots must be a sequence of (tag, element) pairs")
         pairs = _int_pairs(slots, slice(1, None, 2), inner.ground_size, _check_slot)
         super().__init__(len(pairs))
         self.inner = inner
@@ -964,6 +992,7 @@ def disjoint_copies(matroid: Matroid, bases) -> SlotMatroid:
     ascending order within a block), so overlapping or even repeated input
     bases turn into disjoint slot blocks, each still a basis of the lift.
     """
+    bases = _listed(bases, "bases must be a sequence of element sets")
     normalized = [matroid.check_subset(b) for b in bases]
     for idx, b in enumerate(normalized):
         if not matroid.is_basis(b):

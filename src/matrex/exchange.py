@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid, SlotMatroid, _lift, canon
+from .core import ElementSet, Matroid, SlotMatroid, _lift, _listed, canon
 from .errors import InternalVerificationError, ValidationError
 from .union import DeficiencyCertificate, PartitionProblem, matroid_partition
 
@@ -30,7 +30,8 @@ class ExchangeInstance:
     seed: ElementSet
 
     def __post_init__(self):
-        bases = tuple(self.matroid.check_subset(b) for b in self.bases)
+        raw = _listed(self.bases, "bases must be a sequence of element sets")
+        bases = tuple(self.matroid.check_subset(b) for b in raw)
         seed = self.matroid.check_subset(self.seed)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "seed", seed)

@@ -15,6 +15,7 @@ themselves have no such caps.
 from __future__ import annotations
 
 import json
+import operator
 
 from .core import BasisMatroid, GraphicMatroid, LinearMatroid, Matroid, UniformMatroid, canon
 from .errors import FormatError, SizeLimitError
@@ -74,7 +75,10 @@ def element_array(values, what: str) -> frozenset[int]:
     """Parse an ascending integer array into an element set."""
     if not isinstance(values, list):
         raise FormatError(f"{what} must be an array, got {type(values).__name__}")
-    out = []
+    # The common case at C speed: ints only (no bools), strictly ascending.
+    if set(map(type, values)) <= {int} and all(map(operator.lt, values, values[1:])):
+        return frozenset(values)
+    out = []  # name the first bad item
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
             raise FormatError(f"{what} must contain only integers, got {v!r}")

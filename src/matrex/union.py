@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid
+from .core import ElementSet, Matroid, _listed
 from .errors import InternalVerificationError, ValidationError
 
 
@@ -52,8 +52,8 @@ class PartitionProblem:
     """A universe plus k arms (C_i, M_i) to partition it into."""
 
     def __init__(self, universe, arms):
-        self.universe = frozenset(universe)
-        self.arms = list(arms)
+        self.universe = frozenset(_listed(universe, "universe must be a set of element ids"))
+        self.arms = _listed(arms, "arms must be a sequence of Arm objects")
         if not self.arms:
             raise ValidationError("a partition problem needs at least one arm")
         for i, arm in enumerate(self.arms):
@@ -143,7 +143,7 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
         if reached is not None:
             return _certificate(arms, reached)
 
-    result = Partition(tuple(p.part for p in prepared))
+    result = Partition(tuple(frozenset(p.part) for p in prepared))
     if not verify_partition(problem, result):
         raise InternalVerificationError("the computed partition failed re-verification")
     return result

@@ -20,6 +20,7 @@ from matrex import (
     LinearMatroid,
     Matroid,
     PartitionProblem,
+    SlotMatroid,
     UniformMatroid,
     core,
     cyclic_exchange,
@@ -286,6 +287,113 @@ def test_slot_part_refuses_an_inner_dependent_add():
     with pytest.raises(InternalVerificationError, match="^GraphicMatroid part: adding 2 makes"):
         prepared.add(3)  # slot 3 copies edge 2
     assert prepared.part == {0, 1}
+
+
+# --- parts that change in place ----------------------------------------------
+
+
+def assert_circuits_are_snapshots(matroid, rng, prepare=None):
+    """Add and remove random elements of one prepared part.  Its ``part`` is
+    its own set, and every circuit is a new frozenset that no later move
+    changes."""
+    prepared = (prepare or matroid._prepare)(random_independent(matroid, rng))
+    assert type(prepared.part) is set
+    taken = []
+    for _ in range(2 * matroid.ground_size + 2):
+        circuits = {x: prepared.circuit(x) for x in sorted(matroid.ground_set() - prepared.part)}
+        for circuit in circuits.values():
+            if circuit is not None:
+                assert type(circuit) is frozenset and circuit is not prepared.part
+                taken.append((circuit, set(circuit)))
+        free = [x for x, circuit in circuits.items() if circuit is None]
+        if prepared.part and (not free or rng.random() < 0.5):
+            prepared.remove(rng.choice(sorted(prepared.part)))
+        elif free:
+            prepared.add(rng.choice(free))
+        else:  # an empty part and only loops outside it
+            break
+        assert all(circuit == copy for circuit, copy in taken)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matroids(), st.randoms(use_true_random=False))
+def test_circuits_survive_later_moves(matroid, rng):
+    assert_circuits_are_snapshots(matroid, rng)
+    assert_circuits_are_snapshots(matroid, rng, lambda part: core.PreparedPart(matroid, part))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matroids(max_n=5), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_slot_circuits_survive_later_moves(inner, k, rng):
+    bases = [random_basis(inner, rng)]
+    bases += [rng.choice((bases[0], random_basis(inner, rng))) for _ in range(k)]
+    assert_circuits_are_snapshots(disjoint_copies(inner, bases), rng)
+
+
+def test_partitions_hold_frozensets():
+    problem = PartitionProblem(range(4), [Arm({0, 1, 2}, UniformMatroid(4, 2)),
+                                          Arm({1, 2, 3}, UniformMatroid(4, 2))])
+    outcome = matroid_partition(problem)
+    assert outcome.parts == (frozenset({0, 1}), frozenset({2, 3}))
+    assert all(type(part) is frozenset for part in outcome.parts)
+    spec = InstanceGenSpec(matroid_class="graphic", k=3, seed=1, vertices=6, n=12)
+    result = cyclic_exchange(random_instance(spec))
+    assert all(type(part) is frozenset for part in result.partition)
+
+
+def cycle(n):
+    """The cycle C_n: edge i joins vertices i and i + 1 mod n."""
+    return GraphicMatroid(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def assert_lift_remaps_inner_circuits(lift):
+    """For every independent slot part of ``lift`` and every slot x outside
+    it, the circuit is the parallel copy of x's element if the part holds
+    one, and otherwise the inner circuit mapped slot by slot."""
+    for size in range(lift.ground_size + 1):
+        for part in map(frozenset, itertools.combinations(range(lift.ground_size), size)):
+            if not lift.is_independent(part):
+                continue
+            prepared = lift._prepare(part)
+            slot_of = {lift.slots[j][1]: j for j in part}
+            inner = lift.inner._prepare(frozenset(slot_of))
+            for x in sorted(lift.ground_set() - part):
+                e = lift.slots[x][1]
+                found = frozenset({e}) if e in slot_of else inner.circuit(e)
+                expected = None if found is None else frozenset(slot_of[y] for y in found)
+                assert prepared.circuit(x) == expected, (lift, part, x)
+
+
+@pytest.mark.parametrize("lift", [
+    disjoint_copies(UniformMatroid(5, 2), [{0, 1}, {2, 3}, {1, 4}]),
+    disjoint_copies(UniformMatroid(3, 0), [set(), set()]),
+    # the part holding one whole path of C_5 or C_6 closes the whole forest
+    disjoint_copies(cycle(5), [{0, 1, 2, 3}, {1, 2, 3, 4}]),
+    disjoint_copies(cycle(6), [{0, 1, 2, 3, 4}, {5, 0, 1, 2, 3}]),
+    disjoint_copies(LinearMatroid(2, 3, FANO_COLUMNS), [{0, 1, 3}, {2, 4, 6}]),
+    disjoint_copies(LinearMatroid(3, 2, [[1, 0], [0, 1], [1, 1], [1, 2]]), [{0, 1}, {2, 3}]),
+    disjoint_copies(BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]]), [{0, 1, 3}, {1, 2, 3}]),
+    # slots copying a loop (the self-loop edge 2; element 4, in no basis)
+    SlotMatroid(GraphicMatroid(3, [(0, 1), (1, 2), (2, 2)]), [(0, 0), (0, 2), (1, 1), (1, 2)]),
+    SlotMatroid(BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]]), [(0, 4), (0, 0), (1, 4)]),
+], ids=repr)
+def test_lifted_circuits_remap_inner_ones(lift):
+    assert_lift_remaps_inner_circuits(lift)
+
+
+def test_whole_part_circuit_lifts_the_whole_part():
+    # A Hamiltonian path of C_6 as the part: the other edge closes all of it.
+    lift = disjoint_copies(cycle(6), [{0, 1, 2, 3, 4}, {1, 2, 3, 4, 5}])
+    prepared = lift._prepare(frozenset(range(5)))  # the first block: edges 0..4
+    assert prepared.circuit(9) == frozenset(range(5))  # slot 9 copies edge 5
+    prepared.remove(2)
+    assert prepared.circuit(9) is None
+    prepared.add(6)  # slot 6 copies edge 2 again
+    assert prepared.circuit(9) == frozenset({0, 1, 3, 4, 6})
+    prepared.remove(0)
+    prepared.add(9)
+    assert prepared.circuit(0) == frozenset({1, 3, 4, 6, 9})
+    assert prepared.circuit(5) == frozenset({1})  # slot 5 copies edge 1, as slot 1 does
 
 
 # --- one-pass greedy scans ----------------------------------------------------

@@ -259,6 +259,37 @@ class TestValidation:
         with pytest.raises(ValidationError, match="expected a set of element ids, got"):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: LinearMatroid(2, 1, [5]), "column 0 must be a sequence of integers, got 5"),
+        (lambda: LinearMatroid(2, 1, 5), "columns must be a sequence of integer vectors, got 5"),
+        (lambda: GraphicMatroid(3, 5), "edges must be a sequence of vertex pairs, got 5"),
+        (lambda: SlotMatroid(UniformMatroid(3, 1), 5),
+         "slots must be a sequence of (tag, element) pairs, got 5"),
+        (lambda: disjoint_copies(UniformMatroid(3, 1), 5),
+         "bases must be a sequence of element sets, got 5"),
+        (lambda: BasisMatroid(3, 5), "bases must be a sequence of element sets, got 5"),
+        (lambda: UniformMatroid(3, None), "rank bound must be an integer, got None"),
+        (lambda: UniformMatroid(None, 1), "ground size must be an integer, got None"),
+        (lambda: UniformMatroid(3, 1.5), "rank bound must be an integer, got 1.5"),
+        (lambda: GraphicMatroid(None, []), "vertex count must be an integer, got None"),
+        (lambda: BasisMatroid(None, [[0]]), "ground size must be an integer, got None"),
+        (lambda: LinearMatroid(None, 1, []), "field characteristic must be an integer, got None"),
+        (lambda: LinearMatroid(2, 1.0, [[1]]), "ambient dimension must be an integer, got 1.0"),
+        # rejected before as well, with the same messages
+        (lambda: UniformMatroid(-1, 0), "ground size must be >= 0, got -1"),
+        (lambda: UniformMatroid(3, 4), "rank bound must satisfy 0 <= r <= n, got r=4, n=3"),
+        (lambda: GraphicMatroid(-1, []), "vertex count must be >= 0, got -1"),
+        (lambda: LinearMatroid(4, 1, []), "field characteristic must be a prime below 2**16, got 4"),
+        (lambda: LinearMatroid(4, None, 5), "field characteristic must be a prime below 2**16, got 4"),
+        (lambda: GraphicMatroid(-1, 5), "vertex count must be >= 0, got -1"),
+        (lambda: LinearMatroid(2, 1, [[None]]), "expected an integer, got None"),
+        (lambda: BasisMatroid(3, [5]), "expected a set of element ids, got 5"),
+    ], ids=lambda v: "" if callable(v) else v)
+    def test_constructors_name_a_bad_argument(self, call, message):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
     def test_slots_become_int_pairs(self):
         lift = SlotMatroid(UniformMatroid(3, 2), ((True, 2), [0, 1], iter([1, 0])))
         assert lift.slots == ((1, 2), (0, 1), (1, 0))

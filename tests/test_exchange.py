@@ -190,6 +190,11 @@ class TestCyclicExchange:
         with pytest.raises(ValidationError, match=r"bases\[1\]"):
             ExchangeInstance(k4, (frozenset({0, 1, 2}), frozenset({0, 1, 3})), frozenset())
 
+    def test_non_iterable_bases_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            ExchangeInstance(GraphicMatroid(4, K4_EDGES), 5, frozenset())
+        assert str(info.value) == "bases must be a sequence of element sets, got 5"
+
     def test_seed_outside_first_basis_rejected(self):
         k4 = GraphicMatroid(4, K4_EDGES)
         with pytest.raises(ValidationError, match="seed"):
@@ -492,7 +497,7 @@ class TestOracleBoundary:
             prepare(self, *args)
 
         def counting_augment(arms_of, prepared, *rest):
-            before = [p.part for p in prepared]
+            before = [frozenset(p.part) for p in prepared]
             reached = augment(arms_of, prepared, *rest)
             counts["losses"] += sum(not p.part >= old for p, old in zip(prepared, before))
             return reached

@@ -94,6 +94,29 @@ class TestElementArrays:
         assert element_array([0, 3, 5], "test") == frozenset({0, 3, 5})
         assert element_array([], "test") == frozenset()
 
+    @pytest.mark.parametrize("values, message", [
+        ([0, 2, True], "test must contain only integers, got True"),
+        ([0, 1.0], "test must contain only integers, got 1.0"),
+        ([0, "1"], "test must contain only integers, got '1'"),
+        ([3, 1, "x"], "test must be strictly ascending"),  # the first bad item wins
+        (["x", 3, 1], "test must contain only integers, got 'x'"),
+        ([0, 4, 4], "test must be strictly ascending"),
+        ((0, 1), "test must be an array, got tuple"),
+        (5, "test must be an array, got int"),
+    ])
+    def test_names_the_first_bad_item(self, values, message):
+        with pytest.raises(FormatError) as info:
+            element_array(values, "test")
+        assert str(info.value) == message
+
+    def test_int_subclasses_take_the_checked_loop(self):
+        class Id(int):
+            pass
+
+        assert element_array([Id(1), Id(4)], "test") == frozenset({1, 4})
+        with pytest.raises(FormatError, match="ascending"):
+            element_array([Id(4), Id(1)], "test")
+
 
 class TestBasesFile:
     def test_with_a1(self):

@@ -155,6 +155,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PartitionProblem({0}, [])
 
+    @pytest.mark.parametrize("universe, arms, message", [
+        (5, [], "universe must be a set of element ids, got 5"),
+        ({0}, 5, "arms must be a sequence of Arm objects, got 5"),
+    ])
+    def test_non_iterable_arguments_rejected(self, universe, arms, message):
+        with pytest.raises(ValidationError) as info:
+            PartitionProblem(universe, arms)
+        assert str(info.value) == message
+
     def test_arm_outside_universe_rejected(self):
         m = UniformMatroid(3, 1)
         with pytest.raises(ValidationError, match="outside the universe"):
