@@ -522,6 +522,37 @@ class _Fields:
             table = self.tables[factor] = bytes(b * factor % p for b in range(256))
         return int.from_bytes(vec.to_bytes(length, "little").translate(table), "little")
 
+    def echelon(self, width: int, length: int) -> "_Echelon":
+        return _Echelon(self, width, length)
+
+    def support(self, vec: int, elements: list) -> ElementSet:
+        """The ``elements[j]`` at whose entry j ``vec`` is nonzero mod p."""
+        entries = self.unpack(vec, len(elements))
+        return frozenset(e for e, c in zip(elements, entries) if c % self.prime)
+
+
+class _Bits:
+    """The packing of GF(2) vectors into ints, one bit per entry: entry i is
+    bit i.  Over GF(2) a row step is one XOR, which carries nothing into the
+    next entry, so no field needs room above an entry, nothing is scaled and
+    nothing is taken mod 2.  It has the ``bits``, ``pack``, ``echelon`` and
+    ``support`` of ``_Fields``."""
+
+    bits = 1
+    _DIGITS = bytes.maketrans(b"\0\1", b"01")  # entries 0 and 1 -> binary digits
+
+    def pack(self, entries: tuple[int, ...]) -> int:
+        # int(..., 2) reads the last entry first; the leading 0 makes an
+        # empty vector 0.
+        return int(b"0" + bytes(entries[::-1]).translate(self._DIGITS), 2)
+
+    def echelon(self, width: int, length: int) -> "_BitEchelon":
+        return _BitEchelon(width)
+
+    def support(self, vec: int, elements: list) -> ElementSet:
+        """The ``elements[j]`` at whose bit j ``vec`` is set."""
+        return _elements(vec, elements)
+
 
 class _Echelon:
     """Rows in echelon form over GF(p), grown one vector at a time and
@@ -598,6 +629,57 @@ class _Echelon:
         bisect.insort(self.unpivoted, shift // fields.bits)
 
 
+class _BitEchelon:
+    """``_Echelon`` over GF(2), on vectors packed one bit per entry.
+
+    A row step is one test and one XOR: ``if vec & pivot_bit: vec ^= row``.
+    ``open`` holds the bits of the columns below ``width`` with no pivot, and
+    the pivot of a reduced vector is its lowest bit in ``open``, the column
+    ``_Echelon.pivot`` picks, so both echelons hold the same rows.
+    """
+
+    def __init__(self, width: int):
+        self.rows: list[tuple[int, int]] = []  # (pivot bit, row)
+        self.open = (1 << width) - 1
+
+    def reduce(self, vec: int) -> int:
+        for bit, row in self.rows:
+            if vec & bit:
+                vec ^= row
+        return vec
+
+    def pivot(self, vec: int) -> int | None:
+        low = vec & self.open
+        return (low & -low).bit_length() - 1 if low else None
+
+    def add(self, vec: int) -> bool:
+        # ``pivot`` and ``keep`` inline: this is every independence test.
+        if not self.open:
+            return False
+        vec = self.reduce(vec)
+        low = vec & self.open
+        if not low:
+            return False
+        low &= -low
+        self.rows.append((low, vec))
+        self.open ^= low
+        return True
+
+    def keep(self, vec: int, col: int) -> None:
+        bit = 1 << col
+        self.rows.append((bit, vec))
+        self.open ^= bit
+
+    def drop(self, at: int) -> None:
+        bit, rows = 1 << at, self.rows
+        r = next(r for r in reversed(range(len(rows))) if rows[r][1] & bit)
+        pivot, last = rows.pop(r)
+        for i in range(r):
+            if rows[i][1] & bit:
+                rows[i] = (rows[i][0], rows[i][1] ^ last)
+        self.open |= pivot
+
+
 class _EchelonPart(PreparedPart):
     # Each element of the part carries a unit tag e_j, in a tag block as wide
     # as the columns are long (an independent part has at most that many
@@ -609,7 +691,7 @@ class _EchelonPart(PreparedPart):
     def __init__(self, matroid: LinearMatroid, part: ElementSet):
         super().__init__(matroid, part)
         d = matroid.rows
-        self.echelon = _Echelon(matroid._fields, d, 2 * d)
+        self.echelon = matroid._fields.echelon(d, 2 * d)
         self.tag_shift = d * matroid._fields.bits
         self.order: list[int | None] = []  # the element tagged e_j, None if vacant
         self.vacant: list[int] = []
@@ -623,9 +705,7 @@ class _EchelonPart(PreparedPart):
         if col is not None:
             self.free = (x, vec, col)
             return None
-        fields = self.matroid._fields
-        tags = fields.unpack(vec >> self.tag_shift, len(self.order))
-        return frozenset(e for e, c in zip(self.order, tags) if c % fields.prime)
+        return self.matroid._fields.support(vec >> self.tag_shift, self.order)
 
     def add(self, x: int) -> None:
         self._append(x)
@@ -659,14 +739,44 @@ class _EchelonPart(PreparedPart):
         self.free = None
 
 
+_BYTES = bytes(range(256))
+
+
+def _columns(columns: list, prime: int, rows: int) -> tuple[tuple[int, ...], ...]:
+    """``columns`` as tuples of entries mod ``prime``, or raise naming the
+    first column that is not ``rows`` integers.  One C-level pass does the
+    common case, entries already in range(prime) and below 256: ``bytes``
+    takes them as integers and refuses any other, and ``translate`` deletes
+    those below ``prime``.  Otherwise the loop checks and reduces each
+    column in turn."""
+    try:
+        if set(map(len, columns)) <= {rows}:
+            data = bytes(itertools.chain.from_iterable(columns))
+            if len(data) == rows * len(columns) and not data.translate(None, _BYTES[:prime]):
+                return tuple(zip(*[iter(data)] * rows)) if rows else ((),) * len(columns)
+    except (TypeError, ValueError):  # no length, a non-integer, or out of range
+        pass
+    cols = []
+    for idx, col in enumerate(columns):
+        col = _listed(col, f"column {idx} must be a sequence of integers")
+        vec = tuple([x % prime for x in _as_ints(col)])
+        if len(vec) != rows:
+            raise ValidationError(f"column {idx} has {len(vec)} entries, expected {rows}")
+        cols.append(vec)
+    return tuple(cols)
+
+
 class LinearMatroid(Matroid):
     """Column matroid of a matrix over GF(p): element i is column i.
 
     All arithmetic is exact modulo a prime p < 2**16, on columns of fewer
-    than 2**32 entries.  Each column is packed once into an int (``_Fields``)
-    and ``columns`` keeps the entries.  Independence, the greedy scan and
-    fundamental circuits all grow one echelon form of packed rows column by
-    column, so none of them repeats an elimination.
+    than 2**32 entries.  Each column is packed once into an int and
+    ``columns`` keeps the entries.  Over GF(2) an entry is one bit
+    (``_Bits``) and a row step is one XOR; any other prime gets fields wide
+    enough for the sums of a reduction (``_Fields``).  The prime alone
+    picks the packing, and with it the echelon.  Independence, the greedy
+    scan and fundamental circuits all grow one echelon form of packed rows
+    column by column, so none of them repeats an elimination.
     """
 
     def __init__(self, prime: int, rows: int, columns):
@@ -676,32 +786,26 @@ class LinearMatroid(Matroid):
         rows = _as_int(rows, "ambient dimension")
         if not 0 <= rows < MAX_ROWS:
             raise ValidationError(f"ambient dimension must be >= 0 and below 2**32, got {rows}")
-        cols = []
-        columns = _listed(columns, "columns must be a sequence of integer vectors")
-        for idx, col in enumerate(columns):
-            col = _listed(col, f"column {idx} must be a sequence of integers")
-            vec = tuple([x % prime for x in _as_ints(col)])
-            if len(vec) != rows:
-                raise ValidationError(
-                    f"column {idx} has {len(vec)} entries, expected {rows}"
-                )
-            cols.append(vec)
+        cols = _columns(_listed(columns, "columns must be a sequence of integer vectors"),
+                        prime, rows)
         super().__init__(len(cols))
         self.prime = prime
         self.rows = rows
-        self.columns = tuple(cols)
-        self._fields = _Fields(prime, rows)
+        self.columns = cols
+        # The one place the elimination is chosen: one bit per entry over
+        # GF(2), fields wide enough for the sums of any other prime.
+        self._fields = _Bits() if prime == 2 else _Fields(prime, rows)
         self._packed = tuple(map(self._fields.pack, cols))
 
     def _indep(self, s: ElementSet) -> bool:
         if len(s) > self.rows:
             return False
-        echelon = _Echelon(self._fields, self.rows, self.rows)
-        return all(echelon.add(self._packed[i]) for i in s)
+        echelon = self._fields.echelon(self.rows, self.rows)
+        return all(map(echelon.add, map(self._packed.__getitem__, s)))
 
     def greedy_independent(self, elements) -> ElementSet:
         # The ascending scan of the base class, in one incremental elimination.
-        echelon = _Echelon(self._fields, self.rows, self.rows)
+        echelon = self._fields.echelon(self.rows, self.rows)
         return frozenset(e for e in sorted(self.check_subset(elements))
                          if echelon.add(self._packed[e]))
 

@@ -258,6 +258,7 @@ MISUSES = [
     (GraphicMatroid(3, [(0, 1), (2, 2)]), {0}, 1, 1),  # a self-loop
     (LinearMatroid(3, 2, [[1, 0], [0, 1], [1, 2]]), {0, 1}, 2, 2),
     (LinearMatroid(2, 2, [[1, 0], [0, 0]]), set(), 1, 0),  # a zero column
+    (LinearMatroid(2, 2, [[1, 0], [0, 1], [1, 1]]), {0, 1}, 2, 2),  # a nonzero dependent column
     (BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]), {0, 1}, 2, 3),
     (BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]), {0}, 3, 1),  # a loop
     (disjoint_copies(UniformMatroid(3, 2), [{0, 1}, {0, 1}]), {0}, 2, 1),  # parallel copies

@@ -1,12 +1,18 @@
-"""Packed GF(p) elimination against a list-based one, for every field width.
+"""Packed GF(p) elimination against a list-based one, for every packing.
 
-``LinearMatroid`` packs each vector into one int with a field per entry,
-1, 2, 4 or 8 bytes wide depending on the prime and the number of rows.  The
+``LinearMatroid`` packs each vector into one int.  Over GF(2) an entry is
+one bit and a row step one XOR; any other prime gets a field per entry, 1,
+2, 4 or 8 bytes wide depending on the prime and the number of rows.  The
 primes below reach every width as rows run from 0 to 40, and entries lean
 towards 0, 1 and p - 1, the values that make reductions sum the largest
-terms.  Rank, the greedy witness, fundamental circuits and changed parts are
-compared with ``gf_rank`` in ``helpers``, which reduces lists entry by entry.
+terms.  Over GF(2) rows run to 100, so that a vector and its tag block span
+several 30-bit digits of a Python int.  Rank, the greedy witness,
+fundamental circuits and changed parts are compared with ``gf_rank`` in
+``helpers``, which reduces lists entry by entry, and the one-bit echelon
+with the field echelon run at p = 2.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +28,7 @@ PRIMES = (2, 3, 5, 251, 257, 65521)
 @st.composite
 def packed_matroids(draw):
     prime = draw(st.sampled_from(PRIMES))
-    rows = draw(st.integers(0, 40))
+    rows = draw(st.integers(0, 100 if prime == 2 else 40))
     n = draw(st.integers(0, 12))
     rng = draw(st.randoms(use_true_random=False))
 
@@ -128,3 +134,61 @@ def test_largest_sums_stay_in_their_fields(prime):
         assert_circuits_match(matroid, matroid._prepare(part), part)
         assert matroid.full_rank() == rows
         assert not matroid.is_independent(range(rows + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 100), st.integers(0, 2**32))
+def test_bit_echelon_keeps_the_rows_of_the_field_echelon(rows, seed):
+    # The same adds and drops on both echelons, with the tag block of a
+    # prepared part above the first ``rows`` entries: they answer alike and
+    # hold the same rows, entry by entry, mod 2.
+    rng = random.Random(seed)
+    fields, bits = core._Fields(2, rows), core._Bits()
+    general, one_bit = fields.echelon(rows, 2 * rows), bits.echelon(rows, 2 * rows)
+
+    def mod2(vec):  # the entries of a vector of the field echelon, mod 2
+        return [a % 2 for a in fields.unpack(vec, 2 * rows)]
+
+    def bits_of(vec):  # the entries of a vector of the one-bit echelon
+        return [int(b) for b in reversed(format(vec, f"0{2 * rows}b"))] if rows else []
+
+    def same_rows():
+        assert len(general.rows) == len(one_bit.rows)
+        for (shift, row), (pivot, bit_row) in zip(general.rows, one_bit.rows):
+            assert pivot == 1 << shift // fields.bits
+            assert mod2(row) == bits_of(bit_row)
+
+    for _ in range(rows + 8):
+        if general.rows and rng.random() < 0.3:
+            tag = rng.randrange(rows)
+            if any(row >> rows + tag & 1 for _, row in one_bit.rows):
+                general.drop((rows + tag) * fields.bits)
+                one_bit.drop(rows + tag)
+                same_rows()
+        else:
+            vec = bits_of(rng.getrandbits(2 * rows))
+            packed = fields.pack(vec), bits.pack(tuple(vec))
+            reduced = general.reduce(packed[0]), one_bit.reduce(packed[1])
+            assert mod2(reduced[0]) == bits_of(reduced[1])
+            col = general.pivot(reduced[0])
+            assert one_bit.pivot(reduced[1]) == col
+            if col is not None:
+                general.keep(reduced[0], col)
+                one_bit.keep(reduced[1], col)
+            else:
+                assert general.add(packed[0]) is one_bit.add(packed[1]) is False
+    same_rows()
+
+
+def test_gf2_bases_of_the_bench_shape_match_lists():
+    # A random 30 x 90 matrix over GF(2), the shape of the linear benchmark.
+    rng = random.Random(15)
+    columns = [[rng.randrange(2) for _ in range(30)] for _ in range(90)]
+    matroid = LinearMatroid(2, 30, columns)
+    assert matroid.full_rank() == gf_rank(2, columns)
+    found = set()
+    for _ in range(300):
+        s = rng.sample(range(90), 30)
+        found.add(matroid.is_basis(s))
+        assert matroid.is_basis(s) == (gf_rank(2, [columns[e] for e in s]) == 30), s
+    assert found == {True, False}
