@@ -104,12 +104,12 @@ def _elements(mask: int, elements: tuple[int, ...]) -> ElementSet:
     return frozenset(out)
 
 
-def _as_ints(values: list) -> list[int]:
+def _as_ints(values: list, name: str | None = None) -> list[int]:
     """``_as_int`` of each value, in one C-level pass when all are integers."""
     try:
         return list(map(operator.index, values))
     except TypeError:
-        return [_as_int(v) for v in values]  # raises for the first non-integer
+        return [_as_int(v, name) for v in values]  # raises for the first non-integer
 
 
 class Matroid(ABC):
@@ -118,7 +118,8 @@ class Matroid(ABC):
     Subclasses implement ``_indep``, the one oracle method, on trusted
     frozensets: the public methods validate ids once, internal code calls
     ``_indep``.  Nothing is memoised here; the partition solver keeps one
-    prepared part per arm.
+    prepared part per arm, and a part keeps its whole as one frozenset
+    only until its next move.
 
     ``_prepare(s)``, for an independent ``s``, returns a ``PreparedPart``:
     its ``circuit(x)`` gives the fundamental circuit of ``s + x``, its
@@ -127,9 +128,9 @@ class Matroid(ABC):
     asks ``_indep`` once per element of ``s`` and prepares again on ``add``
     and ``remove``; classes with structure (uniform, graphic, linear, basis
     families, the slot lift) return parts that answer each ``x`` directly
-    and change in place.  A subclass author may return a ``PreparedPart`` subclass that
-    overrides ``__init__`` and ``circuit`` only, and inherit ``add`` and
-    ``remove``.
+    and change in place.  A subclass author may return a ``PreparedPart``
+    subclass that overrides ``__init__`` (calling the base one) and
+    ``circuit`` only, and inherit ``add`` and ``remove``.
     """
 
     def __init__(self, ground_size: int):
@@ -212,20 +213,24 @@ class PreparedPart:
 
     ``part`` is a set that the part owns and changes in place: callers read
     it, but never keep or mutate it.  ``circuit(x)``, for ``x`` outside the
-    part, is None when ``part + x`` is independent, otherwise a new
-    frozenset of the elements of the part on the unique circuit of
-    ``part + x`` (empty when ``x`` is a loop).  ``add(x)`` grows the part
-    by an ``x`` whose circuit is None; circuits found before stay valid,
-    since the unique circuit of ``part + x`` is still the unique one of any
-    larger independent part plus ``x``.  ``remove(y)`` drops ``y`` from the
-    part; circuits found before stay valid exactly when they miss ``y``.
+    part, is None when ``part + x`` is independent, otherwise a frozenset
+    of the elements of the part on the unique circuit of ``part + x`` (empty
+    when ``x`` is a loop), which no later move changes.  A circuit that is
+    the whole part may be ``whole()``: one frozenset, built on first use
+    and shared until the part's next move, as the uniform and slot parts
+    answer.  ``add(x)`` grows the part by an ``x`` whose circuit is None;
+    circuits found before stay valid, since the unique circuit of
+    ``part + x`` is still the unique one of any larger independent part
+    plus ``x``.  ``remove(y)`` drops ``y`` from the part; circuits found
+    before stay valid exactly when they miss ``y``.
 
     This base class answers through the oracle, on frozensets (once
     ``part + x`` is dependent, ``part - y + x`` is independent exactly when
     y lies on its circuit), and ``add`` and ``remove`` prepare again by
     re-running ``__init__`` on a frozenset of the changed part; subclasses
-    change their state, ``part`` included, in place.  They also refuse,
-    with an InternalVerificationError, an ``add`` that would make the part
+    change their state in place, ``part`` through ``_put`` and ``_drop``,
+    which also let go of the shared whole.  They also refuse, with an
+    InternalVerificationError, an ``add`` that would make the part
     dependent and a ``remove`` of a non-member, mostly for the price of one
     comparison on each move.
     """
@@ -233,9 +238,16 @@ class PreparedPart:
     def __init__(self, matroid: Matroid, part: ElementSet):
         self.matroid = matroid
         self.part = set(part)
+        self._whole: ElementSet | None = None
+
+    def whole(self) -> ElementSet:
+        """The part as a frozenset, shared until the part's next move."""
+        if self._whole is None:
+            self._whole = frozenset(self.part)
+        return self._whole
 
     def circuit(self, x: int) -> ElementSet | None:
-        m, s = self.matroid, frozenset(self.part)
+        m, s = self.matroid, self.whole()
         if m._indep(s | {x}):
             return None
         return frozenset(y for y in s if m._indep((s - {y}) | {x}))
@@ -250,22 +262,28 @@ class PreparedPart:
         name = type(self.matroid).__name__
         return InternalVerificationError(f"{name} part: adding {x} makes it dependent")
 
+    def _put(self, x: int) -> None:
+        """Put ``x`` into ``part``."""
+        self.part.add(x)
+        self._whole = None
+
     def _drop(self, y: int) -> None:
         """Take ``y`` out of ``part``, or refuse a non-member."""
         if y not in self.part:
             name = type(self.matroid).__name__
             raise InternalVerificationError(f"{name} part: {y} is not in the part")
         self.part.remove(y)
+        self._whole = None
 
 
 class _UniformPart(PreparedPart):
     def circuit(self, x: int) -> ElementSet | None:
-        return frozenset(self.part) if len(self.part) >= self.matroid.rank_bound else None
+        return self.whole() if len(self.part) >= self.matroid.rank_bound else None
 
     def add(self, x: int) -> None:
         if len(self.part) >= self.matroid.rank_bound:
             raise self._dependent(x)
-        self.part.add(x)
+        self._put(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -324,7 +342,7 @@ class _ForestPart(PreparedPart):
 
     def add(self, x: int) -> None:
         self._link(x)
-        self.part.add(x)
+        self._put(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -709,7 +727,7 @@ class _EchelonPart(PreparedPart):
 
     def add(self, x: int) -> None:
         self._append(x)
-        self.part.add(x)
+        self._put(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -914,7 +932,7 @@ class _BasisPart(PreparedPart):
         if all(grown & ~b for b in self.matroid._masks):
             raise self._dependent(x)
         self.mask = grown
-        self.part.add(x)
+        self._put(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -1026,8 +1044,8 @@ class _SlotPart(PreparedPart):
             return None
         if len(found) == len(self.cover):
             # A circuit lies in the part, so this one is all of it: its
-            # lift is the whole slot part, taken in one copy.
-            return frozenset(self.part)
+            # lift is the whole slot part.
+            return self.whole()
         return frozenset(map(self.cover.__getitem__, found))
 
     def add(self, x: int) -> None:
@@ -1035,7 +1053,7 @@ class _SlotPart(PreparedPart):
         if e in self.cover:  # another copy of e is in the part
             raise self._dependent(x)
         self.inner.add(e)
-        self.part.add(x)
+        self._put(x)
         self.cover[e] = x
 
     def remove(self, y: int) -> None:

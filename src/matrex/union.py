@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid, _listed
+from .core import ElementSet, Matroid, _as_ints, _listed
 from .errors import InternalVerificationError, ValidationError
 
 
@@ -52,11 +52,14 @@ class PartitionProblem:
     """A universe plus k arms (C_i, M_i) to partition it into."""
 
     def __init__(self, universe, arms):
-        self.universe = frozenset(_listed(universe, "universe must be a set of element ids"))
+        self.universe = frozenset(_as_ints(
+            _listed(universe, "universe must be a set of element ids"), "universe element"))
         self.arms = _listed(arms, "arms must be a sequence of Arm objects")
         if not self.arms:
             raise ValidationError("a partition problem needs at least one arm")
         for i, arm in enumerate(self.arms):
+            if not isinstance(arm, Arm):
+                raise ValidationError(f"arm {i} must be an Arm, got {arm!r}")
             if not arm.allowed <= self.universe:
                 raise ValidationError(f"arm {i} allows elements outside the universe")
 
@@ -119,16 +122,18 @@ def verify_partition(problem: PartitionProblem, partition: Partition) -> bool:
 def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertificate:
     """Partition the universe into arm-independent sets, or certify failure.
 
-    Elements are inserted in ascending id order.  Each insertion runs a
-    breadth-first search over the exchange digraph: an arc x -> sink_i means
-    x can be added to D_i directly, and an arc x -> y (y in D_i, x outside
-    D_i) means x can take y's place.  Applying the swaps along a shortest
-    path keeps every D_i independent.  If no sink is reachable, the set of
-    reachable universe nodes is a deficiency witness; it is re-verified by
-    direct rank queries before being returned.  The arms that allow each
-    element are listed once per solve.  Each arm's only state is its
-    prepared part, made once from the empty set: it holds D_i, answers the
-    circuits, and takes every move along a path in place.
+    Elements are inserted in ascending id order.  An element that one of
+    its arms takes as it is goes straight in, with no search; that is most
+    insertions.  Any other runs a breadth-first search over the exchange
+    digraph: an arc x -> sink_i means x can be added to D_i directly, and an
+    arc x -> y (y in D_i, x outside D_i) means x can take y's place.
+    Applying the swaps along a shortest path keeps every D_i independent.
+    If no sink is reachable, the set of reachable universe nodes is a
+    deficiency witness; it is re-verified by direct rank queries before
+    being returned.  The arms that allow each element are listed once per
+    solve.  Each arm's only state is its prepared part, made once from the
+    empty set: it holds D_i, answers the circuits, and takes every move
+    along a path in place.
     """
     arms = problem.arms
     prepared = [arm.matroid._prepare(frozenset()) for arm in arms]
@@ -150,22 +155,45 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
 
 
 def _augment(arms_of, prepared, owner, source) -> set[int] | None:
-    """Insert ``source`` via a shortest augmenting path.
+    """Insert ``source``, directly when one of its arms takes it, otherwise
+    via a shortest augmenting path.
 
     Returns None on success, or the set of reachable universe nodes when no
     sink can be reached.  ``arms_of[x]`` lists, in ascending order, the arms
-    that allow x.  Each expanded node x asks the prepared part of each of
-    them except its owner for the circuit of D_i + x: there is none when x
-    can join D_i (a sink arc), and otherwise its elements are exactly the y
-    that x can replace.  So one expansion costs its own arms and circuits,
-    whatever the number of arms or of nodes reached.  Ties are broken
-    deterministically: nodes are scanned in first-discovered order, sink
-    arcs in ascending arm index, swap-arc targets in ascending element id.
+    that allow x.  The source's arms are asked first, before any search
+    state exists: the lowest one whose part takes it (its circuit is None)
+    gets it, which is the path a search would apply at its first expansion.
+    Otherwise the search starts from the circuits already found.  Each
+    expanded node x asks the prepared part of each of its arms except its
+    owner for the circuit of D_i + x: there is none when x can join D_i (a
+    sink arc), and otherwise its elements are exactly the y that x can
+    replace.  So one expansion costs its own arms and circuits, whatever the
+    number of arms or of nodes reached.  Ties are broken deterministically:
+    nodes are scanned in first-discovered order, sink arcs in ascending arm
+    index, swap-arc targets in ascending element id.
     """
-    parent: dict[int, int | None] = {source: None}
-    queue: deque[int] = deque([source])
+    found = []
+    for i in arms_of[source]:
+        circuit = prepared[i].circuit(source)
+        if circuit is None:
+            owner[source] = i
+            prepared[i].add(source)
+            return None
+        found.append(circuit)
 
-    while queue:
+    parent: dict[int, int | None] = {source: None}
+    queue: deque[int] = deque()
+    x = source
+    while True:
+        if found:
+            # difference() with a dict probes it once per target; the
+            # ``-`` operator with ``parent.keys()`` would walk all of it.
+            targets = found[0].union(*found[1:]) if len(found) > 1 else found[0]
+            for y in sorted(targets.difference(parent)):
+                parent[y] = x
+                queue.append(y)
+        if not queue:
+            return set(parent)
         x = queue.popleft()
         home = owner.get(x)
         found = []
@@ -177,19 +205,11 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
                 _apply_path(prepared, owner, parent, x, i)
                 return None
             found.append(circuit)
-        if found:
-            # difference() with a dict probes it once per target; the
-            # ``-`` operator with ``parent.keys()`` would walk all of it.
-            targets = found[0].union(*found[1:]) if len(found) > 1 else found[0]
-            for y in sorted(targets.difference(parent)):
-                parent[y] = x
-                queue.append(y)
-
-    return set(parent)
 
 
 def _apply_path(prepared, owner, parent, last, sink_arm) -> None:
-    """Apply the swaps along the path ending with ``last`` -> sink_arm: walking
+    """Apply the swaps along the path ending with ``last`` -> sink_arm, a path
+    of at least one swap (a direct insertion never gets here): walking
     back, each node moves into the arm its successor leaves.  All removals
     go first, so every part stays independent at every step.  The first
     addition is ``last`` to the sink arm, whose circuit query was the last

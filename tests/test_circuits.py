@@ -34,6 +34,7 @@ from matrex import (
 from helpers import (
     FANO_COLUMNS,
     K4_EDGES,
+    check_every_augmentation,
     exchange_shaped_problem,
     fixture_matroids,
     random_problem,
@@ -295,7 +296,7 @@ def test_slot_part_refuses_an_inner_dependent_add():
 
 def assert_circuits_are_snapshots(matroid, rng, prepare=None):
     """Add and remove random elements of one prepared part.  Its ``part`` is
-    its own set, and every circuit is a new frozenset that no later move
+    its own set, and every circuit is a frozenset that no later move
     changes."""
     prepared = (prepare or matroid._prepare)(random_independent(matroid, rng))
     assert type(prepared.part) is set
@@ -329,6 +330,53 @@ def test_slot_circuits_survive_later_moves(inner, k, rng):
     bases = [random_basis(inner, rng)]
     bases += [rng.choice((bases[0], random_basis(inner, rng))) for _ in range(k)]
     assert_circuits_are_snapshots(disjoint_copies(inner, bases), rng)
+
+
+def assert_whole_circuits_stay_fresh(matroid, part, rng):
+    """Swap elements out of and into a full prepared part.  Until a move,
+    every whole-part circuit is one shared frozenset.  After each remove and
+    each add, ``whole()`` is the part, every circuit is a freshly prepared
+    part's, and the whole-part
+    circuit is a new frozenset that holds the added element and misses the
+    removed one."""
+    prepared = matroid._prepare(frozenset(part))
+    ground = matroid.ground_set()
+
+    def circuits():
+        assert prepared.whole() == prepared.part  # so a later add must let it go
+        fresh = matroid._prepare(frozenset(prepared.part))
+        found = {x: prepared.circuit(x) for x in sorted(ground - prepared.part)}
+        assert found == {x: fresh.circuit(x) for x in found}
+        return found
+
+    def wholes():
+        found = [c for c in circuits().values() if c is not None and c == prepared.part]
+        assert found and all(c is found[0] for c in found)
+        return found[0]
+
+    before = wholes()
+    for _ in range(12):
+        removed = rng.choice(sorted(prepared.part))
+        prepared.remove(removed)
+        free = [x for x, c in circuits().items() if c is None and x != removed]
+        added = rng.choice(free)
+        prepared.add(added)
+        after = wholes()
+        assert after is not before and added in after and removed not in after
+        before = after
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_uniform_whole_circuits_stay_fresh(seed):
+    assert_whole_circuits_stay_fresh(UniformMatroid(8, 4), {0, 1, 2, 3}, random.Random(seed))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_slot_whole_circuits_stay_fresh(seed):
+    # Slots 0-2 copy basis 0; a slot whose element they miss closes the
+    # whole part, and a copy of one they hold closes a parallel pair.
+    lift = disjoint_copies(UniformMatroid(6, 3), [{0, 1, 2}, {3, 4, 5}, {0, 2, 4}])
+    assert_whole_circuits_stay_fresh(lift, {0, 1, 2}, random.Random(seed))
 
 
 def test_partitions_hold_frozensets():
@@ -505,6 +553,37 @@ def test_solver_matches_reference_on_exchange_shaped_problems(monkeypatch):
     assert sum(size > 2 for size in witnesses) > 200  # 432
     assert sum(length > 0 for length in lengths) > 200  # 387
     assert max(lengths) > 2
+
+
+def test_direct_and_searched_insertions_match_reference(monkeypatch):
+    # Exchange lifts of U(2r, r): every part fills up, and then insertions
+    # search long paths.  Each insertion is one _augment call, whether an
+    # arm takes the source directly or a search finds a path.
+    augmented = check_every_augmentation(monkeypatch)
+    checking, lengths = union._augment, []
+
+    def measuring(arms_of, prepared, owner, source):
+        before = dict(owner)
+        reached = checking(arms_of, prepared, owner, source)
+        if reached is None:
+            lengths.append(sum(before.get(x) != arm for x, arm in owner.items()) - 1)
+        return reached
+
+    monkeypatch.setattr(union, "_augment", measuring)
+    for r in range(5, 9):
+        for k in range(3, 7):
+            for seed in range(5):
+                spec = InstanceGenSpec(matroid_class="uniform", n=2 * r, rank=r, k=k, seed=seed)
+                classes = exchange.build_color_classes(random_instance(spec))
+                problem = PartitionProblem.from_restrictions(classes.lifted, classes.classes)
+                augmented.clear()
+                outcome = matroid_partition(problem)
+                assert outcome == reference_partition(problem), (r, k, seed)
+                assert augmented == sorted(problem.universe), (r, k, seed)
+    direct = lengths.count(0)
+    assert len(lengths) == sum(k * r for r in range(5, 9) for k in range(3, 7)) * 5
+    assert direct > len(lengths) // 2 and len(lengths) - direct > 40  # 2,278 and 62
+    assert max(lengths) > 4  # 8
 
 
 @st.composite

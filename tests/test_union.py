@@ -164,6 +164,18 @@ class TestValidation:
             PartitionProblem(universe, arms)
         assert str(info.value) == message
 
+    def test_arm_that_is_not_an_arm_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            PartitionProblem(range(3), [1])
+        assert str(info.value) == "arm 0 must be an Arm, got 1"
+
+    @pytest.mark.parametrize("bad", ["a", None, 1.5], ids=["str", "none", "float"])
+    def test_non_integer_universe_element_rejected(self, bad):
+        arm = Arm({0}, UniformMatroid(2, 1))
+        with pytest.raises(ValidationError) as info:
+            PartitionProblem([0, bad], [arm])
+        assert str(info.value) == f"universe element must be an integer, got {bad!r}"
+
     def test_arm_outside_universe_rejected(self):
         m = UniformMatroid(3, 1)
         with pytest.raises(ValidationError, match="outside the universe"):
