@@ -311,32 +311,39 @@ class UniformMatroid(Matroid):
 
 
 class _ForestPart(PreparedPart):
-    # Every tree of the forest is rooted; the circuit of part + x is the tree
-    # path between x's endpoints, found by climbing to their meeting point.
-    # Adding x links two trees by re-hanging the smaller one below x;
-    # removing y cuts the subtree below y off as a tree rooted at its top.
+    """A graphic part as a rooted spanning forest of its edges.
+
+    The circuit of part + x is the tree path between x's endpoints, found
+    by climbing to their meeting point.  Adding x links two trees by
+    re-hanging the smaller one below x; removing y cuts the subtree below y
+    off as a tree rooted at its top.  The state is five lists indexed by
+    the matroid's dense vertex ids: ``up`` (parent and edge, None at a
+    root), ``depth``, ``root``, ``size`` (read at roots) and ``adjacent``,
+    so it takes space for the touched vertices only.
+    """
 
     def __init__(self, matroid: GraphicMatroid, part: ElementSet):
         super().__init__(matroid, part)
-        self.up: dict[int, tuple[int, int] | None] = {}  # vertex -> (parent, edge)
-        self.depth: dict[int, int] = {}
-        self.root: dict[int, int] = {}
-        self.size: dict[int, int] = {}  # root -> vertices in its tree
-        self.adjacent: dict[int, list[tuple[int, int]]] = {}
+        order = matroid._order
+        self.up: list[tuple[int, int] | None] = [None] * order
+        self.depth = [0] * order
+        self.root = list(range(order))
+        self.size = [1] * order
+        self.adjacent: list[list[tuple[int, int]]] = [[] for _ in range(order)]
         for i in part:
             self._link(i)
 
     def circuit(self, x: int) -> ElementSet | None:
-        u, v = self.matroid.edges[x]
+        u, v = self.matroid._ends[x]
         if u == v:
             return frozenset()
-        if self.root.get(u, u) != self.root.get(v, v):
+        if self.root[u] != self.root[v]:
             return None
-        path = []
+        up, depth, path = self.up, self.depth, []
         while u != v:
-            if self.depth[u] < self.depth[v]:
+            if depth[u] < depth[v]:
                 u, v = v, u
-            u, i = self.up[u]
+            u, i = up[u]
             path.append(i)
         return frozenset(path)
 
@@ -346,7 +353,7 @@ class _ForestPart(PreparedPart):
 
     def remove(self, y: int) -> None:
         self._drop(y)
-        u, v = self.matroid.edges[y]
+        u, v = self.matroid._ends[y]
         if self.up[u] != (v, y):
             u, v = v, u
         # u hangs below v by y: cut it off and root its subtree at u.
@@ -357,19 +364,16 @@ class _ForestPart(PreparedPart):
         self.size[self.root[v]] -= self.size[u]
 
     def _link(self, i: int) -> None:
-        u, v = self.matroid.edges[i]
-        for w in (u, v):
-            if w not in self.root:
-                self.up[w], self.depth[w], self.root[w], self.size[w] = None, 0, w, 1
-                self.adjacent[w] = []
-        if self.root[u] == self.root[v]:  # a self-loop, or both ends in one tree
+        u, v = self.matroid._ends[i]
+        root, size = self.root, self.size
+        if root[u] == root[v]:  # a self-loop, or both ends in one tree
             raise self._dependent(i)
-        if self.size[self.root[u]] > self.size[self.root[v]]:
+        if size[root[u]] > size[root[v]]:
             u, v = v, u
-        top = self.root[v]
-        self.size[top] += self.size.pop(self.root[u])
+        top = root[v]
+        size[top] += size[root[u]]
         # Hang u below v, then walk u's old tree outwards from u.
-        self.up[u], self.depth[u], self.root[u] = (v, i), self.depth[v] + 1, top
+        self.up[u], self.depth[u], root[u] = (v, i), self.depth[v] + 1, top
         self._spread(u, v)
         self.adjacent[u].append((v, i))
         self.adjacent[v].append((u, i))
@@ -377,23 +381,24 @@ class _ForestPart(PreparedPart):
     def _spread(self, u: int, came_from: int | None) -> int:
         """Hang every vertex reached from u, away from ``came_from``, below
         u, in u's tree; returns the number of vertices reached, u included."""
-        top, count = self.root[u], 1
+        up, depth, root, adjacent = self.up, self.depth, self.root, self.adjacent
+        top, count = root[u], 1
         stack = [(u, came_from)]
         while stack:
             a, prev = stack.pop()
-            for b, j in self.adjacent[a]:
+            for b, j in adjacent[a]:
                 if b != prev:
-                    self.up[b], self.depth[b], self.root[b] = (a, j), self.depth[a] + 1, top
+                    up[b], depth[b], root[b] = (a, j), depth[a] + 1, top
                     stack.append((b, a))
                     count += 1
         return count
 
 
-def _int_pairs(items: list, ranged: slice, bound: int, check) -> list[tuple[int, int]]:
-    """``items`` as pairs of ints whose flattened ``ranged`` entries lie in
-    range(bound).  One C-level pass does the common case; only when something
-    is wrong does ``check(idx, item, bound)`` run on each item in turn, and it
-    raises for the first bad one."""
+def _flat_pairs(items: list, ranged: slice, bound: int, check) -> list[int]:
+    """``items``, pairs of ints whose flattened ``ranged`` entries lie in
+    range(bound), flattened into one list.  One C-level pass does the common
+    case; only when something is wrong does ``check(idx, item, bound)`` run
+    on each item in turn, and it raises for the first bad one."""
     try:
         ok = set(map(len, items)) <= {2}
         flat = list(map(operator.index, itertools.chain.from_iterable(items))) if ok else []
@@ -401,8 +406,9 @@ def _int_pairs(items: list, ranged: slice, bound: int, check) -> list[tuple[int,
         ok = False
     tested = flat[ranged] if ok else []
     if ok and (not tested or (min(tested) >= 0 and max(tested) < bound)):
-        return list(zip(flat[::2], flat[1::2]))
-    return [check(idx, item, bound) for idx, item in enumerate(items)]
+        return flat
+    pairs = [check(idx, item, bound) for idx, item in enumerate(items)]
+    return list(itertools.chain.from_iterable(pairs))
 
 
 def _check_edge(idx: int, e, vertex_count: int) -> tuple[int, int]:
@@ -425,7 +431,11 @@ class GraphicMatroid(Matroid):
     """Cycle matroid of a multigraph: element i is edge i, independent = acyclic.
 
     Parallel edges and self-loops are permitted in the edge list; any set
-    containing a self-loop is dependent.
+    containing a self-loop is dependent.  Internally the m vertices that
+    edges touch have dense ids 0..m-1, in ascending order, and the
+    union-find and the forest parts keep lists over those ids: their size
+    is m, never ``vertex_count``.  ``vertex_count`` and ``edges`` keep the
+    ids as given.
     """
 
     def __init__(self, vertex_count: int, edges):
@@ -433,30 +443,32 @@ class GraphicMatroid(Matroid):
         if vertex_count < 0:
             raise ValidationError(f"vertex count must be >= 0, got {vertex_count}")
         edges = _listed(edges, "edges must be a sequence of vertex pairs")
-        edge_list = _int_pairs(edges, slice(None), vertex_count, _check_edge)
-        super().__init__(len(edge_list))
+        ends = _flat_pairs(edges, slice(None), vertex_count, _check_edge)
+        super().__init__(len(ends) // 2)
         self.vertex_count = vertex_count
-        self.edges = tuple(edge_list)
+        self.edges = tuple(zip(ends[::2], ends[1::2]))
+        # When the touched vertices are 0..m-1 already, they are the dense ids.
+        touched = set(ends)
+        self._order = len(touched)
+        self._ends = self.edges  # edge -> dense endpoints
+        if touched and max(touched) >= len(touched):
+            index = dict(zip(sorted(touched), itertools.count()))
+            dense = list(map(index.__getitem__, ends))
+            self._ends = tuple(zip(dense[::2], dense[1::2]))
 
     def _joins(self, ids):
         """For each edge of ``ids`` in turn, whether it joins two trees of the
         forest grown so far (it is then added); False means it closes a cycle."""
-        # Union-find with path compression over the touched vertices.
-        parent: dict[int, int] = {}
-
-        def find(v: int) -> int:
-            root = v
-            while parent.setdefault(root, root) != root:
-                root = parent[root]
-            while parent[v] != root:
-                parent[v], v = root, parent[v]
-            return root
-
+        # Union-find with path halving over the dense vertex ids.
+        parent, ends = list(range(self._order)), self._ends
         for i in ids:
-            u, v = self.edges[i]
-            ru, rv = find(u), find(v)
-            parent[ru] = rv
-            yield ru != rv  # False for self-loops: both endpoints share a root
+            u, v = ends[i]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            parent[u] = v
+            yield u != v  # False for self-loops: both endpoints share a root
 
     def _indep(self, s: ElementSet) -> bool:
         return all(self._joins(s))
@@ -1086,10 +1098,10 @@ class SlotMatroid(Matroid):
 
     def __init__(self, inner: Matroid, slots):
         slots = _listed(slots, "slots must be a sequence of (tag, element) pairs")
-        pairs = _int_pairs(slots, slice(1, None, 2), inner.ground_size, _check_slot)
-        super().__init__(len(pairs))
+        flat = _flat_pairs(slots, slice(1, None, 2), inner.ground_size, _check_slot)
+        super().__init__(len(flat) // 2)
         self.inner = inner
-        self.slots = tuple(pairs)
+        self.slots = tuple(zip(flat[::2], flat[1::2]))
 
     def _indep(self, s: ElementSet) -> bool:
         proj: set[int] = set()

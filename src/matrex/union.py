@@ -31,6 +31,8 @@ class Arm:
     """
 
     def __init__(self, allowed, matroid: Matroid):
+        if not isinstance(matroid, Matroid):
+            raise ValidationError(f"an arm's matroid must be a Matroid, got {matroid!r}")
         self.allowed = matroid.check_subset(allowed)
         self.matroid = matroid
 

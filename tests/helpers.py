@@ -238,6 +238,25 @@ def is_forest(edge_ids, edges, vertex_count):
     return len(chosen) == vertex_count - components
 
 
+def union_find_forest(edges, ids):
+    """The edges of ``ids``, in ascending order, that join two trees of the
+    forest grown so far, by a union-find keyed by the raw vertex ids."""
+    parent = {}
+
+    def find(v):
+        while parent.get(v, v) != v:
+            v = parent[v]
+        return v
+
+    picked = []
+    for i in sorted(ids):
+        ru, rv = find(edges[i][0]), find(edges[i][1])
+        if ru != rv:
+            parent[ru] = rv
+            picked.append(i)
+    return frozenset(picked)
+
+
 def partition_exists_exhaustive(problem):
     """Literal k^n assignment search for a full partition."""
     elems = sorted(problem.universe)

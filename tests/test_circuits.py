@@ -39,6 +39,7 @@ from helpers import (
     fixture_matroids,
     random_problem,
     reference_partition,
+    union_find_forest,
 )
 
 
@@ -506,6 +507,33 @@ def test_graphic_greedy_scan_stops_once_spanning(matroid, monkeypatch):
         else:  # the forest spans at its last edge
             assert len(examined) == (ordered.index(max(witness)) + 1 if witness else 0), elements
         assert witness == Matroid.greedy_independent(matroid, elements), elements
+
+
+@st.composite
+def sparse_graphs(draw, max_edges=7):
+    """Multigraphs on a few vertex ids anywhere below 10**9, with self-loops,
+    parallel edges and isolated vertices (ids no edge touches, and up to
+    three more above the largest id)."""
+    ids = draw(st.lists(st.integers(0, 10**9 - 1), min_size=1, max_size=6, unique=True))
+    vertex = st.sampled_from(ids)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    return GraphicMatroid(max(ids) + 1 + draw(st.integers(0, 3)), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs(), st.randoms(use_true_random=False))
+def test_graphic_paths_match_reference_union_find(matroid, rng):
+    # Every subset against a union-find on the raw vertex ids; prepared
+    # forest parts against fresh ones and against the generic oracle part.
+    ground = sorted(matroid.ground_set())
+    for size in range(len(ground) + 1):
+        for subset in map(frozenset, itertools.combinations(ground, size)):
+            forest = union_find_forest(matroid.edges, subset)
+            assert matroid.is_independent(subset) == (forest == subset), subset
+            assert matroid.rank(subset) == len(forest), subset
+            assert matroid.greedy_independent(subset) == forest, subset
+    assert_changes_like_fresh(matroid, rng)
+    assert_changes_like_fresh(matroid, rng, lambda part: core.PreparedPart(matroid, part))
 
 
 @settings(max_examples=200, deadline=None)

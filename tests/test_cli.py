@@ -113,6 +113,31 @@ class TestCheck:
         assert proc.returncode == 0
         assert proc.stdout == "rank 1, 1000000000 elements\n"
 
+    def test_huge_vertex_ids_in_graphic_file_stay_small(self, tmp_path):
+        # a list indexed by raw vertex ids would take 8 GB here: the
+        # union-find and the forest parts hold the touched vertices only
+        top = 10**9 - 1
+        a, b, c, d = top, top - 7, top - 500, 3
+        triangle = [[a, b], [b, c], [a, c], [c, d], [b, a]]  # b-a is parallel to a-b
+
+        def graphic(edges):
+            return {"type": "graphic", "vertices": 10**9, "edges": edges}
+
+        def problem(edges):  # two forests of the same graph
+            arm = {"matroid": graphic(edges), "allowed": list(range(len(edges)))}
+            return {"universe": len(edges), "arms": [arm, arm]}
+
+        runs = [
+            ("check", graphic(triangle + [[d, d]]), 0, "rank 3, 6 elements, 5 bases\n"),
+            ("partition", problem(triangle), 0, '{"parts":[[0,1,3],[2,4]]}\n'),
+            # three parallel a-b edges cannot go into two forests
+            ("partition", problem(triangle + [[a, b]]), 4,
+             '{"rank_sum":2,"size":3,"terms":[1,1],"witness":[0,4,5]}\n'),
+        ]
+        for command, obj, code, out in runs:
+            proc = run_cli(command, write(tmp_path, "in.json", obj), memory_limit=2**30)
+            assert (proc.returncode, proc.stdout) == (code, out), (command, proc.stderr)
+
     def test_oversized_bases_family_exits_3(self, tmp_path):
         family = [list(b) for b in itertools.combinations(range(13), 3)]
         assert len(family) == 286

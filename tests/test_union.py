@@ -169,6 +169,12 @@ class TestValidation:
             PartitionProblem(range(3), [1])
         assert str(info.value) == "arm 0 must be an Arm, got 1"
 
+    @pytest.mark.parametrize("bad", [5, None, [0, 1]], ids=["int", "none", "list"])
+    def test_arm_matroid_that_is_not_a_matroid_rejected(self, bad):
+        with pytest.raises(ValidationError) as info:
+            Arm({0}, bad)
+        assert str(info.value) == f"an arm's matroid must be a Matroid, got {bad!r}"
+
     @pytest.mark.parametrize("bad", ["a", None, 1.5], ids=["str", "none", "float"])
     def test_non_integer_universe_element_rejected(self, bad):
         arm = Arm({0}, UniformMatroid(2, 1))
