@@ -4,6 +4,7 @@ Run with:  python3 demos/01_matroids_and_rank.py
 """
 
 from matrex import (
+    Arm,
     BasisMatroid,
     GraphicMatroid,
     LinearMatroid,
@@ -30,9 +31,11 @@ seven_point = LinearMatroid(2, 3, columns)
 print("\n7-point GF(2) matroid: rank", seven_point.full_rank(),
       "with", len(seven_point.enumerate_bases()), "bases (out of 35 triples)")
 
-# Restriction re-indexes densely and keeps the id map around.
-sub = seven_point.restrict({1, 2, 4, 6})
-print("restriction to {1,2,4,6}: local ids map to", sub.elements)
+# Restricting to a subset is an Arm: the same matroid, queried in its own
+# ids, only inside the allowed set.  Column 4 + column 6 = column 1.
+arm = Arm({1, 2, 4, 6}, seven_point)
+print("restriction to {1,2,4,6}: rank", arm.rank({1, 2, 4, 6}),
+      "- {1,4,6} independent?", arm.is_independent({1, 4, 6}))
 
 # A matroid can also be given by its basis family; the exchange axiom is
 # validated at construction.  Here is the validation catching a non-matroid.

@@ -16,7 +16,6 @@ from .core import (
     GraphicMatroid,
     LinearMatroid,
     Matroid,
-    Restriction,
     SlotMatroid,
     UniformMatroid,
     canon,
@@ -87,7 +86,6 @@ __all__ = [
     "Partition",
     "PartitionProblem",
     "RankInequalityCheck",
-    "Restriction",
     "Shift2Witness",
     "SizeLimitError",
     "SlotMatroid",

@@ -4,8 +4,9 @@ All matroids live on a dense ground set {0, ..., n-1} and are immutable
 after construction; the structural access is the independence query, plus
 fundamental circuits of a prepared independent part, which every class can
 answer through that query and the structured classes answer directly and
-keep up to date as the part grows.  Rank, basis tests, enumeration,
-restriction and the parallel-copy lift are built on top.
+keep up to date as the part grows.  Rank, basis tests, enumeration and
+the parallel-copy lift are built on top.  A solve restricts a matroid only
+through the partition's arms, which query it in its own ids.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ def _listed(values, expected: str) -> list:
     except TypeError:
         raise ValidationError(f"{expected}, got {values!r}") from None
     return list(items)
+
+
+def _check_matroid(value, name: str) -> None:
+    """Raise "``name`` must be a Matroid, got ..." unless ``value`` is one."""
+    if not isinstance(value, Matroid):
+        raise ValidationError(f"{name} must be a Matroid, got {value!r}")
+
+
+def _check_bases(matroid: Matroid, bases) -> None:
+    """Raise unless every set of ``bases``, already validated as element
+    sets, is a basis of ``matroid``."""
+    for idx, b in enumerate(bases):
+        if not matroid.is_basis(b):
+            raise ValidationError(f"bases[{idx}] is not a basis of the matroid")
 
 
 def _element_set(elements, n: int) -> ElementSet:
@@ -202,9 +217,6 @@ class Matroid(ABC):
             for combo in itertools.combinations(range(self._n), r)
             if self._indep(frozenset(combo))
         ]
-
-    def restrict(self, elements) -> "Restriction":
-        return Restriction(self, elements)
 
 
 class PreparedPart:
@@ -870,7 +882,7 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
     ascending order) if any exists.  Families of more than AXIOM_CHECK_CAP
     sets raise SizeLimitError.
     """
-    sets = [_element_set(b, n) for b in family]
+    sets = [_element_set(b, n) for b in _listed(family, "bases must be a sequence of element sets")]
     if not sets:
         raise ValidationError("basis family must be nonempty")
     bit, elements = _dense(sets)
@@ -1004,35 +1016,20 @@ class BasisMatroid(Matroid):
 
 
 class Restriction(Matroid):
-    """A matroid restricted to a subset, re-indexed densely.
+    """A matroid restricted to a subset, re-indexed densely: local element j
+    is ``self.elements[j]`` of the inner matroid, in ascending order.
 
-    Local element j corresponds to ``self.elements[j]`` in the inner matroid;
-    ``elements`` is ascending, so local ids preserve the inner order.
+    No solve builds one.  It stays only because ``bench/tracing.py`` binds
+    its name, and ``test_arm_matches_restriction`` checks ``Arm`` against it.
     """
 
     def __init__(self, inner: Matroid, kept):
-        kept = inner.check_subset(kept)
-        super().__init__(len(kept))
+        self.elements = tuple(sorted(inner.check_subset(kept)))
+        super().__init__(len(self.elements))
         self.inner = inner
-        self.elements = tuple(sorted(kept))
-        self.index = {e: j for j, e in enumerate(self.elements)}
 
     def _indep(self, s: ElementSet) -> bool:
         return self.inner._indep(frozenset(self.elements[j] for j in s))
-
-    def to_inner(self, local) -> ElementSet:
-        """Map a set of local ids back to inner-matroid ids."""
-        return frozenset(self.elements[j] for j in self.check_subset(local))
-
-    def from_inner(self, inner_ids) -> ElementSet:
-        """Map a set of inner ids (all of which must be kept) to local ids."""
-        out = set()
-        for e in inner_ids:
-            j = self.index.get(_as_int(e))
-            if j is None:
-                raise ValidationError(f"element {e} is not in the restriction")
-            out.add(j)
-        return frozenset(out)
 
     def __repr__(self) -> str:
         return f"Restriction({self.inner!r}, elements={list(self.elements)})"
@@ -1098,6 +1095,7 @@ class SlotMatroid(Matroid):
 
     def __init__(self, inner: Matroid, slots):
         slots = _listed(slots, "slots must be a sequence of (tag, element) pairs")
+        _check_matroid(inner, "the inner matroid")
         flat = _flat_pairs(slots, slice(1, None, 2), inner.ground_size, _check_slot)
         super().__init__(len(flat) // 2)
         self.inner = inner
@@ -1127,10 +1125,9 @@ def disjoint_copies(matroid: Matroid, bases) -> SlotMatroid:
     bases turn into disjoint slot blocks, each still a basis of the lift.
     """
     bases = _listed(bases, "bases must be a sequence of element sets")
+    _check_matroid(matroid, "matroid")
     normalized = [matroid.check_subset(b) for b in bases]
-    for idx, b in enumerate(normalized):
-        if not matroid.is_basis(b):
-            raise ValidationError(f"bases[{idx}] is not a basis of the matroid")
+    _check_bases(matroid, normalized)
     return _lift(matroid, normalized)
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid, SlotMatroid, _lift, _listed, canon
+from .core import (ElementSet, Matroid, SlotMatroid, _check_bases, _check_matroid, _lift,
+                   _listed, canon)
 from .errors import InternalVerificationError, ValidationError
-from .union import DeficiencyCertificate, PartitionProblem, matroid_partition
+from .union import Arm, DeficiencyCertificate, PartitionProblem, matroid_partition
 
 
 @dataclass(frozen=True)
@@ -31,15 +32,14 @@ class ExchangeInstance:
 
     def __post_init__(self):
         raw = _listed(self.bases, "bases must be a sequence of element sets")
+        _check_matroid(self.matroid, "matroid")
         bases = tuple(self.matroid.check_subset(b) for b in raw)
         seed = self.matroid.check_subset(self.seed)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "seed", seed)
         if not bases:
             raise ValidationError("an exchange instance needs at least one basis")
-        for idx, b in enumerate(bases):
-            if not self.matroid.is_basis(b):
-                raise ValidationError(f"bases[{idx}] is not a basis of the matroid")
+        _check_bases(self.matroid, bases)
         if not seed <= bases[0]:
             raise ValidationError("the seed subset must lie inside the first basis")
 
@@ -140,7 +140,8 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
         return ExchangeResult(parts=(seed,), shifted=(bases[0],), partition=(slots,))
 
     classes = build_color_classes(instance)
-    problem = PartitionProblem.from_restrictions(classes.lifted, classes.classes)
+    lifted = classes.lifted
+    problem = PartitionProblem(lifted.ground_set(), [Arm(c, lifted) for c in classes.classes])
     outcome = matroid_partition(problem)
     if isinstance(outcome, DeficiencyCertificate):
         raise InternalVerificationError(
@@ -149,7 +150,7 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
         )
     # One pass over the parts: a slot (tag, e) outside part tag has moved on,
     # so e belongs to A_tag; every slot adds e to its part's projection.
-    slots = classes.lifted.slots
+    slots = lifted.slots
     exchanged: list[set[int]] = [set() for _ in range(k)]
     projections: list[set[int]] = []
     for i, part in enumerate(outcome.parts):
@@ -192,8 +193,7 @@ def multiple_symmetric_exchange(matroid: Matroid, basis1, basis2, subset1) -> El
 
     This is the two-basis case of the cyclic exchange.
     """
-    instance = ExchangeInstance(matroid, (frozenset(basis1), frozenset(basis2)), frozenset(subset1))
-    return cyclic_exchange(instance).parts[1]
+    return cyclic_exchange(ExchangeInstance(matroid, (basis1, basis2), subset1)).parts[1]
 
 
 def symmetric_exchange_single(matroid: Matroid, basis1, basis2, element1: int) -> int:
@@ -202,6 +202,7 @@ def symmetric_exchange_single(matroid: Matroid, basis1, basis2, element1: int) -
     An element shared by both bases swaps with itself; otherwise this is the
     singleton case of the multiple symmetric exchange.
     """
+    _check_matroid(matroid, "matroid")
     b1 = matroid.check_subset(basis1)
     b2 = matroid.check_subset(basis2)
     if element1 not in b1:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, Matroid, _as_ints, _listed
+from .core import ElementSet, Matroid, _as_ints, _check_matroid, _listed
 from .errors import InternalVerificationError, ValidationError
 
 
@@ -31,8 +31,7 @@ class Arm:
     """
 
     def __init__(self, allowed, matroid: Matroid):
-        if not isinstance(matroid, Matroid):
-            raise ValidationError(f"an arm's matroid must be a Matroid, got {matroid!r}")
+        _check_matroid(matroid, "an arm's matroid")
         self.allowed = matroid.check_subset(allowed)
         self.matroid = matroid
 
@@ -44,7 +43,7 @@ class Arm:
         return self.matroid.rank(self._inside(subset))
 
     def _inside(self, subset) -> ElementSet:
-        s = frozenset(subset)
+        s = frozenset(_listed(subset, "expected a set of element ids"))
         for e in s - self.allowed:
             raise ValidationError(f"element {e} is outside the arm's allowed set")
         return s
@@ -64,18 +63,6 @@ class PartitionProblem:
                 raise ValidationError(f"arm {i} must be an Arm, got {arm!r}")
             if not arm.allowed <= self.universe:
                 raise ValidationError(f"arm {i} allows elements outside the universe")
-
-    @classmethod
-    def from_restrictions(cls, matroid: Matroid, allowed_sets, universe=None) -> "PartitionProblem":
-        """Build one arm per allowed set, all sharing ``matroid``.
-
-        Each arm queries ``matroid`` directly in universe ids inside its
-        allowed set, which is the restriction of ``matroid`` to that set.
-        """
-        if universe is None:
-            universe = matroid.ground_set()
-        arms = [Arm(c, matroid) for c in allowed_sets]
-        return cls(universe, arms)
 
     @property
     def k(self) -> int:

@@ -23,7 +23,8 @@ from .core import (
     UniformMatroid,
     canon,
 )
-from .errors import FormatError, GenerationError, SizeLimitError, ValidationError
+from .errors import (FormatError, GenerationError, InternalVerificationError, SizeLimitError,
+                     ValidationError)
 from .exchange import ExchangeInstance
 from .io import _int_field, element_array, matroid_from_json, matroid_to_json
 
@@ -344,8 +345,11 @@ def search_shift2_counterexample(
     Scans a fixed catalog of rank-3 matroids first, then randomized linear
     matroids of ambient dimension 3 over GF(2), GF(3) and GF(5); for every
     (bases tuple, A_1) candidate it exhaustively tests whether some tuple
-    satisfies both shift patterns.  Returns the first witness (re-verified
-    from scratch) or an exhaustion report with exact counts.  The candidate
+    satisfies both shift patterns.  Returns the first witness, re-verified
+    from scratch, or an exhaustion report with exact counts.  A witness that
+    fails re-verification raises InternalVerificationError: by the paper's
+    theorem a shift-by-one tuple always exists, and the walk has ruled out
+    a joint one, so such a failure is a bug.  The candidate
     order is fixed given the seed, so a candidate-bounded run is fully
     reproducible; a wall-clock limit may cut an exhaustion run at a
     machine-dependent point.
@@ -383,8 +387,9 @@ def search_shift2_counterexample(
                 continue
             tuple_space = math.prod(math.comb(len(b), len(a1)) for b in bases[1:])
             witness = Shift2Witness(matroid, matroid_to_json(matroid), bases, a1, tuple_space)
-            if verify_witness(witness):
-                return witness
+            if not verify_witness(witness):
+                raise InternalVerificationError("the witness failed re-verification; this is a bug")
+            return witness
 
     return ExhaustionReport(
         k=k,

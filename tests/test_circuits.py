@@ -603,7 +603,9 @@ def test_direct_and_searched_insertions_match_reference(monkeypatch):
             for seed in range(5):
                 spec = InstanceGenSpec(matroid_class="uniform", n=2 * r, rank=r, k=k, seed=seed)
                 classes = exchange.build_color_classes(random_instance(spec))
-                problem = PartitionProblem.from_restrictions(classes.lifted, classes.classes)
+                lifted = classes.lifted
+                problem = PartitionProblem(
+                    lifted.ground_set(), [Arm(c, lifted) for c in classes.classes])
                 augmented.clear()
                 outcome = matroid_partition(problem)
                 assert outcome == reference_partition(problem), (r, k, seed)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrex import core
 from matrex import (
     AXIOM_CHECK_CAP,
     BasisMatroid,
@@ -145,26 +146,19 @@ class TestBaseAxiom:
 
 class TestRestrict:
     def test_uniform_restriction_is_free(self):
-        r = UniformMatroid(4, 2).restrict({1, 3})
+        r = core.Restriction(UniformMatroid(4, 2), {1, 3})
         assert r.ground_size == 2
         assert r.elements == (1, 3)
         assert all(r.is_independent(s) for s in ({0}, {1}, {0, 1}, set()))
 
     def test_k4_spanning_tree_restriction(self):
         k4 = GraphicMatroid(4, K4_EDGES)
-        assert k4.restrict({0, 1, 2}).full_rank() == 3
+        assert core.Restriction(k4, {0, 1, 2}).full_rank() == 3
 
     def test_empty_restriction(self):
-        r = GraphicMatroid(4, K4_EDGES).restrict(frozenset())
+        r = core.Restriction(GraphicMatroid(4, K4_EDGES), frozenset())
         assert r.ground_size == 0
         assert r.full_rank() == 0
-
-    def test_id_map_round_trip(self):
-        r = UniformMatroid(6, 3).restrict({1, 4, 5})
-        assert r.to_inner({0, 2}) == frozenset({1, 5})
-        assert r.from_inner({4}) == frozenset({1})
-        with pytest.raises(ValidationError):
-            r.from_inner({2})
 
 
 class TestDisjointCopies:
@@ -268,6 +262,9 @@ class TestValidation:
         (lambda: disjoint_copies(UniformMatroid(3, 1), 5),
          "bases must be a sequence of element sets, got 5"),
         (lambda: BasisMatroid(3, 5), "bases must be a sequence of element sets, got 5"),
+        (lambda: check_base_axiom(3, 5), "bases must be a sequence of element sets, got 5"),
+        (lambda: SlotMatroid(5, [(0, 0)]), "the inner matroid must be a Matroid, got 5"),
+        (lambda: disjoint_copies(None, [{0}]), "matroid must be a Matroid, got None"),
         (lambda: UniformMatroid(3, None), "rank bound must be an integer, got None"),
         (lambda: UniformMatroid(None, 1), "ground size must be an integer, got None"),
         (lambda: UniformMatroid(3, 1.5), "rank bound must be an integer, got 1.5"),
@@ -284,6 +281,7 @@ class TestValidation:
         (lambda: GraphicMatroid(-1, 5), "vertex count must be >= 0, got -1"),
         (lambda: LinearMatroid(2, 1, [[None]]), "expected an integer, got None"),
         (lambda: BasisMatroid(3, [5]), "expected a set of element ids, got 5"),
+        (lambda: SlotMatroid(5, 7), "slots must be a sequence of (tag, element) pairs, got 7"),
     ], ids=lambda v: "" if callable(v) else v)
     def test_constructors_name_a_bad_argument(self, call, message):
         with pytest.raises(ValidationError) as info:

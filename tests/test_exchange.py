@@ -195,6 +195,11 @@ class TestCyclicExchange:
             ExchangeInstance(GraphicMatroid(4, K4_EDGES), 5, frozenset())
         assert str(info.value) == "bases must be a sequence of element sets, got 5"
 
+    def test_non_matroid_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            ExchangeInstance([0, 1], [{0}], frozenset())
+        assert str(info.value) == "matroid must be a Matroid, got [0, 1]"
+
     def test_seed_outside_first_basis_rejected(self):
         k4 = GraphicMatroid(4, K4_EDGES)
         with pytest.raises(ValidationError, match="seed"):
@@ -310,6 +315,17 @@ class TestSymmetricExchange:
         m = UniformMatroid(4, 2)
         with pytest.raises(ValidationError):
             symmetric_exchange_single(m, {0, 1}, {2, 3}, 3)
+
+    @pytest.mark.parametrize("exchange", [multiple_symmetric_exchange, symmetric_exchange_single])
+    def test_non_matroid_rejected(self, exchange):
+        with pytest.raises(ValidationError) as info:
+            exchange(5, {0}, {1}, {0} if exchange is multiple_symmetric_exchange else 0)
+        assert str(info.value) == "matroid must be a Matroid, got 5"
+
+    def test_multiple_rejects_a_non_iterable_basis(self):
+        with pytest.raises(ValidationError) as info:
+            multiple_symmetric_exchange(UniformMatroid(3, 1), 5, {1}, {0})
+        assert str(info.value) == "expected a set of element ids, got 5"
 
     def test_both_symmetric_sets_are_bases_on_corpus(self):
         # k=2 outputs must make both symmetric sets bases

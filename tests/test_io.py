@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from matrex import core
 from matrex import (
     BasisMatroid,
     FormatError,
@@ -74,7 +75,7 @@ class TestMatroidFormat:
 
     def test_restriction_has_no_format(self):
         with pytest.raises(FormatError):
-            matroid_to_json(UniformMatroid(4, 2).restrict({0, 1}))
+            matroid_to_json(core.Restriction(UniformMatroid(4, 2), {0, 1}))
 
 
 class TestElementArrays:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrex import core
 from matrex import (
     Arm,
     DeficiencyCertificate,
@@ -26,6 +27,7 @@ from matrex import (
 
 from helpers import (
     K4_EDGES,
+    OracleOnly,
     check_every_augmentation,
     is_forest,
     partition_exists_exhaustive,
@@ -39,7 +41,7 @@ GOLDEN_PARTITION_DIGEST = "d366d0836e4909187fa80e19ee934732d2302c765397c80d3d64e
 
 def two_arm_uniform(n, rank):
     m = UniformMatroid(n, rank)
-    return PartitionProblem.from_restrictions(m, [m.ground_set(), m.ground_set()])
+    return PartitionProblem(m.ground_set(), [Arm(m.ground_set(), m) for _ in range(2)])
 
 
 class TestExamples:
@@ -57,7 +59,7 @@ class TestExamples:
 
     def test_k4_two_spanning_trees(self):
         k4 = GraphicMatroid(4, K4_EDGES)
-        problem = PartitionProblem.from_restrictions(k4, [k4.ground_set()] * 2)
+        problem = PartitionProblem(k4.ground_set(), [Arm(k4.ground_set(), k4) for _ in range(2)])
         result = matroid_partition(problem)
         assert isinstance(result, Partition)
         assert verify_partition(problem, result)
@@ -68,12 +70,28 @@ class TestExamples:
     def test_element_outside_every_arm(self):
         # element 1 is allowed nowhere: the certificate is the singleton {1}
         m = UniformMatroid(2, 2)
-        problem = PartitionProblem({0, 1}, [Arm({0}, m.restrict({0}))])
+        problem = PartitionProblem({0, 1}, [Arm({0}, OracleOnly(m))])
         result = matroid_partition(problem)
         assert isinstance(result, DeficiencyCertificate)
         assert result.witness == frozenset({1})
         assert result.rank_sum == 0
         assert result.size == 1
+
+    def test_swap_through_the_default_prepared_part(self, monkeypatch):
+        # Element 1 fits only arm 0, which holds 0, so 0 moves on to arm 1:
+        # parts of a matroid known only by its oracle answer every circuit
+        # and take every move.
+        calls = []
+        for name in ("circuit", "add", "remove"):
+            def spy(self, x, name=name, method=getattr(core.PreparedPart, name)):
+                calls.append((name, x))
+                return method(self, x)
+            monkeypatch.setattr(core.PreparedPart, name, spy)
+        m = OracleOnly(UniformMatroid(2, 1))
+        result = matroid_partition(PartitionProblem({0, 1}, [Arm({0, 1}, m), Arm({0}, m)]))
+        assert result == Partition((frozenset({1}), frozenset({0})))
+        assert calls == [("circuit", 0), ("add", 0), ("circuit", 1), ("circuit", 0),
+                         ("remove", 0), ("add", 0), ("add", 1)]
 
 
 class TestVerifyPartition:
@@ -83,7 +101,7 @@ class TestVerifyPartition:
 
     def test_rejects_overlap(self):
         k4 = GraphicMatroid(4, K4_EDGES)
-        problem = PartitionProblem.from_restrictions(k4, [k4.ground_set()] * 2)
+        problem = PartitionProblem(k4.ground_set(), [Arm(k4.ground_set(), k4) for _ in range(2)])
         bad = Partition((frozenset({0, 1}), frozenset({1, 2})))
         assert not verify_partition(problem, bad)
 
@@ -104,7 +122,7 @@ class TestVerifyPartition:
     def test_rejects_disallowed_element(self):
         m = UniformMatroid(2, 2)
         problem = PartitionProblem(
-            {0, 1}, [Arm({0}, m.restrict({0})), Arm({0, 1}, m.restrict({0, 1}))]
+            {0, 1}, [Arm({0}, OracleOnly(m)), Arm({0, 1}, OracleOnly(m))]
         )
         assert not verify_partition(problem, Partition((frozenset({1}), frozenset({0}))))
 
@@ -201,6 +219,13 @@ class TestValidation:
                 with pytest.raises(ValidationError, match="outside the arm's allowed set"):
                     query(bad)
 
+    def test_arm_rejects_a_non_iterable_subset(self):
+        arm = Arm({0}, UniformMatroid(3, 1))
+        for query in (arm.is_independent, arm.rank):
+            with pytest.raises(ValidationError) as info:
+                query(5)
+            assert str(info.value) == "expected a set of element ids, got 5"
+
     def test_arm_rejects_non_integer_ids(self):
         arm = Arm({0, 1}, UniformMatroid(3, 1))
         for query in (arm.is_independent, arm.rank):
@@ -208,19 +233,19 @@ class TestValidation:
                 query({1.0})
 
     def test_restricted_arm_matroid_is_prefix_only(self):
-        # The arm matroid lives on the universe.  A restriction to C has
-        # ground set {0..|C|-1}, so it only fits an arm whose allowed set is
-        # that prefix, where it answers exactly as the unrestricted matroid.
+        # The arm matroid lives on the universe.  The graph on C's edges alone
+        # has ground set {0..|C|-1}, so it only fits an arm whose allowed set
+        # is that prefix, where it answers exactly as the whole of K_4.
         k4 = GraphicMatroid(4, K4_EDGES)
         prefix = {0, 1, 2, 3}
-        old, new = Arm(prefix, k4.restrict(prefix)), Arm(prefix, k4)
+        old, new = Arm(prefix, GraphicMatroid(4, K4_EDGES[:4])), Arm(prefix, k4)
         for size in range(5):
             for subset in itertools.combinations(sorted(prefix), size):
                 assert old.is_independent(subset) == new.is_independent(subset)
                 assert old.rank(subset) == new.rank(subset)
         for allowed in ({1, 3}, {0, 2}, {2, 3, 4}):
             with pytest.raises(ValidationError, match="out of range"):
-                Arm(allowed, k4.restrict(allowed))
+                Arm(allowed, GraphicMatroid(4, [K4_EDGES[i] for i in sorted(allowed)]))
 
 
 @st.composite
@@ -251,8 +276,8 @@ def test_arm_matches_restriction(case):
     # reference path: the dense restriction to the allowed set, in local ids
     matroid, allowed, subset = case
     arm = Arm(allowed, matroid)
-    restricted = matroid.restrict(allowed)
-    local = restricted.from_inner(subset)
+    restricted = core.Restriction(matroid, allowed)
+    local = frozenset(map(restricted.elements.index, subset))
     assert arm.is_independent(subset) == restricted.is_independent(local)
     assert arm.rank(subset) == restricted.rank(local)
 
@@ -274,7 +299,7 @@ import matrex.union as union
 from matrex import InternalVerificationError, UniformMatroid
 union.verify_partition = lambda problem, partition: False
 m = UniformMatroid(2, 1)
-problem = union.PartitionProblem.from_restrictions(m, [m.ground_set()] * 2)
+problem = union.PartitionProblem(m.ground_set(), [union.Arm(m.ground_set(), m)] * 2)
 print("debug", __debug__)
 try:
     union.matroid_partition(problem)

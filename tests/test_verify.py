@@ -15,6 +15,7 @@ from matrex import (
     GenerationError,
     GraphicMatroid,
     InstanceGenSpec,
+    InternalVerificationError,
     Shift2Witness,
     SizeLimitError,
     UniformMatroid,
@@ -237,6 +238,11 @@ class TestSearch:
         monkeypatch.setattr(BasisMatroid, "__init__", counting_init)
         assert isinstance(search_shift2_counterexample(3, budget=1000), Shift2Witness)
         assert built == []
+
+    def test_a_witness_that_fails_re_verification_raises(self, monkeypatch):
+        monkeypatch.setattr(verify, "verify_witness", lambda witness: False)
+        with pytest.raises(InternalVerificationError, match="failed re-verification"):
+            search_shift2_counterexample(3, budget=1000)
 
     @pytest.mark.parametrize("k", range(3, 8))
     @pytest.mark.parametrize("seed", [0, 1])
