@@ -56,6 +56,14 @@ def _listed(values, expected: str) -> list:
     return list(items)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int >= 0, or raise; the message names ``name``."""
+    value = _as_int(value, name)
+    if value < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _check_matroid(value, name: str) -> None:
     """Raise "``name`` must be a Matroid, got ..." unless ``value`` is one."""
     if not isinstance(value, Matroid):
@@ -149,10 +157,7 @@ class Matroid(ABC):
     """
 
     def __init__(self, ground_size: int):
-        ground_size = _as_int(ground_size, "ground size")
-        if ground_size < 0:
-            raise ValidationError(f"ground size must be >= 0, got {ground_size}")
-        self._n = ground_size
+        self._n = _count(ground_size, "ground size")
         self._full_rank: int | None = None
 
     @property
@@ -406,20 +411,19 @@ class _ForestPart(PreparedPart):
         return count
 
 
-def _flat_pairs(items: list, ranged: slice, bound: int, check) -> list[int]:
-    """``items``, pairs of ints whose flattened ``ranged`` entries lie in
-    range(bound), flattened into one list.  One C-level pass does the common
-    case; only when something is wrong does ``check(idx, item, bound)`` run
-    on each item in turn, and it raises for the first bad one."""
+def _flat_pairs(items: list, bound: int) -> list[int]:
+    """``items``, edges given as pairs of ints in range(bound), flattened
+    into one list.  One C-level pass does the common case; only when
+    something is wrong does ``_check_edge`` run on each item in turn, and
+    it raises for the first bad one."""
     try:
         ok = set(map(len, items)) <= {2}
         flat = list(map(operator.index, itertools.chain.from_iterable(items))) if ok else []
     except TypeError:  # an item without a length, or a non-integer entry
         ok = False
-    tested = flat[ranged] if ok else []
-    if ok and (not tested or (min(tested) >= 0 and max(tested) < bound)):
+    if ok and (not flat or (min(flat) >= 0 and max(flat) < bound)):
         return flat
-    pairs = [check(idx, item, bound) for idx, item in enumerate(items)]
+    pairs = [_check_edge(idx, item, bound) for idx, item in enumerate(items)]
     return list(itertools.chain.from_iterable(pairs))
 
 
@@ -451,11 +455,9 @@ class GraphicMatroid(Matroid):
     """
 
     def __init__(self, vertex_count: int, edges):
-        vertex_count = _as_int(vertex_count, "vertex count")
-        if vertex_count < 0:
-            raise ValidationError(f"vertex count must be >= 0, got {vertex_count}")
+        vertex_count = _count(vertex_count, "vertex count")
         edges = _listed(edges, "edges must be a sequence of vertex pairs")
-        ends = _flat_pairs(edges, slice(None), vertex_count, _check_edge)
+        ends = _flat_pairs(edges, vertex_count)
         super().__init__(len(ends) // 2)
         self.vertex_count = vertex_count
         self.edges = tuple(zip(ends[::2], ends[1::2]))
@@ -882,12 +884,27 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
     ascending order) if any exists.  Families of more than AXIOM_CHECK_CAP
     sets raise SizeLimitError.
     """
-    sets = [_element_set(b, n) for b in _listed(family, "bases must be a sequence of element sets")]
+    _, masks, _, elements = _basis_family(n, family)
+    violation = _axiom_violation(masks, elements)
+    return violation is None, violation
+
+
+def _basis_family(n, family):
+    """``family`` as a nonempty list of element sets on ``n`` elements, with
+    their bitmasks, the bit positions and the elements in bit order (see
+    ``_dense``); or raise.  The sets are checked before ``n``: a negative n
+    shows first as an element out of range, and a non-integer one once the
+    range check meets it."""
+    family = _listed(family, "bases must be a sequence of element sets")
+    try:
+        sets = [_element_set(b, n) for b in family]
+    except TypeError:  # the range check met a non-integer n
+        sets = [_element_set(b, _count(n, "ground size")) for b in family]
     if not sets:
         raise ValidationError("basis family must be nonempty")
+    _count(n, "ground size")
     bit, elements = _dense(sets)
-    violation = _axiom_violation([_mask(b, bit) for b in sets], elements)
-    return violation is None, violation
+    return sets, [_mask(b, bit) for b in sets], bit, elements
 
 
 def _axiom_violation(masks: list[int], elements: tuple[int, ...]) -> AxiomViolation | None:
@@ -976,23 +993,18 @@ class BasisMatroid(Matroid):
 
     def __init__(self, n: int, bases, validate: bool = True):
         super().__init__(n)
-        bases = _listed(bases, "bases must be a sequence of element sets")
-        family = [self.check_subset(b) for b in bases]
-        if not family:
-            raise ValidationError("basis family must be nonempty")
-        size = len(family[0])
-        if any(len(b) != size for b in family):
+        family, masks, self._bit, self._elements = _basis_family(self._n, bases)
+        if len(set(map(len, family))) > 1:
             raise ValidationError("all bases must have the same cardinality")
-        self._bit, self._elements = _dense(family)
-        masks = {b: _mask(b, self._bit) for b in family}
         if validate:
-            violation = _axiom_violation([masks[b] for b in family], self._elements)
+            violation = _axiom_violation(masks, self._elements)
             if violation is not None:
                 raise ValidationError(f"exchange axiom violated: {violation}")
-        self.bases = tuple(sorted(masks, key=canon))
-        self._masks = tuple(masks[b] for b in self.bases)
+        mask_of = dict(zip(family, masks))
+        self.bases = tuple(sorted(mask_of, key=canon))
+        self._masks = tuple(mask_of[b] for b in self.bases)
         self._family = frozenset(self._masks)
-        self._full_rank = size
+        self._full_rank = len(family[0])
 
     def _indep(self, s: ElementSet) -> bool:
         m = _mask(s, self._bit)
@@ -1072,43 +1084,28 @@ class _SlotPart(PreparedPart):
         self.inner.remove(e)
 
 
-def _check_slot(j: int, item, ground_size: int) -> tuple[int, int]:
-    """Slot ``j``, ``item``, as a (tag, element) pair of ints, or raise."""
-    try:
-        tag, elem = item
-    except (TypeError, ValueError):
-        raise ValidationError(f"slot {j} must be a (tag, element) pair, got {item!r}") from None
-    tag, elem = _as_int(tag), _as_int(elem)
-    if not 0 <= elem < ground_size:
-        raise ValidationError(f"slot {j} copies element {elem}, out of range")
-    return tag, elem
-
-
 class SlotMatroid(Matroid):
-    """Parallel-copy lift of a matroid.
+    """Parallel-copy lift of a matroid along blocks of its elements.
 
-    Slot j is a copy of inner element ``slots[j][1]``, tagged with the index
-    ``slots[j][0]`` of the basis it was copied from.  Two copies of the same
-    inner element form a circuit, so a slot set is independent iff its inner
+    Block i gets one slot per element of ``blocks[i]``, in ascending order,
+    and ``slots`` lists the (tag, element) pair of every slot: slot j copies
+    inner element ``slots[j][1]`` of block ``slots[j][0]``.  A block may be
+    any element set of the inner matroid, dependent or empty; each is
+    checked by ``inner.check_subset``.  Two copies of the same inner
+    element form a circuit, so a slot set is independent iff its inner
     elements are pairwise distinct and their projection is independent.
     """
 
-    def __init__(self, inner: Matroid, slots):
-        slots = _listed(slots, "slots must be a sequence of (tag, element) pairs")
+    def __init__(self, inner: Matroid, blocks):
+        blocks = _listed(blocks, "blocks must be a sequence of element sets")
         _check_matroid(inner, "the inner matroid")
-        flat = _flat_pairs(slots, slice(1, None, 2), inner.ground_size, _check_slot)
-        super().__init__(len(flat) // 2)
         self.inner = inner
-        self.slots = tuple(zip(flat[::2], flat[1::2]))
+        self.slots = tuple((i, e) for i, b in enumerate(blocks) for e in sorted(inner.check_subset(b)))
+        super().__init__(len(self.slots))
 
     def _indep(self, s: ElementSet) -> bool:
-        proj: set[int] = set()
-        for j in s:
-            e = self.slots[j][1]
-            if e in proj:
-                return False
-            proj.add(e)
-        return self.inner._indep(frozenset(proj))
+        proj = frozenset(self.slots[j][1] for j in s)
+        return len(proj) == len(s) and self.inner._indep(proj)
 
     def _prepare(self, s: ElementSet) -> PreparedPart:
         return _SlotPart(self, s)
@@ -1120,17 +1117,13 @@ class SlotMatroid(Matroid):
 def disjoint_copies(matroid: Matroid, bases) -> SlotMatroid:
     """Lift ``matroid`` so the given bases become pairwise disjoint.
 
-    Every basis gets its own block of slots (tagged 0..k-1, elements in
-    ascending order within a block), so overlapping or even repeated input
-    bases turn into disjoint slot blocks, each still a basis of the lift.
+    The lift is ``SlotMatroid(matroid, bases)`` after a check that every
+    set is a basis: each basis is one block of slots, so overlapping or even
+    repeated input bases turn into disjoint slot blocks, each still a basis
+    of the lift.
     """
     bases = _listed(bases, "bases must be a sequence of element sets")
     _check_matroid(matroid, "matroid")
     normalized = [matroid.check_subset(b) for b in bases]
     _check_bases(matroid, normalized)
-    return _lift(matroid, normalized)
-
-
-def _lift(matroid: Matroid, bases) -> SlotMatroid:
-    """The lift of ``disjoint_copies``, for bases already validated."""
-    return SlotMatroid(matroid, [(i, e) for i, b in enumerate(bases) for e in sorted(b)])
+    return SlotMatroid(matroid, normalized)

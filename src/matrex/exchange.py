@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (ElementSet, Matroid, SlotMatroid, _check_bases, _check_matroid, _lift,
+from .core import (ElementSet, Matroid, SlotMatroid, _as_int, _check_bases, _check_matroid,
                    _listed, canon)
 from .errors import InternalVerificationError, ValidationError
 from .union import Arm, DeficiencyCertificate, PartitionProblem, matroid_partition
@@ -73,7 +73,7 @@ def build_color_classes(instance: ExchangeInstance) -> ColorClasses:
     if instance.k < 2:
         raise ValidationError("color classes are defined for k >= 2")
     k = instance.k
-    lifted = _lift(instance.matroid, instance.bases)  # ExchangeInstance validated them
+    lifted = SlotMatroid(instance.matroid, instance.bases)
 
     moved, kept = frozenset({1}), frozenset({0})
     pairs = [frozenset({tag, (tag + 1) % k}) for tag in range(k)]
@@ -205,6 +205,8 @@ def symmetric_exchange_single(matroid: Matroid, basis1, basis2, element1: int) -
     _check_matroid(matroid, "matroid")
     b1 = matroid.check_subset(basis1)
     b2 = matroid.check_subset(basis2)
+    if type(element1).__hash__ is None:  # unhashable, so not an integer
+        element1 = _as_int(element1, "element")
     if element1 not in b1:
         raise ValidationError(f"element {element1} is not in the first basis")
     if element1 in b2:

@@ -155,7 +155,7 @@ def matroid_to_json(matroid: Matroid) -> dict:
         return {
             "type": "bases",
             "n": matroid.ground_size,
-            "bases": sorted(canon(b) for b in matroid.bases),
+            "bases": [canon(b) for b in matroid.bases],
         }
     raise FormatError(f"matroids of type {type(matroid).__name__} have no file format")
 

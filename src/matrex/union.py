@@ -43,7 +43,11 @@ class Arm:
         return self.matroid.rank(self._inside(subset))
 
     def _inside(self, subset) -> ElementSet:
-        s = frozenset(_listed(subset, "expected a set of element ids"))
+        items = _listed(subset, "expected a set of element ids")
+        try:
+            s = frozenset(items)
+        except TypeError:  # an unhashable item, so not an integer
+            s = frozenset(_as_ints(items))
         for e in s - self.allowed:
             raise ValidationError(f"element {e} is outside the arm's allowed set")
         return s

@@ -21,6 +21,7 @@ from .core import (
     LinearMatroid,
     Matroid,
     UniformMatroid,
+    _as_int,
     canon,
 )
 from .errors import (FormatError, GenerationError, InternalVerificationError, SizeLimitError,
@@ -119,6 +120,9 @@ class InstanceGenSpec:
                 raise ValidationError(
                     f"class {self.matroid_class!r} requires parameter {name!r}"
                 )
+        for name in ("k", "n", "rank", "vertices", "prime", "rows"):
+            if name == "k" or getattr(self, name) is not None:
+                _as_int(getattr(self, name), name)
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.n is not None and not 0 <= self.n <= 20:
@@ -354,8 +358,9 @@ def search_shift2_counterexample(
     reproducible; a wall-clock limit may cut an exhaustion run at a
     machine-dependent point.
     """
-    if k < 3:
+    if _as_int(k, "k") < 3:
         raise ValidationError(f"the shift-by-two question needs k >= 3, got {k}")
+    budget = None if budget is None else _as_int(budget, "budget")
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
     checked = matroids_examined = 0

@@ -424,8 +424,8 @@ def assert_lift_remaps_inner_circuits(lift):
     disjoint_copies(LinearMatroid(3, 2, [[1, 0], [0, 1], [1, 1], [1, 2]]), [{0, 1}, {2, 3}]),
     disjoint_copies(BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]]), [{0, 1, 3}, {1, 2, 3}]),
     # slots copying a loop (the self-loop edge 2; element 4, in no basis)
-    SlotMatroid(GraphicMatroid(3, [(0, 1), (1, 2), (2, 2)]), [(0, 0), (0, 2), (1, 1), (1, 2)]),
-    SlotMatroid(BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]]), [(0, 4), (0, 0), (1, 4)]),
+    SlotMatroid(GraphicMatroid(3, [(0, 1), (1, 2), (2, 2)]), [{0, 2}, {1, 2}]),
+    SlotMatroid(BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]]), [{0, 4}, {4}]),
 ], ids=repr)
 def test_lifted_circuits_remap_inner_ones(lift):
     assert_lift_remaps_inner_circuits(lift)

@@ -123,6 +123,21 @@ class TestBaseAxiom:
         ok, violation = check_base_axiom(3, [[0, 1], [2]])
         assert not ok and violation.element is None
 
+    @pytest.mark.parametrize("n, family, message", [
+        ("x", [[0]], "ground size must be an integer, got 'x'"),
+        (-1, [[]], "ground size must be >= 0, got -1"),
+        (None, [[], []], "ground size must be an integer, got None"),
+        # the sets are checked before the ground size, with the messages they had
+        (-1, [[0]], "element 0 out of range for ground set of size -1"),
+        ("x", [], "basis family must be nonempty"),
+        ("x", [5], "expected a set of element ids, got 5"),
+        (-1, 5, "bases must be a sequence of element sets, got 5"),
+    ])
+    def test_ground_size_is_checked(self, n, family, message):
+        with pytest.raises(ValidationError) as info:
+            check_base_axiom(n, family)
+        assert str(info.value) == message
+
     def test_basis_matroid_validates_on_construction(self):
         with pytest.raises(ValidationError, match="exchange axiom"):
             BasisMatroid(4, [[0, 1], [2, 3]])
@@ -185,6 +200,14 @@ class TestDisjointCopies:
                 projection = {lift.slots[j][1] for j in slots}
                 assert lift.is_independent(slots) == k4.is_independent(projection)
 
+    def test_slot_blocks_need_not_be_bases(self):
+        # Block 0 is dependent in U(1, 3) and block 1 is empty; each block
+        # lists its elements in ascending order, tagged by its index.
+        lift = SlotMatroid(UniformMatroid(3, 1), [{2, 0}, set(), [1]])
+        assert lift.slots == ((0, 0), (0, 2), (2, 1))
+        assert not lift.is_independent({0, 1})
+        assert lift.full_rank() == 1
+
     def test_non_basis_input_names_index(self):
         k4 = GraphicMatroid(4, K4_EDGES)
         with pytest.raises(ValidationError, match=r"bases\[1\]"):
@@ -230,17 +253,17 @@ class TestValidation:
             GraphicMatroid(3, edges)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("slots, message", [
-        ([(0, 1), (0,)], "slot 1 must be a (tag, element) pair, got (0,)"),
-        ([(0, 1, 2)], "slot 0 must be a (tag, element) pair, got (0, 1, 2)"),
-        ([(0, 1), 5], "slot 1 must be a (tag, element) pair, got 5"),
-        ([(0, 1), (1, "a")], "expected an integer, got 'a'"),
-        ([(0, 1), (1, 3), ("x", 0)], "slot 1 copies element 3, out of range"),
-        ([(0, -1)], "slot 0 copies element -1, out of range"),
+    @pytest.mark.parametrize("blocks, message", [
+        ([{0, 1}, 5], "expected a set of element ids, got 5"),
+        ([{0}, [1, "a"]], "expected an integer, got 'a'"),
+        ([{0, 1}, {3}, ["x"]], "element 3 out of range for ground set of size 3"),
+        ([[0, -1]], "element -1 out of range for ground set of size 3"),
+        ([{2}, iter([0, 5])], "element 5 out of range for ground set of size 3"),
+        ([(), [1.5]], "expected an integer, got 1.5"),
     ])
-    def test_slots_name_the_first_bad_slot(self, slots, message):
+    def test_blocks_name_the_first_bad_block(self, blocks, message):
         with pytest.raises(ValidationError) as info:
-            SlotMatroid(UniformMatroid(3, 2), slots)
+            SlotMatroid(UniformMatroid(3, 2), blocks)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("call", [
@@ -258,7 +281,7 @@ class TestValidation:
         (lambda: LinearMatroid(2, 1, 5), "columns must be a sequence of integer vectors, got 5"),
         (lambda: GraphicMatroid(3, 5), "edges must be a sequence of vertex pairs, got 5"),
         (lambda: SlotMatroid(UniformMatroid(3, 1), 5),
-         "slots must be a sequence of (tag, element) pairs, got 5"),
+         "blocks must be a sequence of element sets, got 5"),
         (lambda: disjoint_copies(UniformMatroid(3, 1), 5),
          "bases must be a sequence of element sets, got 5"),
         (lambda: BasisMatroid(3, 5), "bases must be a sequence of element sets, got 5"),
@@ -281,7 +304,7 @@ class TestValidation:
         (lambda: GraphicMatroid(-1, 5), "vertex count must be >= 0, got -1"),
         (lambda: LinearMatroid(2, 1, [[None]]), "expected an integer, got None"),
         (lambda: BasisMatroid(3, [5]), "expected a set of element ids, got 5"),
-        (lambda: SlotMatroid(5, 7), "slots must be a sequence of (tag, element) pairs, got 7"),
+        (lambda: SlotMatroid(5, 7), "blocks must be a sequence of element sets, got 7"),
     ], ids=lambda v: "" if callable(v) else v)
     def test_constructors_name_a_bad_argument(self, call, message):
         with pytest.raises(ValidationError) as info:
@@ -289,8 +312,8 @@ class TestValidation:
         assert str(info.value) == message
 
     def test_slots_become_int_pairs(self):
-        lift = SlotMatroid(UniformMatroid(3, 2), ((True, 2), [0, 1], iter([1, 0])))
-        assert lift.slots == ((1, 2), (0, 1), (1, 0))
+        lift = SlotMatroid(UniformMatroid(3, 2), ((True, 2), iter([1, False])))
+        assert lift.slots == ((0, 1), (0, 2), (1, 0), (1, 1))
         assert all(type(v) is int for slot in lift.slots for v in slot)
 
     def test_graphic_edges_become_int_pairs(self):

@@ -316,6 +316,15 @@ class TestSymmetricExchange:
         with pytest.raises(ValidationError):
             symmetric_exchange_single(m, {0, 1}, {2, 3}, 3)
 
+    @pytest.mark.parametrize("element, message", [
+        ([0], "element must be an integer, got [0]"),
+        ("a", "element a is not in the first basis"),
+    ])
+    def test_single_rejects_a_non_integer_element(self, element, message):
+        with pytest.raises(ValidationError) as info:
+            symmetric_exchange_single(UniformMatroid(3, 1), {0}, {1}, element)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("exchange", [multiple_symmetric_exchange, symmetric_exchange_single])
     def test_non_matroid_rejected(self, exchange):
         with pytest.raises(ValidationError) as info:

@@ -232,6 +232,16 @@ class TestValidation:
             with pytest.raises(ValidationError, match="expected an integer"):
                 query({1.0})
 
+    def test_arm_rejects_an_unhashable_id(self):
+        arm = Arm({0}, UniformMatroid(3, 1))
+        for query in (arm.is_independent, arm.rank):
+            with pytest.raises(ValidationError) as info:
+                query([[0]])
+            assert str(info.value) == "expected an integer, got [0]"
+            with pytest.raises(ValidationError) as info:
+                query([0, 9])  # outside the allowed set before outside the ground set
+            assert str(info.value) == "element 9 is outside the arm's allowed set"
+
     def test_restricted_arm_matroid_is_prefix_only(self):
         # The arm matroid lives on the universe.  The graph on C's edges alone
         # has ground set {0..|C|-1}, so it only fits an arm whose allowed set

@@ -169,6 +169,20 @@ class TestRandomInstance:
         with pytest.raises(ValidationError):
             InstanceGenSpec("linear", k=2, seed=0, n=4)
 
+    @pytest.mark.parametrize("cls, params, message", [
+        ("uniform", dict(k="3", n=4, rank=2), "k must be an integer, got '3'"),
+        ("uniform", dict(k=2, n=4.0, rank=2), "n must be an integer, got 4.0"),
+        ("bases", dict(k=2, n=4, rank="2"), "rank must be an integer, got '2'"),
+        ("graphic", dict(k=2, vertices=[4], n=5), "vertices must be an integer, got [4]"),
+        ("linear", dict(k=2, prime=None, rows=2, n=4), "class 'linear' requires parameter 'prime'"),
+        ("linear", dict(k=2, prime=2.0, rows=2, n=4), "prime must be an integer, got 2.0"),
+        ("linear", dict(k=2, prime=2, rows="2", n=4), "rows must be an integer, got '2'"),
+    ])
+    def test_non_integer_params_rejected(self, cls, params, message):
+        with pytest.raises(ValidationError) as info:
+            InstanceGenSpec(cls, seed=0, **params)
+        assert str(info.value) == message
+
 
 def k4_witness():
     """The first witness the catalog search finds; verified independently in
@@ -187,6 +201,17 @@ class TestSearch:
     def test_k_below_three_rejected(self):
         with pytest.raises(ValidationError):
             search_shift2_counterexample(2)
+
+    @pytest.mark.parametrize("k, budget, message", [
+        ("3", 10, "k must be an integer, got '3'"),
+        (3.0, 10, "k must be an integer, got 3.0"),
+        (3, "10", "budget must be an integer, got '10'"),
+        (2, "10", "the shift-by-two question needs k >= 3, got 2"),
+    ])
+    def test_non_integer_arguments_rejected(self, k, budget, message):
+        with pytest.raises(ValidationError) as info:
+            search_shift2_counterexample(k, budget=budget)
+        assert str(info.value) == message
 
     def test_zero_budget_exhausts_immediately(self):
         report = search_shift2_counterexample(3, budget=0)
