@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -22,6 +23,9 @@ from .core import (
     Matroid,
     UniformMatroid,
     _as_int,
+    _dense,
+    _elements,
+    _mask,
     canon,
 )
 from .errors import (FormatError, GenerationError, InternalVerificationError, SizeLimitError,
@@ -43,48 +47,80 @@ def brute_force_cyclic_exchange(instance: ExchangeInstance, cap: int = BRUTE_FOR
     partial tuple is dropped as soon as one of its decided shifted sets
     (B_i \\ A_i) u A_{i-1} is not a basis.  It returns the same list, in the
     same lexicographic order of the chosen subsets, as enumerating every
-    tuple and testing all k sets would.
+    tuple and testing all k sets would.  The walk runs on bitmasks over the
+    union of the bases, and each set it tests is passed to the matroid's
+    ``is_basis`` as an element set.
     """
     if instance.k < 2:
         raise ValidationError("brute force enumeration needs k >= 2")
     total = sum(len(b) for b in instance.bases)
     if total > cap:
         raise SizeLimitError(f"total basis size {total} exceeds brute force cap {cap}")
-    return list(_shift_tuples(instance.matroid.is_basis, instance.bases, instance.seed, (1,)))
+    bit, elements = _dense(instance.bases)
+    bases = [_mask(b, bit) for b in instance.bases]
+    size = len(instance.seed)
+    pools = [_subsets(b, size) for b in bases]
+    is_basis = instance.matroid.is_basis
+    walk = _shift_tuples(lambda s: is_basis(_elements(s, elements)), _check_plan(instance.k, (1,)),
+                         bases, pools, _mask(instance.seed, bit))
+    return [tuple(_elements(a, elements) for a in parts) for parts in walk]
 
 
-def _shift_tuples(is_basis, bases, seed, offsets):
-    """Yield, in lexicographic order, every (A_2, ..., A_k) with |A_i| = |A_1|
-    and A_i inside B_i for which every set (B_i \\ A_i) u A_{(i-o) mod k},
-    for every o in ``offsets``, is a basis.
+def _subsets(mask: int, size: int) -> list[int]:
+    """The ``size``-subsets of ``mask`` as masks, in the lexicographic order
+    of their bits."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return [sum(combo) for combo in itertools.combinations(bits, size)]
 
-    A depth-first search over A_2..A_k, one ``combinations`` iterator per
-    decided level on an explicit stack, so k is not bounded by recursion.
-    Each set is tested at the level that decides the later of its two parts.
+
+def _check_plan(k: int, offsets) -> list[list[tuple[int, int]]]:
+    """For each level l of the walk, the pairs (i, j) whose set
+    (B_i \\ A_i) u A_j, j = (i - o) mod k for an o in ``offsets``, is tested
+    once A_l is chosen: the level that decides the later of its two parts.
+
+    Level 0 is never tested: its sets have i = j = 0, and (B_0 \\ A_0) u A_0
+    is B_0, a basis by input.
     """
-    k, m = len(bases), len(seed)
     checks: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     for o in offsets:
         for i in range(k):
             j = (i - o) % k
             checks[max(i, j)].append((i, j))
-    # Level 0 is never tested: its sets have i = j = 0, and (B_0 \ A_0) u A_0
-    # is B_0, a basis by input.
-    parts: list[ElementSet] = [seed] * k
-    stack = [itertools.combinations(sorted(bases[1]), m)]
+    return checks
+
+
+def _shift_tuples(is_basis, plan, bases, pools, seed):
+    """Yield, in lexicographic order, every (A_2, ..., A_k), as masks, for
+    which every set (B_i \\ A_i) u A_j of the check ``plan`` is a basis.
+    ``bases`` holds the masks of B_1..B_k and ``seed`` the mask of A_1; the
+    part at 0-based level l >= 1 is taken from ``pools[l]`` in its order
+    (``pools[0]`` is not read), and ``is_basis`` takes a mask.
+
+    A depth-first search over A_2..A_k, one iterator per decided level on an
+    explicit stack, so k is not bounded by recursion.
+    """
+    k = len(bases)
+    parts = [seed] * k
+    stack = [iter(pools[1])]
     while stack:
         level = len(stack)
-        combo = next(stack[-1], None)
-        if combo is None:
+        part = next(stack[-1], None)
+        if part is None:
             stack.pop()
             continue
-        parts[level] = frozenset(combo)
-        if not all(is_basis((bases[i] - parts[i]) | parts[j]) for i, j in checks[level]):
-            continue
-        if level + 1 < k:
-            stack.append(itertools.combinations(sorted(bases[level + 1]), m))
+        parts[level] = part
+        for i, j in plan[level]:
+            if not is_basis((bases[i] & ~parts[i]) | parts[j]):
+                break
         else:
-            yield tuple(parts[1:])
+            if level + 1 < k:
+                stack.append(iter(pools[level + 1]))
+            else:
+                yield tuple(parts[1:])
 
 
 @dataclass(frozen=True)
@@ -120,8 +156,8 @@ class InstanceGenSpec:
                 raise ValidationError(
                     f"class {self.matroid_class!r} requires parameter {name!r}"
                 )
-        for name in ("k", "n", "rank", "vertices", "prime", "rows"):
-            if name == "k" or getattr(self, name) is not None:
+        for name in ("k", "seed", "n", "rank", "vertices", "prime", "rows"):
+            if name in ("k", "seed") or getattr(self, name) is not None:
                 _as_int(getattr(self, name), name)
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
@@ -361,10 +397,14 @@ def search_shift2_counterexample(
     if _as_int(k, "k") < 3:
         raise ValidationError(f"the shift-by-two question needs k >= 3, got {k}")
     budget = None if budget is None else _as_int(budget, "budget")
+    if time_limit is not None and not isinstance(time_limit, numbers.Real):
+        raise ValidationError(f"time_limit must be a real number or None, got {time_limit!r}")
+    _as_int(seed, "seed")
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
     checked = matroids_examined = 0
     phase_counts = {"catalog": 0, "random_linear": 0}
+    plan = _check_plan(k, (1, 2))
 
     def spent() -> bool:
         if budget is not None and checked >= budget:
@@ -375,23 +415,28 @@ def search_shift2_counterexample(
         if spent():
             break
         matroids_examined += 1
-        bases_list = matroid.enumerate_bases()
-        is_basis = frozenset(bases_list).__contains__
+        masks = [sum(1 << e for e in b) for b in matroid.enumerate_bases()]
+        sizes = range(matroid.full_rank() + 1)
+        pools_of = {b: [_subsets(b, size) for size in sizes] for b in masks}
+        is_basis = frozenset(masks).__contains__
         candidates = (
-            (bases, frozenset(a1))
-            for bases in itertools.product(bases_list, repeat=k)
-            for size in range(len(bases[0]) + 1)
-            for a1 in itertools.combinations(sorted(bases[0]), size)
+            (bases, pools, a1)
+            for bases in itertools.product(masks, repeat=k)
+            for pools in ([pools_of[b][size] for b in bases] for size in sizes)
+            for a1 in pools[0]
         )
-        for bases, a1 in candidates:
+        for bases, pools, a1 in candidates:
             if spent():
                 break
             checked += 1
             phase_counts[phase] += 1
-            if next(_shift_tuples(is_basis, bases, a1, (1, 2)), None) is not None:
+            if next(_shift_tuples(is_basis, plan, bases, pools, a1), None) is not None:
                 continue
-            tuple_space = math.prod(math.comb(len(b), len(a1)) for b in bases[1:])
-            witness = Shift2Witness(matroid, matroid_to_json(matroid), bases, a1, tuple_space)
+            ids = tuple(range(matroid.ground_size))
+            witness = Shift2Witness(
+                matroid, matroid_to_json(matroid), tuple(_elements(b, ids) for b in bases),
+                _elements(a1, ids), math.prod(len(p) for p in pools[1:]),
+            )
             if not verify_witness(witness):
                 raise InternalVerificationError("the witness failed re-verification; this is a bug")
             return witness

@@ -388,6 +388,14 @@ class TestSearchShift2:
         assert obj["found"] is False
         assert obj["report"]["candidates_checked"] == 0
 
+    def test_zero_time_limit_exits_5(self):
+        proc = run_cli("search-shift2", "--k", "3", "--time-limit", "0")
+        assert proc.returncode == 5
+        obj = json.loads(proc.stdout)
+        assert obj["found"] is False
+        assert obj["report"]["candidates_checked"] == 0
+        assert obj["report"]["matroids_examined"] == 0
+
     def test_large_k_exits_5_without_traceback(self):
         # the joint-shift search goes k levels deep, past the recursion limit
         proc = run_cli("search-shift2", "--k", "3000", "--budget", "1")

@@ -1,12 +1,17 @@
 """Brute-force oracle, instance generator, and the shift-by-two search."""
 
 import contextlib
+import fractions
+import functools
 import hashlib
 import io
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matrex import cli, verify
+from matrex import cli, core, verify
 from matrex import (
     BasisMatroid,
     ExchangeInstance,
@@ -16,6 +21,7 @@ from matrex import (
     GraphicMatroid,
     InstanceGenSpec,
     InternalVerificationError,
+    LinearMatroid,
     Shift2Witness,
     SizeLimitError,
     UniformMatroid,
@@ -29,7 +35,7 @@ from matrex import (
 from matrex.io import matroid_to_json
 from matrex.verify import exhaustion_to_json, witness_from_json, witness_to_json
 
-from helpers import K4_EDGES, flat_shift_tuples
+from helpers import K4_EDGES, flat_shift_tuples, mask_to_set
 
 #: sha256 of ``matrex search-shift2`` (exit code and JSON) for k in {3, 4},
 #: budgets {0, 1, 50, 100, 1000} and seeds {0, 1, 2}, one entry per run
@@ -89,6 +95,41 @@ class TestBruteForce:
             brute_force_cyclic_exchange(inst)
 
 
+def walk_sets(is_basis, bases, seed, offsets):
+    """``verify._shift_tuples`` on element sets: the sets become masks over
+    the union of ``bases`` (bit i for its i-th smallest id), and each tested
+    mask and each answer is mapped back to a set."""
+    bit, elements = core._dense(bases)
+    masks = [core._mask(b, bit) for b in bases]
+    pools = [verify._subsets(b, len(seed)) for b in masks]
+    plan = verify._check_plan(len(bases), offsets)
+    walk = verify._shift_tuples(lambda s: is_basis(core._elements(s, elements)), plan, masks,
+                                pools, core._mask(seed, bit))
+    return [tuple(core._elements(a, elements) for a in parts) for parts in walk]
+
+
+def search_masks(matroid):
+    """The matroid's bases as the search lists them: bit e stands for element e."""
+    return [sum(1 << e for e in b) for b in matroid.enumerate_bases()]
+
+
+@functools.cache
+def search_catalog():
+    return tuple(verify._search_catalog())
+
+
+def random_rank3_linear(seed):
+    """A rank-3 linear matroid over GF(2), GF(3) or GF(5) drawn from ``seed``,
+    like the search's random phase draws them."""
+    rng = random.Random(seed)
+    while True:
+        prime = rng.choice((2, 3, 5))
+        columns = [[rng.randrange(prime) for _ in range(3)] for _ in range(rng.randrange(4, 13))]
+        matroid = LinearMatroid(prime, 3, columns)
+        if matroid.full_rank() == 3:
+            return matroid
+
+
 class TestShiftTuples:
     def test_walker_matches_flat_product_with_fewer_queries(self):
         specs = [
@@ -111,7 +152,7 @@ class TestShiftTuples:
                         return inst.matroid.is_basis(s)
                     return is_basis
 
-                walked = list(verify._shift_tuples(counted(0), inst.bases, inst.seed, offsets))
+                walked = walk_sets(counted(0), inst.bases, inst.seed, offsets)
                 flat = flat_shift_tuples(counted(1), inst.bases, inst.seed, offsets)
                 assert walked == flat, (seed, offsets)
                 assert calls[0] <= calls[1], (seed, offsets, calls)
@@ -120,6 +161,64 @@ class TestShiftTuples:
                 compared += 1
         assert compared == 140
         assert walker_calls < flat_calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, 5), st.integers(0, 2**32).map(random_rank3_linear)),
+           st.integers(3, 4), st.randoms(use_true_random=False))
+    def test_search_verdict_matches_flat_product(self, source, k, rng):
+        # one (bases, A_1) candidate of a catalog or random rank-3 matroid
+        matroid = search_catalog()[source] if isinstance(source, int) else source
+        masks = search_masks(matroid)
+        picked = [rng.choice(masks) for _ in range(k)]
+        size = rng.randrange(1, 3)  # A_i empty or all of B_i always shifts
+        pools = [verify._subsets(b, size) for b in picked]
+        a1 = rng.choice(pools[0])
+        walk = verify._shift_tuples(frozenset(masks).__contains__, verify._check_plan(k, (1, 2)),
+                                    picked, pools, a1)
+        shifts_jointly = next(walk, None) is not None
+        flat = flat_shift_tuples(matroid.is_basis, [mask_to_set(b) for b in picked],
+                                 mask_to_set(a1), (1, 2))
+        assert shifts_jointly == bool(flat)
+
+    @pytest.mark.parametrize("k, catalog, budget", [(3, None, 1000), (4, [], 150)])
+    def test_every_search_candidate_matches_flat_product(self, monkeypatch, k, catalog, budget):
+        # the verdict the search itself reaches on each candidate it checks:
+        # k = 3 scans the catalog up to the K_4 witness, and k = 4 with the
+        # catalog cut scans the seeded random linear phase
+        if catalog is not None:
+            monkeypatch.setattr(verify, "_search_catalog", lambda: catalog)
+        seen, current = [], []
+        matroids, walker = verify._search_matroids, verify._shift_tuples
+
+        def tracked(seed):
+            for phase, matroid in matroids(seed):
+                current[:] = [matroid]
+                yield phase, matroid
+
+        def recorded(is_basis, plan, bases, pools, a1):
+            found = next(walker(is_basis, plan, bases, pools, a1), None)
+            seen.append((current[0], bases, a1, found is not None))
+            return iter([] if found is None else [found])
+
+        monkeypatch.setattr(verify, "_search_matroids", tracked)
+        monkeypatch.setattr(verify, "_shift_tuples", recorded)
+        out = search_shift2_counterexample(k, budget=budget)
+        assert len(seen) == (163 if catalog is None else budget)
+        assert isinstance(out, Shift2Witness) == (catalog is None)
+        for matroid, bases, a1, shifts_jointly in seen:
+            flat = flat_shift_tuples(matroid.is_basis, [mask_to_set(b) for b in bases],
+                                     mask_to_set(a1), (1, 2))
+            assert shifts_jointly == bool(flat)
+
+    @pytest.mark.parametrize("base", [10**6 - 7, 10**9])
+    def test_brute_force_on_huge_ids_matches_flat_product(self, base):
+        m = UniformMatroid(base + 12, 4)
+        ids = [base + d for d in (0, 3, 5, 6, 8, 11)]
+        bases = (frozenset(ids[:4]), frozenset(ids[2:]), frozenset(ids[:2] + ids[4:]))
+        inst = ExchangeInstance(m, bases, frozenset(ids[:2]))
+        solutions = brute_force_cyclic_exchange(inst)
+        assert solutions == flat_shift_tuples(m.is_basis, bases, inst.seed, (1,))
+        assert 0 < len(solutions) < 6 ** 2
 
 
 class TestRandomInstance:
@@ -183,6 +282,12 @@ class TestRandomInstance:
             InstanceGenSpec(cls, seed=0, **params)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("seed", [[1], "1", 1.0, None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError) as info:
+            random_instance(InstanceGenSpec("uniform", k=2, seed=seed, n=4, rank=2))
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"
+
 
 def k4_witness():
     """The first witness the catalog search finds; verified independently in
@@ -212,6 +317,30 @@ class TestSearch:
         with pytest.raises(ValidationError) as info:
             search_shift2_counterexample(k, budget=budget)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(time_limit="x"), "time_limit must be a real number or None, got 'x'"),
+        (dict(time_limit=[5]), "time_limit must be a real number or None, got [5]"),
+        (dict(seed=[1]), "seed must be an integer, got [1]"),
+        (dict(seed="1"), "seed must be an integer, got '1'"),
+    ])
+    def test_bad_time_limit_or_seed_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            search_shift2_counterexample(3, budget=10, **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("time_limit", [60, 60.5, fractions.Fraction(121, 2), True])
+    def test_real_time_limits_accepted(self, time_limit):
+        report = search_shift2_counterexample(3, budget=10, time_limit=time_limit)
+        assert report.time_limit is time_limit
+        assert report.candidates_checked == 10
+
+    def test_zero_time_limit_exhausts_immediately(self):
+        report = search_shift2_counterexample(3, budget=None, time_limit=0)
+        assert isinstance(report, ExhaustionReport)
+        assert report.candidates_checked == 0
+        assert report.matroids_examined == 0
+        assert report.budget is None and report.time_limit == 0
 
     def test_zero_budget_exhausts_immediately(self):
         report = search_shift2_counterexample(3, budget=0)
@@ -308,6 +437,14 @@ class TestWitnessFromJson:
 
 class TestVerifyWitness:
     def test_accepts_the_real_witness(self):
+        assert verify_witness(k4_witness())
+
+    def test_does_not_use_the_walker(self, monkeypatch):
+        # the re-check enumerates on its own, so a walker fault cannot hide
+        def broken(*args):
+            raise AssertionError("verify_witness called the walker")
+
+        monkeypatch.setattr(verify, "_shift_tuples", broken)
         assert verify_witness(k4_witness())
 
     def test_rejects_wrong_rank(self):
