@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import (ElementSet, Matroid, SlotMatroid, _as_int, _check_bases, _check_matroid,
                    _listed, canon)
 from .errors import InternalVerificationError, ValidationError
-from .union import Arm, DeficiencyCertificate, PartitionProblem, matroid_partition
+from .union import Arm, DeficiencyCertificate, PartitionProblem, _partition
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,16 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
     For k = 1 the cycle is degenerate: A_1 shifts onto itself and the single
     shifted set is B_1 itself.  For k >= 2 the pipeline lifts to disjoint
     copies, builds the color classes, partitions the slots, and reads off
-    A_i as the elements whose B_i slots left part i (for part i+1).  Every
-    shifted set is re-checked to be a basis before returning.
+    A_i as the elements whose B_i slots left part i (for part i+1).
+
+    The solve is ``union._partition``, which leaves its partition
+    unchecked; this read-back checks it instead, and raises
+    ``InternalVerificationError`` on the first check that fails: there are
+    k parts, A_1 is the seed, each part projects onto its shifted set, each
+    A_i has the seed's size, each shifted set is a basis (``is_basis``),
+    each part lies in its color class, and no slot is in two parts.
+    Together these imply all that ``verify_partition`` checks, so each
+    shifted set's independence is tested once.
     """
     matroid, bases, seed = instance.matroid, instance.bases, instance.seed
     k = instance.k
@@ -142,11 +150,15 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
     classes = build_color_classes(instance)
     lifted = classes.lifted
     problem = PartitionProblem(lifted.ground_set(), [Arm(c, lifted) for c in classes.classes])
-    outcome = matroid_partition(problem)
+    outcome = _partition(problem)
     if isinstance(outcome, DeficiencyCertificate):
         raise InternalVerificationError(
             f"the induced partition problem is always feasible, but a deficiency "
             f"certificate of size {outcome.size} was returned; this is a bug"
+        )
+    if len(outcome.parts) != k:
+        raise InternalVerificationError(
+            f"the partition has {len(outcome.parts)} parts, expected {k}"
         )
     # One pass over the parts: a slot (tag, e) outside part tag has moved on,
     # so e belongs to A_tag; every slot adds e to its part's projection.
@@ -184,6 +196,25 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
                 f"shifted set {i} ({canon(s)}) is not a basis"
             )
         shifted.append(s)
+
+    # The slot partition itself, which the solve leaves unchecked.  Each
+    # part projects onto a basis, so it holds at least rank slots, and the
+    # lift has k * rank slots in all.  So parts that lie in their classes
+    # and share no slot hold exactly rank slots each, no two copies of one
+    # element, and cover every slot: they are independent in the lift and
+    # partition it.
+    seen: set[int] = set()
+    for i, part in enumerate(outcome.parts):
+        if not part <= classes.classes[i]:
+            raise InternalVerificationError(
+                f"partition part {i} holds slot {min(part - classes.classes[i])} "
+                f"outside its color class"
+            )
+        if not seen.isdisjoint(part):
+            raise InternalVerificationError(
+                f"slot {min(seen & part)} is in two partition parts"
+            )
+        seen |= part
 
     return ExchangeResult(tuple(parts), tuple(shifted), outcome.parts)
 

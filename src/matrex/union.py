@@ -115,6 +115,23 @@ def verify_partition(problem: PartitionProblem, partition: Partition) -> bool:
 def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertificate:
     """Partition the universe into arm-independent sets, or certify failure.
 
+    The solve is ``_partition``; a partition it returns is then re-checked
+    by ``verify_partition`` (arity, disjointness, allowed sets,
+    independence and coverage), and a failed check raises
+    ``InternalVerificationError``.  A deficiency certificate is re-verified
+    inside the solve.
+    """
+    result = _partition(problem)
+    if isinstance(result, Partition) and not verify_partition(problem, result):
+        raise InternalVerificationError("the computed partition failed re-verification")
+    return result
+
+
+def _partition(problem: PartitionProblem) -> Partition | DeficiencyCertificate:
+    """The solve of ``matroid_partition``, without its final check of a
+    partition.  Callers that skip that check must verify the parts
+    themselves, as ``cyclic_exchange`` does in its read-back.
+
     Elements are inserted in ascending id order.  An element that one of
     its arms takes as it is goes straight in, with no search; that is most
     insertions.  Any other runs a breadth-first search over the exchange
@@ -141,10 +158,7 @@ def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertif
         if reached is not None:
             return _certificate(arms, reached)
 
-    result = Partition(tuple(frozenset(p.part) for p in prepared))
-    if not verify_partition(problem, result):
-        raise InternalVerificationError("the computed partition failed re-verification")
-    return result
+    return Partition(tuple(frozenset(p.part) for p in prepared))
 
 
 def _augment(arms_of, prepared, owner, source) -> set[int] | None:

@@ -649,7 +649,7 @@ def test_solver_matches_reference_on_exchange_instances(spec, monkeypatch):
         solved.append(outcome)
         return outcome
 
-    monkeypatch.setattr(exchange, "matroid_partition", both)
+    monkeypatch.setattr(exchange, "_partition", both)
     for k in (2, 3, 4):
         for seed in range(6):
             cyclic_exchange(random_instance(InstanceGenSpec(k=k, seed=seed, **spec)))

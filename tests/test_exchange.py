@@ -1,7 +1,9 @@
 """Color classes, the rank-sum diagnostic, and the cyclic exchange pipeline."""
 
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from collections.abc import Sized
@@ -209,13 +211,13 @@ class TestCyclicExchange:
 def corrupt_partition(monkeypatch, corrupt):
     """Make ``cyclic_exchange`` read ``corrupt(parts)`` in place of the
     solver's slot parts (passed as a list of sets, one per part)."""
-    solve = exchange.matroid_partition
+    solve = exchange._partition
 
     def corrupted(problem):
         parts = corrupt([set(p) for p in solve(problem).parts])
         return union.Partition(tuple(map(frozenset, parts)))
 
-    monkeypatch.setattr(exchange, "matroid_partition", corrupted)
+    monkeypatch.setattr(exchange, "_partition", corrupted)
 
 
 def move(parts, slot, to=None):
@@ -227,8 +229,22 @@ def move(parts, slot, to=None):
     return parts
 
 
+def repeated_pair():
+    m = UniformMatroid(3, 2)
+    return ExchangeInstance(m, (frozenset({0, 1}), frozenset({0, 1})), frozenset({1}))
+
+
+def overlapping_triple():
+    m = UniformMatroid(4, 2)
+    return ExchangeInstance(
+        m, (frozenset({0, 1}), frozenset({0, 1}), frozenset({1, 2})), frozenset({0})
+    )
+
+
 # uniform_triple's slots: 0->(0,0) 1->(0,1) 2->(1,2) 3->(1,3) 4->(2,4) 5->(2,5);
-# k4_pair's: slot j copies element j, slots 0-2 of basis 0 and 3-5 of basis 1
+# k4_pair's: slot j copies element j, slots 0-2 of basis 0 and 3-5 of basis 1;
+# overlapping_triple's: 0->(0,0) 1->(0,1) 2->(1,0) 3->(1,1) 4->(2,1) 5->(2,2), and
+# its only partition is [{1, 5}, {0, 3}, {2, 4}]
 CORRUPTIONS = {
     # a non-seed slot of bases[0] joins the seed slot in part 1
     "seed": (uniform_triple, lambda parts: move(parts, 1, 1),
@@ -243,6 +259,15 @@ CORRUPTIONS = {
     # A_2 = {3}: right-sized and consistent, but not an exchange
     "is_basis": (k4_pair, lambda parts: [{1, 2, 3}, {0, 4, 5}],
                  r"shifted set 1 \(\[0, 4, 5\]\) is not a basis"),
+    # each corruption below passes every check above, is_basis included
+    "arity": (uniform_triple, lambda parts: parts + [set()],
+              "the partition has 4 parts, expected 3"),
+    # the seed slot also joins part 2, where a copy of its element belongs
+    "class": (overlapping_triple, lambda parts: [parts[0], parts[1], parts[2] | {0}],
+              "partition part 2 holds slot 0 outside its color class"),
+    # the slot that moves to part 2 also stays in part 1
+    "disjoint": (overlapping_triple, lambda parts: [parts[0], parts[1] | {2}, parts[2]],
+                 "slot 2 is in two partition parts"),
 }
 
 
@@ -254,21 +279,51 @@ class TestReadBackChecks:
         with pytest.raises(InternalVerificationError, match=message):
             cyclic_exchange(make())
 
+    @pytest.mark.parametrize("make", [repeated_pair, k4_pair])
+    def test_read_back_accepts_exactly_the_verified_partitions(self, monkeypatch, make):
+        # Every assignment of the slots to sets of parts, in place of the
+        # solver's: the read-back returns iff verify_partition accepts it,
+        # and each exchange of the oracle comes from one such partition.
+        inst = make()
+        classes = build_color_classes(inst)
+        lifted = classes.lifted
+        problem = union.PartitionProblem(
+            lifted.ground_set(), [union.Arm(c, lifted) for c in classes.classes])
+        partition = None
+        monkeypatch.setattr(exchange, "_partition", lambda _: partition)
+        accepted = 0
+        for choice in itertools.product(range(1 << inst.k), repeat=lifted.ground_size):
+            partition = union.Partition(tuple(
+                frozenset(s for s, parts in enumerate(choice) if parts >> i & 1)
+                for i in range(inst.k)))
+            try:
+                cyclic_exchange(inst)
+            except InternalVerificationError:
+                ok = False
+            else:
+                ok = True
+            assert ok == union.verify_partition(problem, partition), partition
+            accepted += ok
+        assert accepted == len(brute_force_cyclic_exchange(inst))
+
     def test_wrong_tuple_is_not_an_exchange(self):
         assert (frozenset({3}),) not in brute_force_cyclic_exchange(k4_pair())
 
     def test_checks_survive_optimize_flag(self):
+        # every corruption in one -O process, each printing its message
         tests = Path(__file__).resolve().parent
         script = (
             "import pytest, test_exchange as t\n"
-            "make, corrupt, _ = t.CORRUPTIONS['seed']\n"
             "print('debug', __debug__)\n"
-            "with pytest.MonkeyPatch.context() as patch:\n"
-            "    t.corrupt_partition(patch, corrupt)\n"
-            "    try:\n"
-            "        t.cyclic_exchange(make())\n"
-            "    except t.InternalVerificationError as exc:\n"
-            "        print('raised', exc)\n"
+            "for case, (make, corrupt, _) in sorted(t.CORRUPTIONS.items()):\n"
+            "    with pytest.MonkeyPatch.context() as patch:\n"
+            "        t.corrupt_partition(patch, corrupt)\n"
+            "        try:\n"
+            "            t.cyclic_exchange(make())\n"
+            "        except t.InternalVerificationError as exc:\n"
+            "            print(case, 'raised', exc)\n"
+            "        else:\n"
+            "            print(case, 'returned')\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -276,8 +331,11 @@ class TestReadBackChecks:
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "debug False", "raised part 1 does not meet basis 0 exactly in the seed slots"]
+        debug, *lines = proc.stdout.splitlines()
+        assert debug == "debug False"
+        assert len(lines) == len(CORRUPTIONS)
+        for line, case in zip(lines, sorted(CORRUPTIONS)):
+            assert re.fullmatch(f"{case} raised {CORRUPTIONS[case][2]}", line), line
 
 
 class TestSymmetricExchange:
@@ -443,7 +501,7 @@ class TestOracleBoundary:
 
     def test_wrapper_layers_keep_no_memo(self, monkeypatch):
         created, solved = [], []
-        init, partition = core.Matroid.__init__, exchange.matroid_partition
+        init, partition = core.Matroid.__init__, exchange._partition
 
         def recording_init(self, ground_size):
             init(self, ground_size)
@@ -458,7 +516,7 @@ class TestOracleBoundary:
             return result
 
         monkeypatch.setattr(core.Matroid, "__init__", recording_init)
-        monkeypatch.setattr(exchange, "matroid_partition", recording_partition)
+        monkeypatch.setattr(exchange, "_partition", recording_partition)
         cyclic_exchange(seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed=1))
         cyclic_exchange(seeded_instance(UniformMatroid(6, 3), 3, seed=1))
 
@@ -557,6 +615,21 @@ class TestOracleBoundary:
         k6 = GraphicMatroid(6, K6_EDGES)
         cyclic_exchange(seeded_instance(k6, 3, seed=1))
         assert calls == [k6] * 6
+
+    def test_each_shifted_set_is_tested_once(self, monkeypatch):
+        # k independence tests validate the bases and k test the shifted
+        # sets; the read-back checks the slot partition without the lift
+        rng = random.Random(3)
+        matroid = LinearMatroid(2, 8, [[rng.randrange(2) for _ in range(8)] for _ in range(24)])
+        inst = seeded_instance(matroid, 5, seed=3)
+        calls = []
+        for cls in (core.SlotMatroid, LinearMatroid):
+            def counting_indep(self, s, indep=cls._indep):
+                calls.append(type(self))
+                return indep(self, s)
+            monkeypatch.setattr(cls, "_indep", counting_indep)
+        cyclic_exchange(ExchangeInstance(matroid, inst.bases, inst.seed))
+        assert calls == [LinearMatroid] * (2 * inst.k)
 
     def test_every_augmentation_keeps_parts_independent(self, monkeypatch):
         augmented = check_every_augmentation(monkeypatch)

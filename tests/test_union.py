@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrex import core
+from matrex import core, union
 from matrex import (
     Arm,
     DeficiencyCertificate,
     GraphicMatroid,
+    InternalVerificationError,
     LinearMatroid,
     Partition,
     PartitionProblem,
@@ -104,6 +105,12 @@ class TestVerifyPartition:
         problem = PartitionProblem(k4.ground_set(), [Arm(k4.ground_set(), k4) for _ in range(2)])
         bad = Partition((frozenset({0, 1}), frozenset({1, 2})))
         assert not verify_partition(problem, bad)
+
+    def test_rejects_overlap_of_independent_parts_that_cover(self):
+        # only disjointness fails: each part is independent, and together
+        # they cover the universe
+        problem = two_arm_uniform(3, 2)
+        assert not verify_partition(problem, Partition((frozenset({0, 1}), frozenset({1, 2}))))
 
     def test_rejects_partial_cover(self):
         problem = two_arm_uniform(4, 2)
@@ -316,6 +323,16 @@ try:
 except InternalVerificationError as exc:
     print("raised", exc)
 """
+
+
+def test_witness_whose_rank_sum_equals_its_size_raises(monkeypatch):
+    # a search that stops short of a sink it could reach: {0} has rank 1
+    monkeypatch.setattr(union, "_augment", lambda *args: {0})
+    m = UniformMatroid(3, 2)
+    problem = PartitionProblem(m.ground_set(), [Arm(m.ground_set(), m)])
+    with pytest.raises(InternalVerificationError) as info:
+        matroid_partition(problem)
+    assert str(info.value) == "deficiency witness failed re-verification: rank sum 1 >= size 1"
 
 
 def test_final_verification_survives_optimize_flag():
