@@ -145,7 +145,8 @@ class Matroid(ABC):
     only until its next move.
 
     ``_prepare(s)``, for an independent ``s``, returns a ``PreparedPart``:
-    its ``circuit(x)`` gives the fundamental circuit of ``s + x``, its
+    its ``takes(x)`` tells whether ``s + x`` is independent, its
+    ``circuit(x)`` gives the fundamental circuit of ``s + x``, its
     ``add(x)`` grows the part by an ``x`` that has none, and its
     ``remove(y)`` drops an element ``y`` of the part.  The default part
     asks ``_indep`` once per element of ``s`` and prepares again on ``add``
@@ -153,8 +154,16 @@ class Matroid(ABC):
     families, the slot lift) return parts that answer each ``x`` directly
     and change in place.  A subclass author may return a ``PreparedPart``
     subclass that overrides ``__init__`` (calling the base one) and
-    ``circuit`` only, and inherit ``add`` and ``remove``.
+    ``circuit`` only, and inherit ``takes``, ``add`` and ``remove``.
+
+    ``_rank_cap``, when not None, is a bound on the size of any independent
+    set that the class knows without a query (rows for a linear matroid,
+    touched vertices minus one for a graphic one).  A set of that size is a
+    basis exactly when it is independent, whatever the true rank, so
+    ``is_basis`` tests such a set without computing ``full_rank``.
     """
+
+    _rank_cap: int | None = None
 
     def __init__(self, ground_size: int):
         self._n = _count(ground_size, "ground size")
@@ -208,6 +217,8 @@ class Matroid(ABC):
 
     def is_basis(self, elements) -> bool:
         s = self.check_subset(elements)
+        if len(s) == self._rank_cap:
+            return self._indep(s)
         return len(s) == self.full_rank() and self._indep(s)
 
     def enumerate_bases(self, cap: int = ENUMERATION_CAP) -> list[ElementSet]:
@@ -230,12 +241,12 @@ class PreparedPart:
 
     ``part`` is a set that the part owns and changes in place: callers read
     it, but never keep or mutate it.  ``circuit(x)``, for ``x`` outside the
-    part, is None when ``part + x`` is independent, otherwise a frozenset
-    of the elements of the part on the unique circuit of ``part + x`` (empty
-    when ``x`` is a loop), which no later move changes.  A circuit that is
-    the whole part may be ``whole()``: one frozenset, built on first use
-    and shared until the part's next move, as the uniform and slot parts
-    answer.  ``add(x)`` grows the part by an ``x`` whose circuit is None;
+    part, is None when ``part + x`` is independent (``takes(x)`` is True),
+    otherwise a frozenset of the elements of the part on the unique circuit
+    of ``part + x`` (empty when ``x`` is a loop), which no later move
+    changes.  A circuit that is the whole part may be ``whole()``: one
+    frozenset, built on first use and shared until the part's next move, as
+    the uniform and slot parts answer.  ``add(x)`` grows the part by an ``x`` whose circuit is None;
     circuits found before stay valid, since the unique circuit of
     ``part + x`` is still the unique one of any larger independent part
     plus ``x``.  ``remove(y)`` drops ``y`` from the part; circuits found
@@ -256,6 +267,7 @@ class PreparedPart:
         self.matroid = matroid
         self.part = set(part)
         self._whole: ElementSet | None = None
+        self._refused: int | None = None  # the last x that ``takes`` refused
 
     def whole(self) -> ElementSet:
         """The part as a frozenset, shared until the part's next move."""
@@ -263,10 +275,19 @@ class PreparedPart:
             self._whole = frozenset(self.part)
         return self._whole
 
+    def takes(self, x: int) -> bool:
+        """Whether ``part + x`` is independent, that is ``circuit(x)`` is
+        None, without building the circuit.  A refused x is remembered until
+        the part's next move, so that its ``circuit`` asks no query twice."""
+        if self.matroid._indep(self.whole() | {x}):
+            return True
+        self._refused = x
+        return False
+
     def circuit(self, x: int) -> ElementSet | None:
-        m, s = self.matroid, self.whole()
-        if m._indep(s | {x}):
+        if x != self._refused and self.takes(x):
             return None
+        m, s = self.matroid, self.whole()
         return frozenset(y for y in s if m._indep((s - {y}) | {x}))
 
     def add(self, x: int) -> None:
@@ -282,7 +303,7 @@ class PreparedPart:
     def _put(self, x: int) -> None:
         """Put ``x`` into ``part``."""
         self.part.add(x)
-        self._whole = None
+        self._whole = self._refused = None
 
     def _drop(self, y: int) -> None:
         """Take ``y`` out of ``part``, or refuse a non-member."""
@@ -290,10 +311,13 @@ class PreparedPart:
             name = type(self.matroid).__name__
             raise InternalVerificationError(f"{name} part: {y} is not in the part")
         self.part.remove(y)
-        self._whole = None
+        self._whole = self._refused = None
 
 
 class _UniformPart(PreparedPart):
+    def takes(self, x: int) -> bool:
+        return len(self.part) < self.matroid.rank_bound
+
     def circuit(self, x: int) -> ElementSet | None:
         return self.whole() if len(self.part) >= self.matroid.rank_bound else None
 
@@ -350,11 +374,15 @@ class _ForestPart(PreparedPart):
         for i in part:
             self._link(i)
 
+    def takes(self, x: int) -> bool:
+        u, v = self.matroid._ends[x]
+        return self.root[u] != self.root[v]  # False for a self-loop: u == v
+
     def circuit(self, x: int) -> ElementSet | None:
         u, v = self.matroid._ends[x]
         if u == v:
             return frozenset()
-        if self.root[u] != self.root[v]:
+        if self.takes(x):
             return None
         up, depth, path = self.up, self.depth, []
         while u != v:
@@ -464,6 +492,7 @@ class GraphicMatroid(Matroid):
         # When the touched vertices are 0..m-1 already, they are the dense ids.
         touched = set(ends)
         self._order = len(touched)
+        self._rank_cap = self._order - 1  # a forest on m vertices has at most m - 1 edges
         self._ends = self.edges  # edge -> dense endpoints
         if touched and max(touched) >= len(touched):
             index = dict(zip(sorted(touched), itertools.count()))
@@ -541,6 +570,8 @@ class _Fields:
         self.bits = 8 * self.size
         self.mask = (1 << self.bits) - 1
         self.tables: dict[int, bytes] = {}  # factor -> byte table of ``scale``
+        if self.size == 1:  # byte table of ``_Echelon.pivot``
+            self.residues = bytes(b % prime for b in range(256))
 
     def pack(self, entries) -> int:
         items = array(self.code, entries)
@@ -614,6 +645,7 @@ class _Echelon:
 
     def __init__(self, fields: _Fields, width: int, length: int):
         self.fields = fields
+        self.width = width
         self.length = length
         self.rows: list[tuple[int, int]] = []  # (pivot shift, row)
         self.unpivoted = list(range(width))
@@ -630,8 +662,20 @@ class _Echelon:
 
     def pivot(self, vec: int) -> int | None:
         """The first unpivoted column where the reduced ``vec`` is nonzero
-        mod p, or None when it is in the span of the rows."""
-        p, bits, mask = self.fields.prime, self.fields.bits, self.fields.mask
+        mod p, or None when it is in the span of the rows.
+
+        A reduced vector is 0 mod p at every pivoted column, so this is its
+        first nonzero column mod p of all the first ``width``.  One-byte
+        fields find that column through a byte table, as ``scale`` does:
+        the first ``width`` bytes as residues, less their leading zeros.
+        Wider fields scan ``unpivoted``."""
+        fields = self.fields
+        if fields.size == 1:
+            width = self.width
+            low = vec & (1 << 8 * width) - 1
+            rest = low.to_bytes(width, "little").translate(fields.residues).lstrip(b"\0")
+            return width - len(rest) if rest else None
+        p, bits, mask = fields.prime, fields.bits, fields.mask
         return next((c for c in self.unpivoted if (vec >> c * bits & mask) % p), None)
 
     def add(self, vec: int) -> bool:
@@ -739,17 +783,30 @@ class _EchelonPart(PreparedPart):
         self.tag_shift = d * matroid._fields.bits
         self.order: list[int | None] = []  # the element tagged e_j, None if vacant
         self.vacant: list[int] = []
-        self.free: tuple[int, int, int] | None = None  # last x with no circuit: reduced, pivot
+        self.last: tuple[int, int, int | None] | None = None  # last x reduced: x, reduced, pivot
         for e in part:
             self._append(e)
 
+    def takes(self, x: int) -> bool:
+        # A part of ``rows`` elements spans the space: no reduction needed.
+        return len(self.part) < self.matroid.rows and self._reduce(x)[1] is not None
+
     def circuit(self, x: int) -> ElementSet | None:
-        vec = self.echelon.reduce(self.matroid._packed[x])
-        col = self.echelon.pivot(vec)
+        vec, col = self._reduce(x)
         if col is not None:
-            self.free = (x, vec, col)
             return None
         return self.matroid._fields.support(vec >> self.tag_shift, self.order)
+
+    def _reduce(self, x: int) -> tuple[int, int | None]:
+        """x's column reduced by the rows, and its pivot.  The last one is
+        kept in ``last`` until the part's next move, so that the ``takes``,
+        ``circuit`` and ``add`` of one x reduce it once."""
+        if self.last is not None and self.last[0] == x:
+            return self.last[1], self.last[2]
+        vec = self.echelon.reduce(self.matroid._packed[x])
+        col = self.echelon.pivot(vec)
+        self.last = (x, vec, col)
+        return vec, col
 
     def add(self, x: int) -> None:
         self._append(x)
@@ -761,18 +818,15 @@ class _EchelonPart(PreparedPart):
         self.echelon.drop(self.tag_shift + j * self.matroid._fields.bits)
         self.order[j] = None
         self.vacant.append(j)
-        self.free = None
+        self.last = None
 
     def _append(self, e: int) -> None:
         # No row carries tag j yet, so e tagged e_j reduces to e reduced
-        # untagged, plus e_j: reuse the reduction circuit(e) just made.
-        if self.free is not None and self.free[0] == e:
-            _, vec, col = self.free
-        else:
-            vec = self.echelon.reduce(self.matroid._packed[e])
-            col = self.echelon.pivot(vec)
-            if col is None:  # e is in the span of the part
-                raise self._dependent(e)
+        # untagged, plus e_j: reuse the reduction that takes(e) or
+        # circuit(e) just made.
+        vec, col = self._reduce(e)
+        if col is None:  # e is in the span of the part
+            raise self._dependent(e)
         if self.vacant:
             j = self.vacant.pop()
             self.order[j] = e
@@ -780,7 +834,7 @@ class _EchelonPart(PreparedPart):
             j = len(self.order)
             self.order.append(e)
         self.echelon.keep(vec + (1 << self.tag_shift + j * self.matroid._fields.bits), col)
-        self.free = None
+        self.last = None
 
 
 _BYTES = bytes(range(256))
@@ -835,6 +889,7 @@ class LinearMatroid(Matroid):
         super().__init__(len(cols))
         self.prime = prime
         self.rows = rows
+        self._rank_cap = rows
         self.columns = cols
         # The one place the elimination is chosen: one bit per entry over
         # GF(2), fields wide enough for the sums of any other prime.
@@ -965,14 +1020,17 @@ class _BasisPart(PreparedPart):
         # A basis missing x alone covers the part, and closes no circuit.
         return _elements(closing & ~(1 << i), self.matroid._elements)
 
-    def add(self, x: int) -> None:
+    def takes(self, x: int) -> bool:
         i = self.matroid._bit.get(x)
         if i is None:  # a loop
-            raise self._dependent(x)
+            return False
         grown = self.mask | 1 << i
-        if all(grown & ~b for b in self.matroid._masks):
+        return any(not grown & ~b for b in self.matroid._masks)
+
+    def add(self, x: int) -> None:
+        if not self.takes(x):
             raise self._dependent(x)
-        self.mask = grown
+        self.mask |= 1 << self.matroid._bit[x]
         self._put(x)
 
     def remove(self, y: int) -> None:
@@ -1055,6 +1113,10 @@ class _SlotPart(PreparedPart):
         super().__init__(matroid, part)
         self.cover = {matroid.slots[j][1]: j for j in part}
         self.inner = matroid.inner._prepare(frozenset(self.cover))
+
+    def takes(self, x: int) -> bool:
+        e = self.matroid.slots[x][1]
+        return e not in self.cover and self.inner.takes(e)
 
     def circuit(self, x: int) -> ElementSet | None:
         e = self.matroid.slots[x][1]

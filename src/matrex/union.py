@@ -168,9 +168,10 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
     Returns None on success, or the set of reachable universe nodes when no
     sink can be reached.  ``arms_of[x]`` lists, in ascending order, the arms
     that allow x.  The source's arms are asked first, before any search
-    state exists: the lowest one whose part takes it (its circuit is None)
-    gets it, which is the path a search would apply at its first expansion.
-    Otherwise the search starts from the circuits already found.  Each
+    state exists, and only whether they take it (``PreparedPart.takes``),
+    which builds no circuit: the lowest one that does gets it, which is the
+    path a search would apply at its first expansion.  Otherwise the search
+    starts from the circuits of the source in each of its arms.  Each
     expanded node x asks the prepared part of each of its arms except its
     owner for the circuit of D_i + x: there is none when x can join D_i (a
     sink arc), and otherwise its elements are exactly the y that x can
@@ -179,14 +180,12 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
     nodes are scanned in first-discovered order, sink arcs in ascending arm
     index, swap-arc targets in ascending element id.
     """
-    found = []
     for i in arms_of[source]:
-        circuit = prepared[i].circuit(source)
-        if circuit is None:
+        if prepared[i].takes(source):
             owner[source] = i
             prepared[i].add(source)
             return None
-        found.append(circuit)
+    found = [prepared[i].circuit(source) for i in arms_of[source]]
 
     parent: dict[int, int | None] = {source: None}
     queue: deque[int] = deque()

@@ -8,9 +8,11 @@ are fully deterministic under their seeds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
+import operator
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -121,6 +123,14 @@ def _shift_tuples(is_basis, plan, bases, pools, seed):
                 stack.append(iter(pools[level + 1]))
             else:
                 yield tuple(parts[1:])
+
+
+def _shifts_trivially(bases, seed: int) -> bool:
+    """Whether the candidate with basis masks ``bases`` and A_1 mask ``seed``
+    shifts by every offset without a walk: when A_1 lies in every basis
+    (an empty A_1 too), A_i = A_1 for every i makes each shifted set B_i;
+    when A_1 = B_1, A_i = B_i makes each shifted set some B_j."""
+    return not seed & ~functools.reduce(operator.and_, bases) or seed == bases[0]
 
 
 @dataclass(frozen=True)
@@ -386,7 +396,8 @@ def search_shift2_counterexample(
     matroids of ambient dimension 3 over GF(2), GF(3) and GF(5); for every
     (bases tuple, A_1) candidate it exhaustively tests whether some tuple
     satisfies both shift patterns.  Returns the first witness, re-verified
-    from scratch, or an exhaustion report with exact counts.  A witness that
+    from scratch, or an exhaustion report with exact counts.  A candidate
+    that ``_shifts_trivially`` is counted but not walked.  A witness that
     fails re-verification raises InternalVerificationError: by the paper's
     theorem a shift-by-one tuple always exists, and the walk has ruled out
     a joint one, so such a failure is a bug.  The candidate
@@ -430,7 +441,8 @@ def search_shift2_counterexample(
                 break
             checked += 1
             phase_counts[phase] += 1
-            if next(_shift_tuples(is_basis, plan, bases, pools, a1), None) is not None:
+            if (_shifts_trivially(bases, a1)
+                    or next(_shift_tuples(is_basis, plan, bases, pools, a1), None) is not None):
                 continue
             ids = tuple(range(matroid.ground_size))
             witness = Shift2Witness(

@@ -424,9 +424,10 @@ def check_every_augmentation(monkeypatch):
     holds the elements that ``owner`` assigns to the arm; the parts are
     disjoint and each independent in its arm through the validated public
     query; and each prepared part answers every x in allowed - part as a
-    freshly prepared one does.  The arms are those of the partition problem
-    built last, which must be the one being solved.  Returns the list of
-    inserted sources."""
+    freshly prepared one does: the same circuit, and ``takes(x)`` exactly
+    when the fresh circuit is None.  The arms are those of the partition
+    problem built last, which must be the one being solved.  Returns the
+    list of inserted sources."""
     augment, init = union._augment, union.PartitionProblem.__init__
     problems, augmented = [], []
 
@@ -454,7 +455,10 @@ def check_every_augmentation(monkeypatch):
                 assert arm.is_independent(part), "parts must stay independent"
                 fresh = arm.matroid._prepare(frozenset(part))
                 for x in sorted(arm.allowed - part):
-                    assert kept.circuit(x) == fresh.circuit(x), \
+                    expected = fresh.circuit(x)
+                    assert kept.takes(x) == (expected is None), \
+                        "a kept prepared part must take x exactly when x closes no circuit"
+                    assert kept.circuit(x) == expected, \
                         "a kept prepared part must answer as a fresh one"
             augmented.append(source)
         return reached

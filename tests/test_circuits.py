@@ -34,6 +34,7 @@ from matrex import (
 from helpers import (
     FANO_COLUMNS,
     K4_EDGES,
+    OracleOnly,
     check_every_augmentation,
     exchange_shaped_problem,
     fixture_matroids,
@@ -76,6 +77,7 @@ def assert_circuits_match(matroid, s):
     own, generic = matroid._prepare(s), core.PreparedPart(matroid, s)
     for x in sorted(matroid.ground_set() - s):
         expected = brute_circuit(matroid, s, x)
+        assert generic.takes(x) == own.takes(x) == (expected is None), (matroid, s, x)
         assert generic.circuit(x) == expected, (matroid, s, x)
         assert own.circuit(x) == expected, (matroid, s, x)
 
@@ -102,8 +104,9 @@ def assert_grows_like_fresh(matroid, rng):
 def assert_changes_like_fresh(matroid, rng, prepare=None):
     """Add and remove random elements of one prepared part, asking for the
     circuit of each element before adding it, as the solver does; after
-    every step the part answers every x outside it as a fresh one made by
-    ``prepare`` (by default the matroid's own) does."""
+    every step the part answers every x outside it, ``takes`` and
+    ``circuit``, as the circuits of a fresh one made by ``prepare`` (by
+    default the matroid's own) do."""
     prepare = prepare or matroid._prepare
     part = random_independent(matroid, rng)
     prepared = matroid._prepare(part)
@@ -111,6 +114,7 @@ def assert_changes_like_fresh(matroid, rng, prepare=None):
         fresh = prepare(part)
         outside = sorted(matroid.ground_set() - part)
         for x in outside:
+            assert prepared.takes(x) == (fresh.circuit(x) is None), (matroid, part, x)
             assert prepared.circuit(x) == fresh.circuit(x), (matroid, part, x)
         free = [x for x in outside if fresh.circuit(x) is None]
         if part and (not free or rng.random() < 0.5):
@@ -213,6 +217,8 @@ def test_changed_slot_parts_match_fresh_ones(inner, k, rng):
         LinearMatroid(3, 2, [[1, 2], [0, 0], [2, 1], [1, 2], [0, 1]]),
         LinearMatroid(5, 3, [[1, 2, 3], [2, 4, 1], [0, 0, 0], [0, 1, 4], [1, 0, 0], [1, 0, 0]]),
         LinearMatroid(3, 0, [[], []]),
+        # fields wider than a byte
+        LinearMatroid(257, 2, [[1, 256], [0, 0], [256, 1], [3, 5], [1, 256]]),
         # a self-loop and parallel edges
         GraphicMatroid(4, [[0, 1], [1, 2], [2, 2], [0, 1], [0, 2], [1, 0], [3, 2]]),
         GraphicMatroid(4, K4_EDGES),
@@ -222,6 +228,8 @@ def test_changed_slot_parts_match_fresh_ones(inner, k, rng):
         BasisMatroid(3, [[]]),
         disjoint_copies(GraphicMatroid(4, K4_EDGES), [{0, 1, 2}, {0, 1, 2}, {3, 4, 5}]),
         disjoint_copies(UniformMatroid(4, 2), [{0, 1}, {0, 1}]),
+        disjoint_copies(LinearMatroid(3, 2, [[1, 2], [0, 1], [2, 1], [1, 2]]), [{0, 1}, {0, 1}, {1, 2}]),
+        SlotMatroid(BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]), [{0, 3}, {0, 1}, {3}]),
     ] + fixture_matroids(),
     ids=repr,
 )
@@ -249,6 +257,35 @@ BASIS_CORPUS = [
 def test_basis_parts_change_like_generic_ones(matroid):
     # Seeded add and remove sequences against the generic oracle part.
     for seed in range(20):
+        assert_changes_like_fresh(matroid, random.Random(seed),
+                                  lambda part: core.PreparedPart(matroid, part))
+
+
+def with_slots(matroid):
+    """``matroid`` and its lift over two copies of its first basis and one
+    more basis: parallel slot copies of every element of the first."""
+    bases = matroid.enumerate_bases()
+    return [matroid, disjoint_copies(matroid, [bases[0], bases[0], bases[-1]])]
+
+
+TAKES_CORPUS = [lift for matroid in [
+    OracleOnly(GraphicMatroid(4, K4_EDGES)),  # the default oracle part
+    UniformMatroid(6, 3),
+    GraphicMatroid(4, [[0, 1], [1, 2], [2, 2], [0, 1], [0, 2], [1, 0], [3, 2]]),
+    LinearMatroid(2, 3, FANO_COLUMNS + [[0, 0, 0], [1, 1, 0]]),
+    LinearMatroid(3, 3, [[1, 2, 0], [0, 0, 0], [2, 1, 0], [0, 1, 1], [1, 0, 2], [1, 1, 1]]),
+    LinearMatroid(257, 3, [[1, 0, 256], [0, 0, 0], [2, 5, 7], [0, 1, 0], [256, 0, 1], [1, 1, 1]]),
+    BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]]),  # a loop (4) and a coloop (3)
+] for lift in with_slots(matroid)]
+
+
+@pytest.mark.parametrize("matroid", TAKES_CORPUS, ids=repr)
+def test_takes_matches_circuits_after_changes(matroid):
+    # Seeded add and remove sequences: after each move, takes(x) is True
+    # exactly when a fresh part has no circuit for x, the matroid's own part
+    # and the default oracle part alike.
+    for seed in range(10):
+        assert_changes_like_fresh(matroid, random.Random(seed))
         assert_changes_like_fresh(matroid, random.Random(seed),
                                   lambda part: core.PreparedPart(matroid, part))
 

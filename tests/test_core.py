@@ -70,6 +70,26 @@ class TestIsBasis:
         k4 = GraphicMatroid(4, K4_EDGES)
         assert k4.is_basis({0, 1, 2})
 
+    @pytest.mark.parametrize("matroid", [
+        # rank below rows: a zero row, and a repeated one
+        LinearMatroid(3, 3, [[1, 2, 0], [2, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+        LinearMatroid(2, 4, [[1, 1, 0, 1], [0, 0, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 0, 1]]),
+        LinearMatroid(5, 2, [[0, 0], [0, 0]]),
+        LinearMatroid(3, 2, [[1, 2], [0, 1], [2, 2]]),  # full rank
+        # several components, isolated vertices and self-loops
+        GraphicMatroid(8, [[0, 1], [1, 2], [0, 2], [4, 5], [5, 5], [4, 5], [7, 7]]),
+        GraphicMatroid(6, [[1, 1], [3, 3]]),
+        GraphicMatroid(3, []),
+        GraphicMatroid(4, K4_EDGES),
+    ], ids=repr)
+    def test_rank_cap_shortcut_matches_full_rank(self, matroid):
+        # A set as large as the class's rank cap is tested by independence
+        # alone; every set gets the answer of the full-rank comparison.
+        rank = matroid.full_rank()
+        for size in range(matroid.ground_size + 1):
+            for s in map(frozenset, itertools.combinations(range(matroid.ground_size), size)):
+                assert matroid.is_basis(s) == (len(s) == rank and matroid._indep(s)), s
+
 
 class TestEnumerateBases:
     def test_uniform_all_pairs(self):

@@ -487,6 +487,8 @@ def seeded_instance(matroid, k, seed):
 
 
 K6_EDGES = [[u, v] for u in range(6) for v in range(u + 1, 6)]
+GF3_COLUMNS = [[1, 0, 1, 2], [0, 0, 2, 0], [1, 2, 0, 2], [0, 0, 0, 1], [1, 0, 0, 0], [2, 1, 0, 2],
+               [0, 0, 2, 2], [2, 0, 2, 2], [1, 0, 0, 0], [2, 0, 1, 1], [0, 2, 0, 2], [1, 2, 2, 0]]
 
 
 def attribute_sizes(matroid):
@@ -534,7 +536,7 @@ class TestOracleBoundary:
         assert attribute_sizes(k6) == sizes
 
     def test_check_subset_calls_do_not_grow_with_queries(self, monkeypatch):
-        # a query is one circuit evaluation of a prepared slot part
+        # a query is one takes or circuit evaluation of a prepared slot part
         counts = {"check": 0, "query": 0}
         check, prepare = core.Matroid.check_subset, core.SlotMatroid._prepare
 
@@ -542,20 +544,21 @@ class TestOracleBoundary:
             counts["check"] += 1
             return check(self, elements)
 
+        def counting(method):
+            def query(x):
+                counts["query"] += 1
+                return method(x)
+            return query
+
         def counting_prepare(self, subset):
             part = prepare(self, subset)
-            circuit = part.circuit
-
-            def counting_circuit(x):
-                counts["query"] += 1
-                return circuit(x)
-            part.circuit = counting_circuit
+            part.takes, part.circuit = counting(part.takes), counting(part.circuit)
             return part
 
         monkeypatch.setattr(core.Matroid, "check_subset", counting_check)
         monkeypatch.setattr(core.SlotMatroid, "_prepare", counting_prepare)
         observed = []
-        for seed in (1, 4):  # 21 and 20 circuit evaluations
+        for seed in (1, 4):  # 24 and 20 queries
             inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed)
             counts.update(check=0, query=0)
             cyclic_exchange(inst)
@@ -564,6 +567,43 @@ class TestOracleBoundary:
         (check1, query1), (check2, query2) = observed
         assert query1 != query2
         assert check1 == check2 < min(query1, query2)
+
+    @pytest.mark.parametrize("make, k, seed, pins", [
+        # A 4 x 12 matrix over GF(3) of rank 4: one-byte fields.
+        (lambda: LinearMatroid(3, 4, GF3_COLUMNS), 4, 0,
+         {"takes": 22, "circuit": 16, "reduce": 64, "greedy": 0}),
+        (lambda: GraphicMatroid(6, K6_EDGES), 3, 9,
+         {"takes": 20, "circuit": 13, "rehung": 32, "greedy": 0}),
+    ], ids=["gf3", "k6"])
+    def test_work_per_solve_is_pinned(self, make, k, seed, pins, monkeypatch):
+        # The exact work of one solve, instance check included, on a fresh
+        # matroid: slot takes and circuit calls, echelon reductions, forest
+        # vertices re-hung by links and cuts, and rank scans.  Bases of
+        # ``rows`` (or vertices - 1) elements are checked without a scan.
+        # Before takes() and the rank cap, these read 0, 34, 73 and 1 on the
+        # GF(3) instance and 0, 29, 32 and 1 on K_6.  A forest part that
+        # mis-sizes its trees after a cut re-hangs more vertices here.
+        instance = seeded_instance(make(), k, seed)
+        counts = dict.fromkeys(pins, 0)
+
+        def counting(cls, name, key, weigh=lambda result: 1):
+            method = getattr(cls, name)
+
+            def spy(self, *args):
+                result = method(self, *args)
+                if key in counts:
+                    counts[key] += weigh(result)
+                return result
+            monkeypatch.setattr(cls, name, spy)
+
+        counting(core._SlotPart, "takes", "takes")
+        counting(core._SlotPart, "circuit", "circuit")
+        counting(core._Echelon, "reduce", "reduce")
+        counting(core._ForestPart, "_spread", "rehung", weigh=lambda count: count)
+        for cls in (core.Matroid, LinearMatroid, GraphicMatroid):
+            counting(cls, "greedy_independent", "greedy")
+        cyclic_exchange(ExchangeInstance(make(), instance.bases, instance.seed))
+        assert counts == pins
 
     def test_parts_are_prepared_once_per_arm(self, monkeypatch):
         # Full preparations of the inner linear parts: one per arm, even

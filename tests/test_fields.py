@@ -192,3 +192,38 @@ def test_gf2_bases_of_the_bench_shape_match_lists():
         found.add(matroid.is_basis(s))
         assert matroid.is_basis(s) == (gf_rank(2, [columns[e] for e in s]) == 30), s
     assert found == {True, False}
+
+
+def scan_pivot(echelon, vec):
+    """The first unpivoted column where ``vec`` is nonzero mod p, by the scan
+    over ``unpivoted`` that fields wider than a byte use."""
+    fields = echelon.fields
+    return next((c for c in echelon.unpivoted
+                 if (vec >> c * fields.bits & fields.mask) % fields.prime), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.integers(0, 6), st.integers(0, 2**32))
+def test_one_byte_pivot_matches_the_scan(prime, rows, seed):
+    # Random adds and drops on an echelon with a tag block above the first
+    # ``rows`` entries, as a prepared part keeps one: the pivot read through
+    # the byte table is the scan's on every reduced vector.
+    rng = random.Random(seed)
+    fields = core._Fields(prime, rows)
+    assert fields.size == 1
+    echelon = fields.echelon(rows, 2 * rows)
+    for _ in range(3 * rows + 8):
+        tags = [t for t in range(rows) if any(
+            row >> (rows + t) * fields.bits & fields.mask for _, row in echelon.rows)]
+        if tags and rng.random() < 0.3:
+            echelon.drop((rows + rng.choice(tags)) * fields.bits)
+            continue
+        entries = [rng.choice((0, 0, 1, prime - 1, rng.randrange(prime))) for _ in range(rows)]
+        tag = [0] * rows
+        if rows:
+            tag[rng.randrange(rows)] = 1
+        vec = echelon.reduce(fields.pack(entries + tag))
+        col = echelon.pivot(vec)
+        assert col == scan_pivot(echelon, vec)
+        if col is not None:
+            echelon.keep(vec, col)

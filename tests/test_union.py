@@ -83,16 +83,26 @@ class TestExamples:
         # parts of a matroid known only by its oracle answer every circuit
         # and take every move.
         calls = []
-        for name in ("circuit", "add", "remove"):
+        for name in ("takes", "circuit", "add", "remove"):
             def spy(self, x, name=name, method=getattr(core.PreparedPart, name)):
                 calls.append((name, x))
                 return method(self, x)
             monkeypatch.setattr(core.PreparedPart, name, spy)
         m = OracleOnly(UniformMatroid(2, 1))
+        oracle = m._indep
+        queries = []
+        m._indep = lambda s: queries.append(s) or oracle(s)
         result = matroid_partition(PartitionProblem({0, 1}, [Arm({0, 1}, m), Arm({0}, m)]))
         assert result == Partition((frozenset({1}), frozenset({0})))
-        assert calls == [("circuit", 0), ("add", 0), ("circuit", 1), ("circuit", 0),
-                         ("remove", 0), ("add", 0), ("add", 1)]
+        # An insertion asks takes() first; circuits are built once a search
+        # starts, for the source and then for each expanded node.  A circuit
+        # asks takes() itself, except for the element takes() just refused.
+        assert calls == [("takes", 0), ("add", 0), ("takes", 1), ("circuit", 1), ("circuit", 0),
+                         ("takes", 0), ("remove", 0), ("add", 0), ("add", 1)]
+        # The solve asks {0}, {0, 1} (refused), {1} (1 swaps with 0) and {0},
+        # no query twice, as many as circuits alone asked; the check of the
+        # result asks {1} and {0}.
+        assert queries == [{0}, {0, 1}, {1}, {0}, {1}, {0}]
 
 
 class TestVerifyPartition:

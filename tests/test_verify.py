@@ -200,11 +200,24 @@ class TestShiftTuples:
             seen.append((current[0], bases, a1, found is not None))
             return iter([] if found is None else [found])
 
+        skipped, trivial = [], verify._shifts_trivially
+
+        def skipping(bases, a1):  # a skipped candidate must shift jointly
+            if trivial(bases, a1):
+                skipped.append(a1)
+                seen.append((current[0], bases, a1, True))
+                return True
+            return False
+
         monkeypatch.setattr(verify, "_search_matroids", tracked)
         monkeypatch.setattr(verify, "_shift_tuples", recorded)
+        monkeypatch.setattr(verify, "_shifts_trivially", skipping)
         out = search_shift2_counterexample(k, budget=budget)
         assert len(seen) == (163 if catalog is None else budget)
         assert isinstance(out, Shift2Witness) == (catalog is None)
+        # both kinds: an A_1 inside every basis of the tuple, and a full one
+        assert 0 in skipped and any(a1.bit_count() == 3 for a1 in skipped)
+        assert any(0 < a1.bit_count() < 3 for a1 in skipped)
         for matroid, bases, a1, shifts_jointly in seen:
             flat = flat_shift_tuples(matroid.is_basis, [mask_to_set(b) for b in bases],
                                      mask_to_set(a1), (1, 2))
@@ -484,6 +497,16 @@ class TestVerifyWitness:
         real = k4_witness()
         w = Shift2Witness(real.matroid, real.description,
                           (frozenset({0, 1, 9}),) + real.bases[1:], real.seed, 9)
+        assert not verify_witness(w)
+
+    def test_rejects_a_family_without_shift_by_one(self):
+        # Not a matroid: two disjoint bases break the exchange axiom.  With
+        # B_1 = B_3 = {0, 1, 2} and A_1 = {0}, the second shifted set holds
+        # 0 and two of {3, 4, 5}, never a basis, so no tuple shifts by one;
+        # for a real matroid the paper's theorem gives one.
+        m = BasisMatroid(6, [{0, 1, 2}, {3, 4, 5}], validate=False)
+        bases = (frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({0, 1, 2}))
+        w = Shift2Witness(m, matroid_to_json(m), bases, frozenset({0}), 9)
         assert not verify_witness(w)
 
     def test_uniform_candidates_are_never_witnesses(self):
