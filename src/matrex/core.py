@@ -11,7 +11,6 @@ through the partition's arms, which query it in its own ids.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 import sys
@@ -492,7 +491,7 @@ class GraphicMatroid(Matroid):
         # When the touched vertices are 0..m-1 already, they are the dense ids.
         touched = set(ends)
         self._order = len(touched)
-        self._rank_cap = self._order - 1  # a forest on m vertices has at most m - 1 edges
+        self._rank_cap = max(self._order - 1, 0)  # a forest on m vertices has at most m - 1 edges
         self._ends = self.edges  # edge -> dense endpoints
         if touched and max(touched) >= len(touched):
             index = dict(zip(sorted(touched), itertools.count()))
@@ -518,10 +517,11 @@ class GraphicMatroid(Matroid):
 
     def greedy_independent(self, elements) -> ElementSet:
         # The ascending scan of the base class, growing one forest.  It stops
-        # once the forest spans: no later edge can join two of its trees.
+        # once the forest spans the touched vertices: no later edge can join
+        # two of its trees.
         ordered = sorted(self.check_subset(elements))
         joined = (i for i, joins in zip(ordered, self._joins(ordered)) if joins)
-        return frozenset(itertools.islice(joined, max(self.vertex_count - 1, 0)))
+        return frozenset(itertools.islice(joined, self._rank_cap))
 
     def _prepare(self, s: ElementSet) -> PreparedPart:
         return _ForestPart(self, s)
@@ -638,9 +638,8 @@ class _Echelon:
     the rows before it, so one pass over the rows reduces a vector, one
     shift, mask and multiply-add per row.  Pivots are chosen among the
     first ``width`` entries; entries past ``width`` ride along and record
-    how each row was combined from its inputs.  ``unpivoted`` keeps the
-    columns below ``width`` with no pivot, ascending: a reduced vector is
-    zero there or in all of the first ``width`` entries, mod p.
+    how each row was combined from its inputs.  The echelon is full when
+    it holds ``width`` rows, one pivot per column.
     """
 
     def __init__(self, fields: _Fields, width: int, length: int):
@@ -648,7 +647,6 @@ class _Echelon:
         self.width = width
         self.length = length
         self.rows: list[tuple[int, int]] = []  # (pivot shift, row)
-        self.unpivoted = list(range(width))
 
     def reduce(self, vec: int) -> int:
         """``vec`` plus the combination of rows that clears every pivot mod
@@ -668,19 +666,18 @@ class _Echelon:
         first nonzero column mod p of all the first ``width``.  One-byte
         fields find that column through a byte table, as ``scale`` does:
         the first ``width`` bytes as residues, less their leading zeros.
-        Wider fields scan ``unpivoted``."""
-        fields = self.fields
+        Wider fields scan the first ``width`` entries, unpacked."""
+        fields, width = self.fields, self.width
+        low = vec & (1 << fields.bits * width) - 1
         if fields.size == 1:
-            width = self.width
-            low = vec & (1 << 8 * width) - 1
             rest = low.to_bytes(width, "little").translate(fields.residues).lstrip(b"\0")
             return width - len(rest) if rest else None
-        p, bits, mask = fields.prime, fields.bits, fields.mask
-        return next((c for c in self.unpivoted if (vec >> c * bits & mask) % p), None)
+        p = fields.prime
+        return next((c for c, a in enumerate(fields.unpack(low, width)) if a % p), None)
 
     def add(self, vec: int) -> bool:
         """Reduce ``vec`` and keep it as a row; False if it was in the span."""
-        if not self.unpivoted:
+        if len(self.rows) == self.width:
             return False
         vec = self.reduce(vec)
         col = self.pivot(vec)
@@ -695,7 +692,6 @@ class _Echelon:
         shift = col * fields.bits
         inv = pow(vec >> shift & fields.mask, -1, fields.prime)
         self.rows.append((shift, fields.scale(vec, self.length, inv)))
-        self.unpivoted.remove(col)
 
     def drop(self, at: int) -> None:
         """Drop the last row whose field at bit ``at`` is nonzero, first
@@ -707,28 +703,28 @@ class _Echelon:
         p, mask = fields.prime, fields.mask
         rows = self.rows
         r = next(r for r in reversed(range(len(rows))) if rows[r][1] >> at & mask)
-        shift, last = rows.pop(r)
+        _, last = rows.pop(r)
         inv = pow(last >> at & mask, -1, p)
         for i in range(r):
             f = rows[i][1] >> at & mask
             if f:
                 cleared = rows[i][1] + (p - f) * inv % p * last
                 rows[i] = (rows[i][0], fields.scale(cleared, self.length, 1))
-        bisect.insort(self.unpivoted, shift // fields.bits)
 
 
 class _BitEchelon:
     """``_Echelon`` over GF(2), on vectors packed one bit per entry.
 
     A row step is one test and one XOR: ``if vec & pivot_bit: vec ^= row``.
-    ``open`` holds the bits of the columns below ``width`` with no pivot, and
-    the pivot of a reduced vector is its lowest bit in ``open``, the column
-    ``_Echelon.pivot`` picks, so both echelons hold the same rows.
+    A reduced vector is 0 at every pivot, so its pivot is its lowest bit
+    below ``width``, the column ``_Echelon.pivot`` picks, and both echelons
+    hold the same rows.
     """
 
     def __init__(self, width: int):
         self.rows: list[tuple[int, int]] = []  # (pivot bit, row)
-        self.open = (1 << width) - 1
+        self.width = width
+        self.columns = (1 << width) - 1  # the bits below ``width``
 
     def reduce(self, vec: int) -> int:
         for bit, row in self.rows:
@@ -737,35 +733,30 @@ class _BitEchelon:
         return vec
 
     def pivot(self, vec: int) -> int | None:
-        low = vec & self.open
+        low = vec & self.columns
         return (low & -low).bit_length() - 1 if low else None
 
     def add(self, vec: int) -> bool:
         # ``pivot`` and ``keep`` inline: this is every independence test.
-        if not self.open:
+        if len(self.rows) == self.width:
             return False
         vec = self.reduce(vec)
-        low = vec & self.open
+        low = vec & self.columns
         if not low:
             return False
-        low &= -low
-        self.rows.append((low, vec))
-        self.open ^= low
+        self.rows.append((low & -low, vec))
         return True
 
     def keep(self, vec: int, col: int) -> None:
-        bit = 1 << col
-        self.rows.append((bit, vec))
-        self.open ^= bit
+        self.rows.append((1 << col, vec))
 
     def drop(self, at: int) -> None:
         bit, rows = 1 << at, self.rows
         r = next(r for r in reversed(range(len(rows))) if rows[r][1] & bit)
-        pivot, last = rows.pop(r)
+        _, last = rows.pop(r)
         for i in range(r):
             if rows[i][1] & bit:
                 rows[i] = (rows[i][0], rows[i][1] ^ last)
-        self.open |= pivot
 
 
 class _EchelonPart(PreparedPart):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import (ElementSet, Matroid, SlotMatroid, _as_int, _check_bases, _check_matroid,
                    _listed, canon)
 from .errors import InternalVerificationError, ValidationError
-from .union import Arm, DeficiencyCertificate, PartitionProblem, _partition
+from .union import _partition
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,16 @@ class ExchangeInstance:
 class ColorClasses:
     """Slot-level structure of the exchange: per-slot lists and their classes.
 
-    ``lists[s]`` is the set of part indices slot s may join; class j collects
-    the slots whose list contains j.  Part indices are 0-based: part 0
-    receives the shifted copy of basis 0, part j the shifted copy of basis j.
+    ``lists[s]`` holds, ascending, the part indices slot s may join: the
+    arm lists that ``cyclic_exchange`` hands the partition solve as they
+    are.  Class j collects the slots whose list contains j.  Part indices
+    are 0-based: part 0 receives the shifted copy of basis 0, part j the
+    shifted copy of basis j.
     """
 
     lifted: SlotMatroid
     classes: tuple[ElementSet, ...]
-    lists: tuple[frozenset[int], ...]
+    lists: tuple[tuple[int, ...], ...]
 
 
 def build_color_classes(instance: ExchangeInstance) -> ColorClasses:
@@ -75,9 +77,9 @@ def build_color_classes(instance: ExchangeInstance) -> ColorClasses:
     k = instance.k
     lifted = SlotMatroid(instance.matroid, instance.bases)
 
-    moved, kept = frozenset({1}), frozenset({0})
-    pairs = [frozenset({tag, (tag + 1) % k}) for tag in range(k)]
-    lists: list[frozenset[int]] = []
+    moved, kept = (1,), (0,)
+    pairs = [tuple(sorted({tag, (tag + 1) % k})) for tag in range(k)]
+    lists: list[tuple[int, ...]] = []
     members: list[list[int]] = [[] for _ in range(k)]
     for s, (tag, element) in enumerate(lifted.slots):
         allowed = (moved if element in instance.seed else kept) if tag == 0 else pairs[tag]
@@ -131,8 +133,10 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
     copies, builds the color classes, partitions the slots, and reads off
     A_i as the elements whose B_i slots left part i (for part i+1).
 
-    The solve is ``union._partition``, which leaves its partition
-    unchecked; this read-back checks it instead, and raises
+    The solve is ``union._partition``, handed the lift once per part and
+    the slot lists of ``build_color_classes`` as they are: no arm or
+    partition problem re-validates what the library built.  It leaves its
+    partition unchecked; this read-back checks it instead, and raises
     ``InternalVerificationError`` on the first check that fails: there are
     k parts, A_1 is the seed, each part projects onto its shifted set, each
     A_i has the seed's size, each shifted set is a basis (``is_basis``),
@@ -149,23 +153,22 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
 
     classes = build_color_classes(instance)
     lifted = classes.lifted
-    problem = PartitionProblem(lifted.ground_set(), [Arm(c, lifted) for c in classes.classes])
-    outcome = _partition(problem)
-    if isinstance(outcome, DeficiencyCertificate):
+    outcome = _partition([lifted] * k, dict(enumerate(classes.lists)))
+    if isinstance(outcome, set):
         raise InternalVerificationError(
             f"the induced partition problem is always feasible, but a deficiency "
-            f"certificate of size {outcome.size} was returned; this is a bug"
+            f"certificate of size {len(outcome)} was returned; this is a bug"
         )
-    if len(outcome.parts) != k:
+    if len(outcome) != k:
         raise InternalVerificationError(
-            f"the partition has {len(outcome.parts)} parts, expected {k}"
+            f"the partition has {len(outcome)} parts, expected {k}"
         )
     # One pass over the parts: a slot (tag, e) outside part tag has moved on,
     # so e belongs to A_tag; every slot adds e to its part's projection.
     slots = lifted.slots
     exchanged: list[set[int]] = [set() for _ in range(k)]
     projections: list[set[int]] = []
-    for i, part in enumerate(outcome.parts):
+    for i, part in enumerate(outcome):
         projection = set()
         for slot in part:
             tag, e = slots[slot]
@@ -204,7 +207,7 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
     # element, and cover every slot: they are independent in the lift and
     # partition it.
     seen: set[int] = set()
-    for i, part in enumerate(outcome.parts):
+    for i, part in enumerate(outcome):
         if not part <= classes.classes[i]:
             raise InternalVerificationError(
                 f"partition part {i} holds slot {min(part - classes.classes[i])} "
@@ -216,7 +219,7 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
             )
         seen |= part
 
-    return ExchangeResult(tuple(parts), tuple(shifted), outcome.parts)
+    return ExchangeResult(tuple(parts), tuple(shifted), outcome)
 
 
 def multiple_symmetric_exchange(matroid: Matroid, basis1, basis2, subset1) -> ElementSet:
@@ -230,8 +233,9 @@ def multiple_symmetric_exchange(matroid: Matroid, basis1, basis2, subset1) -> El
 def symmetric_exchange_single(matroid: Matroid, basis1, basis2, element1: int) -> int:
     """Find e_2 with (B_1 \\ e_1) u e_2 and (B_2 \\ e_2) u e_1 both bases.
 
-    An element shared by both bases swaps with itself; otherwise this is the
-    singleton case of the multiple symmetric exchange.
+    An element shared by both bases swaps with itself, once both sets are
+    checked to be bases; otherwise this is the singleton case of the
+    multiple symmetric exchange, whose instance checks them.
     """
     _check_matroid(matroid, "matroid")
     b1 = matroid.check_subset(basis1)
@@ -241,6 +245,7 @@ def symmetric_exchange_single(matroid: Matroid, basis1, basis2, element1: int) -
     if element1 not in b1:
         raise ValidationError(f"element {element1} is not in the first basis")
     if element1 in b2:
+        _check_bases(matroid, (b1, b2))
         return element1
     (e2,) = multiple_symmetric_exchange(matroid, b1, b2, {element1})
     return e2

@@ -115,50 +115,49 @@ def verify_partition(problem: PartitionProblem, partition: Partition) -> bool:
 def matroid_partition(problem: PartitionProblem) -> Partition | DeficiencyCertificate:
     """Partition the universe into arm-independent sets, or certify failure.
 
-    The solve is ``_partition``; a partition it returns is then re-checked
-    by ``verify_partition`` (arity, disjointness, allowed sets,
+    The solve is ``_partition``, with the elements in ascending id order
+    and each one's arms listed once.  A partition it returns is then
+    re-checked by ``verify_partition`` (arity, disjointness, allowed sets,
     independence and coverage), and a failed check raises
-    ``InternalVerificationError``.  A deficiency certificate is re-verified
-    inside the solve.
-    """
-    result = _partition(problem)
-    if isinstance(result, Partition) and not verify_partition(problem, result):
-        raise InternalVerificationError("the computed partition failed re-verification")
-    return result
-
-
-def _partition(problem: PartitionProblem) -> Partition | DeficiencyCertificate:
-    """The solve of ``matroid_partition``, without its final check of a
-    partition.  Callers that skip that check must verify the parts
-    themselves, as ``cyclic_exchange`` does in its read-back.
-
-    Elements are inserted in ascending id order.  An element that one of
-    its arms takes as it is goes straight in, with no search; that is most
-    insertions.  Any other runs a breadth-first search over the exchange
-    digraph: an arc x -> sink_i means x can be added to D_i directly, and an
-    arc x -> y (y in D_i, x outside D_i) means x can take y's place.
-    Applying the swaps along a shortest path keeps every D_i independent.
-    If no sink is reachable, the set of reachable universe nodes is a
-    deficiency witness; it is re-verified by direct rank queries before
-    being returned.  The arms that allow each element are listed once per
-    solve.  Each arm's only state is its prepared part, made once from the
-    empty set: it holds D_i, answers the circuits, and takes every move
-    along a path in place.
+    ``InternalVerificationError``.  A set that a failed search reached is
+    re-verified as a deficiency certificate by direct rank queries.
     """
     arms = problem.arms
-    prepared = [arm.matroid._prepare(frozenset()) for arm in arms]
-    owner: dict[int, int] = {}
-    arms_of: dict[int, list[int]] = {x: [] for x in problem.universe}
-    for i, arm in enumerate(arms):
-        for x in arm.allowed:
-            arms_of[x].append(i)
+    arms_of = {x: [i for i, arm in enumerate(arms) if x in arm.allowed]
+               for x in sorted(problem.universe)}
+    result = _partition([arm.matroid for arm in arms], arms_of)
+    if isinstance(result, set):
+        return _certificate(arms, result)
+    partition = Partition(result)
+    if not verify_partition(problem, partition):
+        raise InternalVerificationError("the computed partition failed re-verification")
+    return partition
 
-    for element in sorted(problem.universe):
+
+def _partition(matroids, arms_of) -> tuple[ElementSet, ...] | set[int]:
+    """The solve of ``matroid_partition`` and of ``cyclic_exchange``, on
+    trusted input: it validates nothing and checks nothing it returns.
+
+    ``matroids[i]`` is arm i's matroid, and ``arms_of`` maps each element,
+    in insertion order, to the ascending indices of the arms that may take
+    it.  Returns one frozenset per matroid, or the set of universe nodes
+    that a failed search reached, a deficiency witness.  An element that
+    one of its arms takes as it is goes straight in, with no search; that
+    is most insertions.  Any other runs a breadth-first search over the
+    exchange digraph: an arc x -> sink_i means x can be added to D_i
+    directly, and an arc x -> y (y in D_i, x outside D_i) means x can take
+    y's place.  Applying the swaps along a shortest path keeps every D_i
+    independent.  Each arm's only state is its prepared part, made once
+    from the empty set: it holds D_i, answers the circuits, and takes every
+    move along a path in place.
+    """
+    prepared = [matroid._prepare(frozenset()) for matroid in matroids]
+    owner: dict[int, int] = {}
+    for element in arms_of:
         reached = _augment(arms_of, prepared, owner, element)
         if reached is not None:
-            return _certificate(arms, reached)
-
-    return Partition(tuple(frozenset(p.part) for p in prepared))
+            return reached
+    return tuple(frozenset(p.part) for p in prepared)
 
 
 def _augment(arms_of, prepared, owner, source) -> set[int] | None:

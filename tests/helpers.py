@@ -26,6 +26,7 @@ from matrex import (
     UniformMatroid,
     ValidationError,
     disjoint_copies,
+    exchange,
     union,
 )
 
@@ -419,42 +420,45 @@ def reference_partition(problem):
 
 def check_every_augmentation(monkeypatch):
     """Re-check the solver state after every augmentation: each element's arm
-    list holds the arms that allow it, in ascending order.  After every
-    successful one, also: each arm keeps the same prepared part, and it
-    holds the elements that ``owner`` assigns to the arm; the parts are
-    disjoint and each independent in its arm through the validated public
-    query; and each prepared part answers every x in allowed - part as a
-    freshly prepared one does: the same circuit, and ``takes(x)`` exactly
-    when the fresh circuit is None.  The arms are those of the partition
-    problem built last, which must be the one being solved.  Returns the
-    list of inserted sources."""
-    augment, init = union._augment, union.PartitionProblem.__init__
-    problems, augmented = [], []
+    list is the one the solve was handed, ascending and unchanged.  After
+    every successful one, also: each arm keeps the same prepared part, and
+    it holds the elements that ``owner`` assigns to the arm; the parts are
+    disjoint and each independent in its matroid through the validated
+    public query; and each prepared part answers every x in allowed - part
+    as a freshly prepared one does: the same circuit, and ``takes(x)``
+    exactly when the fresh circuit is None.  An arm allows the elements
+    whose list names it.  The matroids and lists are the arguments of the
+    ``union._partition`` call made last, which must be the solve under way.
+    Returns the list of inserted sources."""
+    augment, partition = union._augment, union._partition
+    solves, augmented = [], []
 
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        problems.append(self)
+    def recording(matroids, arms_of):
+        solves.append((matroids, arms_of, {x: list(listed) for x, listed in arms_of.items()}))
+        return partition(matroids, arms_of)
 
     def checking(arms_of, prepared, owner, source):
-        arms = problems[-1].arms
-        assert len(prepared) == len(arms) and all(
-            kept.matroid is arm.matroid for kept, arm in zip(prepared, arms)), \
-            "the solve must be of the problem built last"
+        matroids, given, lists = solves[-1]
+        assert arms_of is given and len(prepared) == len(matroids) and all(
+            kept.matroid is matroid for kept, matroid in zip(prepared, matroids)), \
+            "the solve must be of the partition call made last"
         before = list(prepared)
         reached = augment(arms_of, prepared, owner, source)
-        assert all(listed == [i for i, arm in enumerate(arms) if x in arm.allowed]
-                   for x, listed in arms_of.items()), "arms_of must list x's arms in ascending order"
+        assert {x: list(listed) for x, listed in arms_of.items()} == lists and all(
+            listed == sorted(set(listed)) for listed in lists.values()), \
+            "arms_of must list x's arms in ascending order"
         if reached is None:
             parts = [kept.part for kept in prepared]
             assert sum(map(len, parts)) == len(set().union(*parts)), "parts must stay disjoint"
-            for i, (arm, kept, old) in enumerate(zip(arms, prepared, before)):
+            for i, (matroid, kept, old) in enumerate(zip(matroids, prepared, before)):
                 assert kept is old, "an arm must keep its prepared part"
                 part = kept.part
                 assert part == {x for x, home in owner.items() if home == i}, \
                     "a prepared part must hold the arm's part"
-                assert arm.is_independent(part), "parts must stay independent"
-                fresh = arm.matroid._prepare(frozenset(part))
-                for x in sorted(arm.allowed - part):
+                assert matroid.is_independent(part), "parts must stay independent"
+                fresh = matroid._prepare(frozenset(part))
+                allowed = {x for x, listed in lists.items() if i in listed}
+                for x in sorted(allowed - part):
                     expected = fresh.circuit(x)
                     assert kept.takes(x) == (expected is None), \
                         "a kept prepared part must take x exactly when x closes no circuit"
@@ -463,6 +467,7 @@ def check_every_augmentation(monkeypatch):
             augmented.append(source)
         return reached
 
-    monkeypatch.setattr(union.PartitionProblem, "__init__", recording)
+    monkeypatch.setattr(union, "_partition", recording)
+    monkeypatch.setattr(exchange, "_partition", recording)
     monkeypatch.setattr(union, "_augment", checking)
     return augmented

@@ -521,8 +521,8 @@ def complete_graph(vertices):
 )
 def test_graphic_greedy_scan_stops_once_spanning(matroid, monkeypatch):
     # The same witness as the generic scan.  The scan examines every edge
-    # up to the one that makes the forest span (vertex_count - 1 edges), and
-    # none after it.
+    # up to the one that makes the forest span the touched vertices
+    # (``_rank_cap`` edges), and none after it, isolated vertex ids or not.
     examined = []
     joins = GraphicMatroid._joins
 
@@ -539,7 +539,7 @@ def test_graphic_greedy_scan_stops_once_spanning(matroid, monkeypatch):
         examined.clear()
         witness = matroid.greedy_independent(elements)
         ordered = sorted(elements)
-        if len(witness) < matroid.vertex_count - 1:
+        if len(witness) < matroid._rank_cap:
             assert len(examined) == len(ordered), elements
         else:  # the forest spans at its last edge
             assert len(examined) == (ordered.index(max(witness)) + 1 if witness else 0), elements
@@ -678,13 +678,20 @@ EXCHANGE_SPECS = [
 
 @pytest.mark.parametrize("spec", EXCHANGE_SPECS, ids=lambda s: s["matroid_class"])
 def test_solver_matches_reference_on_exchange_instances(spec, monkeypatch):
-    solved = []
+    # The exchange's solve, on the lift and the slot lists, against the
+    # public solve and the reference on the same problem built from them.
+    solved, solve = [], exchange._partition
 
-    def both(problem):
+    def both(matroids, arms_of):
+        problem = PartitionProblem(arms_of, [
+            Arm({x for x, listed in arms_of.items() if i in listed}, matroid)
+            for i, matroid in enumerate(matroids)])
         outcome = matroid_partition(problem)
         assert outcome == reference_partition(problem)
+        parts = solve(matroids, arms_of)
+        assert parts == outcome.parts
         solved.append(outcome)
-        return outcome
+        return parts
 
     monkeypatch.setattr(exchange, "_partition", both)
     for k in (2, 3, 4):

@@ -60,11 +60,7 @@ class TestColorClasses:
         assert classes.classes[0] == {1, 4, 5}       # B3 slots + (B1 minus seed)
         assert classes.classes[1] == {0, 2, 3}       # seed slots + B2 slots
         assert classes.classes[2] == {2, 3, 4, 5}    # B2 slots + B3 slots
-        assert classes.lists == (
-            frozenset({1}), frozenset({0}),
-            frozenset({1, 2}), frozenset({1, 2}),
-            frozenset({2, 0}), frozenset({2, 0}),
-        )
+        assert classes.lists == ((1,), (0,), (1, 2), (1, 2), (0, 2), (0, 2))
 
     def test_two_bases(self):
         classes = build_color_classes(k4_pair())
@@ -74,14 +70,14 @@ class TestColorClasses:
         assert classes.classes[0] == (b1_slots - {seed_slot}) | b2_slots
         assert classes.classes[1] == {seed_slot} | b2_slots
         for s in sorted(b2_slots):
-            assert classes.lists[s] == frozenset({0, 1})
+            assert classes.lists[s] == (0, 1)
 
     def test_empty_seed(self):
         classes = build_color_classes(k4_pair(frozenset()))
         lift = classes.lifted
         assert classes.classes[1] == slots_of_basis(lift, 1)
         for s in sorted(slots_of_basis(lift, 0)):
-            assert classes.lists[s] == frozenset({0})
+            assert classes.lists[s] == (0,)
 
     def test_k1_rejected(self):
         m = UniformMatroid(2, 1)
@@ -213,9 +209,9 @@ def corrupt_partition(monkeypatch, corrupt):
     solver's slot parts (passed as a list of sets, one per part)."""
     solve = exchange._partition
 
-    def corrupted(problem):
-        parts = corrupt([set(p) for p in solve(problem).parts])
-        return union.Partition(tuple(map(frozenset, parts)))
+    def corrupted(matroids, arms_of):
+        parts = corrupt([set(p) for p in solve(matroids, arms_of)])
+        return tuple(map(frozenset, parts))
 
     monkeypatch.setattr(exchange, "_partition", corrupted)
 
@@ -272,6 +268,14 @@ CORRUPTIONS = {
 
 
 class TestReadBackChecks:
+    def test_a_reached_set_raises(self, monkeypatch):
+        # The induced problem is always feasible, so a failed search in the
+        # exchange solve is a solver fault, reported with the reached set.
+        monkeypatch.setattr(union, "_augment", lambda *args: {0, 1, 2})
+        with pytest.raises(InternalVerificationError, match=(
+                "always feasible, but a deficiency certificate of size 3 was returned")):
+            cyclic_exchange(uniform_triple())
+
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_corrupted_partition_raises(self, monkeypatch, case):
         make, corrupt, message = CORRUPTIONS[case]
@@ -290,19 +294,19 @@ class TestReadBackChecks:
         problem = union.PartitionProblem(
             lifted.ground_set(), [union.Arm(c, lifted) for c in classes.classes])
         partition = None
-        monkeypatch.setattr(exchange, "_partition", lambda _: partition)
+        monkeypatch.setattr(exchange, "_partition", lambda matroids, arms_of: partition)
         accepted = 0
         for choice in itertools.product(range(1 << inst.k), repeat=lifted.ground_size):
-            partition = union.Partition(tuple(
+            partition = tuple(
                 frozenset(s for s, parts in enumerate(choice) if parts >> i & 1)
-                for i in range(inst.k)))
+                for i in range(inst.k))
             try:
                 cyclic_exchange(inst)
             except InternalVerificationError:
                 ok = False
             else:
                 ok = True
-            assert ok == union.verify_partition(problem, partition), partition
+            assert ok == union.verify_partition(problem, union.Partition(partition)), partition
             accepted += ok
         assert accepted == len(brute_force_cyclic_exchange(inst))
 
@@ -363,6 +367,15 @@ class TestSymmetricExchange:
     def test_single_shared_element(self):
         k4 = GraphicMatroid(4, K4_EDGES)
         assert symmetric_exchange_single(k4, {0, 1, 2}, {0, 2, 3}, 0) == 0
+
+    @pytest.mark.parametrize("basis1, basis2, message", [
+        ({0, 1, 2}, {0}, r"bases\[0\] is not a basis of the matroid"),
+        ({0, 1}, {0}, r"bases\[1\] is not a basis of the matroid"),
+    ])
+    def test_single_shared_element_of_non_bases_rejected(self, basis1, basis2, message):
+        # A shared element swaps with itself only when both sets are bases.
+        with pytest.raises(ValidationError, match=message):
+            symmetric_exchange_single(UniformMatroid(4, 2), basis1, basis2, 0)
 
     def test_single_uniform(self):
         m = UniformMatroid(4, 2)
@@ -509,11 +522,11 @@ class TestOracleBoundary:
             init(self, ground_size)
             created.append(self)
 
-        def recording_partition(problem):
-            lifts = {arm.matroid for arm in problem.arms}
+        def recording_partition(matroids, arms_of):
+            lifts = set(matroids)
             layers = lifts | {m.inner for m in lifts}
             before = [(m, attribute_sizes(m)) for m in layers]
-            result = partition(problem)
+            result = partition(matroids, arms_of)
             solved.extend((m, sizes, attribute_sizes(m)) for m, sizes in before)
             return result
 
@@ -526,6 +539,19 @@ class TestOracleBoundary:
         assert {type(m) for m, _, _ in solved} == {core.SlotMatroid, GraphicMatroid, UniformMatroid}
         for _, before, after in solved:
             assert after == before
+
+    def test_exchange_solve_builds_no_arm_or_problem(self, monkeypatch):
+        # The slot lists go to the solve as they are: nothing re-validates
+        # the color classes that build_color_classes made.
+        built = []
+        for cls in (union.Arm, union.PartitionProblem):
+            def spy(self, *args, init=cls.__init__):
+                built.append(type(self))
+                init(self, *args)
+            monkeypatch.setattr(cls, "__init__", spy)
+        instance = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed=1)
+        assert cyclic_exchange(instance).shifted
+        assert built == []
 
     def test_graphic_matroid_state_is_fixed_after_full_rank(self):
         k6 = GraphicMatroid(6, K6_EDGES)

@@ -195,11 +195,11 @@ def test_gf2_bases_of_the_bench_shape_match_lists():
 
 
 def scan_pivot(echelon, vec):
-    """The first unpivoted column where ``vec`` is nonzero mod p, by the scan
-    over ``unpivoted`` that fields wider than a byte use."""
-    fields = echelon.fields
-    return next((c for c in echelon.unpivoted
-                 if (vec >> c * fields.bits & fields.mask) % fields.prime), None)
+    """The first column below ``width`` where ``vec`` is nonzero mod p, by the
+    scan over the unpacked entries that fields wider than a byte use."""
+    fields, width = echelon.fields, echelon.width
+    entries = fields.unpack(vec & (1 << width * fields.bits) - 1, width)
+    return next((c for c, a in enumerate(entries) if a % fields.prime), None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,7 +207,8 @@ def scan_pivot(echelon, vec):
 def test_one_byte_pivot_matches_the_scan(prime, rows, seed):
     # Random adds and drops on an echelon with a tag block above the first
     # ``rows`` entries, as a prepared part keeps one: the pivot read through
-    # the byte table is the scan's on every reduced vector.
+    # the byte table is the scan's on every reduced vector, and that vector
+    # is 0 mod p at every pivot, so no pivot is picked twice.
     rng = random.Random(seed)
     fields = core._Fields(prime, rows)
     assert fields.size == 1
@@ -225,5 +226,6 @@ def test_one_byte_pivot_matches_the_scan(prime, rows, seed):
         vec = echelon.reduce(fields.pack(entries + tag))
         col = echelon.pivot(vec)
         assert col == scan_pivot(echelon, vec)
+        assert not any((vec >> shift & fields.mask) % prime for shift, _ in echelon.rows)
         if col is not None:
             echelon.keep(vec, col)

@@ -91,9 +91,13 @@ MUTANTS = [
            "self._rank_cap = rows + 1\n",
            "linear bases are checked by a full rank scan again (work only)"),
     Mutant("graphic-rank-cap-too-high", "src/matrex/core.py",
-           "self._rank_cap = self._order - 1",
+           "self._rank_cap = max(self._order - 1, 0)",
            "self._rank_cap = self._order",
            "graphic bases are checked by a full rank scan again (work only)"),
+    Mutant("graphic-greedy-stops-at-vertex-count", "src/matrex/core.py",
+           "return frozenset(itertools.islice(joined, self._rank_cap))",
+           "return frozenset(itertools.islice(joined, max(self.vertex_count - 1, 0)))",
+           "the greedy forest scan walks every edge when a vertex id is untouched (work only)"),
     # --- the one-byte pivot ---------------------------------------------------
     Mutant("pivot-counts-from-the-top", "src/matrex/core.py",
            "return width - len(rest) if rest else None",
@@ -103,6 +107,32 @@ MUTANTS = [
            "self.residues = bytes(b % prime for b in range(256))",
            "self.residues = bytes(range(256))",
            "a field that is a nonzero multiple of p counts as a pivot"),
+    # --- the echelons' pivots, without unpivoted-column bookkeeping ---------
+    Mutant("echelon-full-one-row-early", "src/matrex/core.py",
+           "        if len(self.rows) == self.width:\n            return False\n"
+           "        vec = self.reduce(vec)\n        col = self.pivot(vec)",
+           "        if len(self.rows) == self.width - 1:\n            return False\n"
+           "        vec = self.reduce(vec)\n        col = self.pivot(vec)",
+           "a GF(p) echelon one row short of full refuses every vector"),
+    Mutant("bit-echelon-full-one-row-early", "src/matrex/core.py",
+           "        if len(self.rows) == self.width:\n            return False\n"
+           "        vec = self.reduce(vec)\n        low = vec & self.columns",
+           "        if len(self.rows) == self.width - 1:\n            return False\n"
+           "        vec = self.reduce(vec)\n        low = vec & self.columns",
+           "a GF(2) echelon one row short of full refuses every vector"),
+    Mutant("wide-pivot-reads-raw-fields", "src/matrex/core.py",
+           "for c, a in enumerate(fields.unpack(low, width)) if a % p), None)",
+           "for c, a in enumerate(fields.unpack(low, width)) if a), None)",
+           "a wide field that is a nonzero multiple of p counts as a pivot"),
+    # --- the exchange's slot lists and the symmetric shortcut -----------------
+    Mutant("exchange-arms-descending", "src/matrex/exchange.py",
+           "pairs = [tuple(sorted({tag, (tag + 1) % k})) for tag in range(k)]",
+           "pairs = [tuple(sorted({tag, (tag + 1) % k}, reverse=True)) for tag in range(k)]",
+           "the exchange solve asks a slot's higher arm first, breaking the tie-break"),
+    Mutant("symmetric-shortcut-skips-bases-check", "src/matrex/exchange.py",
+           "        _check_bases(matroid, (b1, b2))\n",
+           "",
+           "a shared element of two non-bases is returned as an exchange"),
     # --- the search's skipped candidates -------------------------------------
     Mutant("search-skips-a1-inside-the-union", "src/matrex/verify.py",
            "return not seed & ~functools.reduce(operator.and_, bases) or seed == bases[0]",
