@@ -140,14 +140,15 @@ class Matroid(ABC):
     Subclasses implement ``_indep``, the one oracle method, on trusted
     frozensets: the public methods validate ids once, internal code calls
     ``_indep``.  Nothing is memoised here; the partition solver keeps one
-    prepared part per arm, and a part keeps its whole as one frozenset
-    only until its next move.
+    prepared part per arm, and a part remembers at most one answer, until
+    its next move.
 
     ``_prepare(s)``, for an independent ``s``, returns a ``PreparedPart``:
     its ``takes(x)`` tells whether ``s + x`` is independent, its
     ``circuit(x)`` gives the fundamental circuit of ``s + x``, its
     ``add(x)`` grows the part by an ``x`` that has none, and its
-    ``remove(y)`` drops an element ``y`` of the part.  The default part
+    ``remove(y)`` drops an element ``y`` of the part; both answers hold
+    until the part's next move.  The default part
     asks ``_indep`` once per element of ``s`` and prepares again on ``add``
     and ``remove``; classes with structure (uniform, graphic, linear, basis
     families, the slot lift) return parts that answer each ``x`` directly
@@ -241,22 +242,23 @@ class PreparedPart:
     ``part`` is a set that the part owns and changes in place: callers read
     it, but never keep or mutate it.  ``circuit(x)``, for ``x`` outside the
     part, is None when ``part + x`` is independent (``takes(x)`` is True),
-    otherwise a frozenset of the elements of the part on the unique circuit
-    of ``part + x`` (empty when ``x`` is a loop), which no later move
-    changes.  A circuit that is the whole part may be ``whole()``: one
-    frozenset, built on first use and shared until the part's next move, as
-    the uniform and slot parts answer.  ``add(x)`` grows the part by an ``x`` whose circuit is None;
-    circuits found before stay valid, since the unique circuit of
-    ``part + x`` is still the unique one of any larger independent part
-    plus ``x``.  ``remove(y)`` drops ``y`` from the part; circuits found
-    before stay valid exactly when they miss ``y``.
+    otherwise the set of the elements of the part on the unique circuit of
+    ``part + x`` (empty when ``x`` is a loop).  Both answers hold until the
+    part's next move, ``add`` or ``remove``, and no longer: a circuit that
+    is the whole part may be ``part`` itself, as the uniform and slot parts
+    answer, so a caller reads a circuit before it moves the part.
+    ``add(x)`` grows the part by an ``x`` whose circuit is None, and
+    ``remove(y)`` drops ``y`` from the part.
 
-    This base class answers through the oracle, on frozensets (once
+    A part keeps at most one memo, ``_last``, about the element it was last
+    asked about; ``_put`` and ``_drop`` reset it on every move.  This base
+    class answers through the oracle, on a frozenset of the part (once
     ``part + x`` is dependent, ``part - y + x`` is independent exactly when
-    y lies on its circuit), and ``add`` and ``remove`` prepare again by
-    re-running ``__init__`` on a frozenset of the changed part; subclasses
-    change their state in place, ``part`` through ``_put`` and ``_drop``,
-    which also let go of the shared whole.  They also refuse, with an
+    y lies on its circuit), keeps in ``_last`` the last x that ``takes``
+    refused, so that its ``circuit`` asks no query twice, and ``add`` and
+    ``remove`` prepare again by re-running ``__init__`` on a frozenset of
+    the changed part; subclasses change their state in place, ``part``
+    through ``_put`` and ``_drop``.  They also refuse, with an
     InternalVerificationError, an ``add`` that would make the part
     dependent and a ``remove`` of a non-member, mostly for the price of one
     comparison on each move.
@@ -265,28 +267,20 @@ class PreparedPart:
     def __init__(self, matroid: Matroid, part: ElementSet):
         self.matroid = matroid
         self.part = set(part)
-        self._whole: ElementSet | None = None
-        self._refused: int | None = None  # the last x that ``takes`` refused
-
-    def whole(self) -> ElementSet:
-        """The part as a frozenset, shared until the part's next move."""
-        if self._whole is None:
-            self._whole = frozenset(self.part)
-        return self._whole
+        self._last = None  # what the last query learnt, until the next move
 
     def takes(self, x: int) -> bool:
         """Whether ``part + x`` is independent, that is ``circuit(x)`` is
-        None, without building the circuit.  A refused x is remembered until
-        the part's next move, so that its ``circuit`` asks no query twice."""
-        if self.matroid._indep(self.whole() | {x}):
+        None, without building the circuit."""
+        if self.matroid._indep(frozenset(self.part | {x})):
             return True
-        self._refused = x
+        self._last = x
         return False
 
     def circuit(self, x: int) -> ElementSet | None:
-        if x != self._refused and self.takes(x):
+        if x != self._last and self.takes(x):
             return None
-        m, s = self.matroid, self.whole()
+        m, s = self.matroid, frozenset(self.part)
         return frozenset(y for y in s if m._indep((s - {y}) | {x}))
 
     def add(self, x: int) -> None:
@@ -300,25 +294,26 @@ class PreparedPart:
         return InternalVerificationError(f"{name} part: adding {x} makes it dependent")
 
     def _put(self, x: int) -> None:
-        """Put ``x`` into ``part``."""
+        """Put ``x`` into ``part``, and forget the memo."""
         self.part.add(x)
-        self._whole = self._refused = None
+        self._last = None
 
     def _drop(self, y: int) -> None:
-        """Take ``y`` out of ``part``, or refuse a non-member."""
+        """Take ``y`` out of ``part``, and forget the memo, or refuse a
+        non-member."""
         if y not in self.part:
             name = type(self.matroid).__name__
             raise InternalVerificationError(f"{name} part: {y} is not in the part")
         self.part.remove(y)
-        self._whole = self._refused = None
+        self._last = None
 
 
 class _UniformPart(PreparedPart):
     def takes(self, x: int) -> bool:
         return len(self.part) < self.matroid.rank_bound
 
-    def circuit(self, x: int) -> ElementSet | None:
-        return self.whole() if len(self.part) >= self.matroid.rank_bound else None
+    def circuit(self, x: int) -> set[int] | None:
+        return self.part if len(self.part) >= self.matroid.rank_bound else None
 
     def add(self, x: int) -> None:
         if len(self.part) >= self.matroid.rank_bound:
@@ -774,7 +769,6 @@ class _EchelonPart(PreparedPart):
         self.tag_shift = d * matroid._fields.bits
         self.order: list[int | None] = []  # the element tagged e_j, None if vacant
         self.vacant: list[int] = []
-        self.last: tuple[int, int, int | None] | None = None  # last x reduced: x, reduced, pivot
         for e in part:
             self._append(e)
 
@@ -790,13 +784,14 @@ class _EchelonPart(PreparedPart):
 
     def _reduce(self, x: int) -> tuple[int, int | None]:
         """x's column reduced by the rows, and its pivot.  The last one is
-        kept in ``last`` until the part's next move, so that the ``takes``,
-        ``circuit`` and ``add`` of one x reduce it once."""
-        if self.last is not None and self.last[0] == x:
-            return self.last[1], self.last[2]
+        kept in ``_last`` as (x, reduced, pivot) until the part's next move,
+        so that the ``takes``, ``circuit`` and ``add`` of one x reduce it
+        once."""
+        if self._last is not None and self._last[0] == x:
+            return self._last[1:]
         vec = self.echelon.reduce(self.matroid._packed[x])
         col = self.echelon.pivot(vec)
-        self.last = (x, vec, col)
+        self._last = (x, vec, col)
         return vec, col
 
     def add(self, x: int) -> None:
@@ -809,7 +804,6 @@ class _EchelonPart(PreparedPart):
         self.echelon.drop(self.tag_shift + j * self.matroid._fields.bits)
         self.order[j] = None
         self.vacant.append(j)
-        self.last = None
 
     def _append(self, e: int) -> None:
         # No row carries tag j yet, so e tagged e_j reduces to e reduced
@@ -825,7 +819,6 @@ class _EchelonPart(PreparedPart):
             j = len(self.order)
             self.order.append(e)
         self.echelon.keep(vec + (1 << self.tag_shift + j * self.matroid._fields.bits), col)
-        self.last = None
 
 
 _BYTES = bytes(range(256))
@@ -1109,7 +1102,7 @@ class _SlotPart(PreparedPart):
         e = self.matroid.slots[x][1]
         return e not in self.cover and self.inner.takes(e)
 
-    def circuit(self, x: int) -> ElementSet | None:
+    def circuit(self, x: int) -> set[int] | ElementSet | None:
         e = self.matroid.slots[x][1]
         if e in self.cover:
             return frozenset((self.cover[e],))
@@ -1119,7 +1112,7 @@ class _SlotPart(PreparedPart):
         if len(found) == len(self.cover):
             # A circuit lies in the part, so this one is all of it: its
             # lift is the whole slot part.
-            return self.whole()
+            return self.part
         return frozenset(map(self.cover.__getitem__, found))
 
     def add(self, x: int) -> None:

@@ -11,7 +11,9 @@ as in Cunningham, "Improved bounds for matroid partition and intersection
 algorithms" (1986).  Each arm's only state is one prepared part
 (``Matroid._prepare``): it holds the arm's set D_i for the whole solve,
 answers its circuits, and takes every swap in place, as in the incremental
-form of Knuth, "Matroid partitioning" (1973).
+form of Knuth, "Matroid partitioning" (1973).  A part's answers hold only
+until its next move, so the search reads each circuit before it applies a
+path.
 """
 
 from __future__ import annotations
@@ -175,9 +177,11 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
     owner for the circuit of D_i + x: there is none when x can join D_i (a
     sink arc), and otherwise its elements are exactly the y that x can
     replace.  So one expansion costs its own arms and circuits, whatever the
-    number of arms or of nodes reached.  Ties are broken deterministically:
-    nodes are scanned in first-discovered order, sink arcs in ascending arm
-    index, swap-arc targets in ascending element id.
+    number of arms or of nodes reached.  Every circuit is read into
+    ``parent`` before any move, as it may be the live part itself.  Ties
+    are broken deterministically: nodes are scanned in first-discovered
+    order, sink arcs in ascending arm index, swap-arc targets in ascending
+    element id.
     """
     for i in arms_of[source]:
         if prepared[i].takes(source):

@@ -25,9 +25,8 @@ from .core import (
     Matroid,
     UniformMatroid,
     _as_int,
-    _dense,
+    _count,
     _elements,
-    _mask,
     canon,
 )
 from .errors import (FormatError, GenerationError, InternalVerificationError, SizeLimitError,
@@ -49,23 +48,18 @@ def brute_force_cyclic_exchange(instance: ExchangeInstance, cap: int = BRUTE_FOR
     partial tuple is dropped as soon as one of its decided shifted sets
     (B_i \\ A_i) u A_{i-1} is not a basis.  It returns the same list, in the
     same lexicographic order of the chosen subsets, as enumerating every
-    tuple and testing all k sets would.  The walk runs on bitmasks over the
-    union of the bases, and each set it tests is passed to the matroid's
-    ``is_basis`` as an element set.
+    tuple and testing all k sets would.  The walk runs on element sets, and
+    passes each set it tests to the matroid's ``is_basis``.
     """
     if instance.k < 2:
         raise ValidationError("brute force enumeration needs k >= 2")
     total = sum(len(b) for b in instance.bases)
     if total > cap:
         raise SizeLimitError(f"total basis size {total} exceeds brute force cap {cap}")
-    bit, elements = _dense(instance.bases)
-    bases = [_mask(b, bit) for b in instance.bases]
     size = len(instance.seed)
-    pools = [_subsets(b, size) for b in bases]
-    is_basis = instance.matroid.is_basis
-    walk = _shift_tuples(lambda s: is_basis(_elements(s, elements)), _check_plan(instance.k, (1,)),
-                         bases, pools, _mask(instance.seed, bit))
-    return [tuple(_elements(a, elements) for a in parts) for parts in walk]
+    pools = [list(map(frozenset, itertools.combinations(sorted(b), size))) for b in instance.bases]
+    return list(_shift_tuples(instance.matroid.is_basis, _check_plan(instance.k, (1,)),
+                              instance.bases, pools, instance.seed))
 
 
 def _subsets(mask: int, size: int) -> list[int]:
@@ -96,11 +90,14 @@ def _check_plan(k: int, offsets) -> list[list[tuple[int, int]]]:
 
 
 def _shift_tuples(is_basis, plan, bases, pools, seed):
-    """Yield, in lexicographic order, every (A_2, ..., A_k), as masks, for
-    which every set (B_i \\ A_i) u A_j of the check ``plan`` is a basis.
-    ``bases`` holds the masks of B_1..B_k and ``seed`` the mask of A_1; the
-    part at 0-based level l >= 1 is taken from ``pools[l]`` in its order
-    (``pools[0]`` is not read), and ``is_basis`` takes a mask.
+    """Yield, in the order of the pools, every (A_2, ..., A_k) for which
+    every set (B_i \\ A_i) u A_j of the check ``plan`` is a basis.
+    ``bases`` holds B_1..B_k and ``seed`` A_1; the part at 0-based level
+    l >= 1 is taken from ``pools[l]`` in its order (``pools[0]`` is not
+    read), and ``is_basis`` takes a set of the same kind.  The sets are
+    either all element sets or all bitmasks: every A_i lies inside B_i, so
+    the set ``(bases[i] - parts[i]) | parts[j]`` is right for both, ``-``
+    on masks being ``& ~``.
 
     A depth-first search over A_2..A_k, one iterator per decided level on an
     explicit stack, so k is not bounded by recursion.
@@ -116,7 +113,7 @@ def _shift_tuples(is_basis, plan, bases, pools, seed):
             continue
         parts[level] = part
         for i, j in plan[level]:
-            if not is_basis((bases[i] & ~parts[i]) | parts[j]):
+            if not is_basis((bases[i] - parts[i]) | parts[j]):
                 break
         else:
             if level + 1 < k:
@@ -403,13 +400,16 @@ def search_shift2_counterexample(
     a joint one, so such a failure is a bug.  The candidate
     order is fixed given the seed, so a candidate-bounded run is fully
     reproducible; a wall-clock limit may cut an exhaustion run at a
-    machine-dependent point.
+    machine-dependent point.  A negative budget, and a time limit that is
+    negative or NaN, raise ValidationError.
     """
     if _as_int(k, "k") < 3:
         raise ValidationError(f"the shift-by-two question needs k >= 3, got {k}")
-    budget = None if budget is None else _as_int(budget, "budget")
+    budget = None if budget is None else _count(budget, "budget")
     if time_limit is not None and not isinstance(time_limit, numbers.Real):
         raise ValidationError(f"time_limit must be a real number or None, got {time_limit!r}")
+    if time_limit is not None and not time_limit >= 0:  # NaN compares False
+        raise ValidationError(f"time_limit must be >= 0, got {time_limit!r}")
     _as_int(seed, "seed")
 
     deadline = None if time_limit is None else time.monotonic() + time_limit

@@ -396,6 +396,17 @@ class TestSearchShift2:
         assert obj["report"]["candidates_checked"] == 0
         assert obj["report"]["matroids_examined"] == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--budget", "-2"), "budget must be >= 0, got -2"),
+        (("--time-limit", "nan"), "time_limit must be >= 0, got nan"),
+        (("--time-limit", "-1"), "time_limit must be >= 0, got -1.0"),
+    ])
+    def test_negative_or_nan_limits_exit_2(self, capsys, argv, message):
+        from matrex import cli
+
+        assert cli.main(["search-shift2", "--k", "3", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_large_k_exits_5_without_traceback(self):
         # the joint-shift search goes k levels deep, past the recursion limit
         proc = run_cli("search-shift2", "--k", "3000", "--budget", "1")

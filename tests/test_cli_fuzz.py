@@ -172,7 +172,8 @@ def search_argv(draw):
 @fuzz
 @given(search_argv())
 def test_search_integers(workdir, argv):
-    run_main(workdir, argv, [], codes={0, 1, 5})
+    # A negative budget is refused (exit 2), unless --k is refused first.
+    run_main(workdir, argv, [], codes={0, 1, 5} if int(argv[-1]) >= 0 else {1, 2})
 
 
 @fuzz

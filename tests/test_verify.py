@@ -342,6 +342,19 @@ class TestSearch:
             search_shift2_counterexample(3, budget=10, **kwargs)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(budget=-1), "budget must be >= 0, got -1"),
+        (dict(time_limit=-0.5), "time_limit must be >= 0, got -0.5"),
+        (dict(time_limit=fractions.Fraction(-1, 2)), "time_limit must be >= 0, got Fraction(-1, 2)"),
+        (dict(time_limit=float("nan")), "time_limit must be >= 0, got nan"),
+    ])
+    def test_negative_or_nan_limits_rejected(self, kwargs, message):
+        # Neither is a limit: no search checks fewer than no candidates, and
+        # no clock reading passes a NaN deadline.
+        with pytest.raises(ValidationError) as info:
+            search_shift2_counterexample(3, **kwargs)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("time_limit", [60, 60.5, fractions.Fraction(121, 2), True])
     def test_real_time_limits_accepted(self, time_limit):
         report = search_shift2_counterexample(3, budget=10, time_limit=time_limit)

@@ -1,13 +1,19 @@
 """Run the test suite against a catalogue of one-line mutants of src/matrex.
 
 Each mutant replaces one exact piece of text in one source file with
-another, and names what the change breaks.  For each mutant the tool copies
-the checkout to a temporary directory, applies the mutant there, and runs
-the suite with ``pytest -x`` under a timeout of TIMEOUT seconds.  The suite must
-fail: a mutant that passes it survives, and the tool then exits 1.  It also
-exits 1, before running anything, when the old text of any entry is not
-found exactly once, so the catalogue cannot silently rot as the code
-changes.  A run that hits the timeout counts as killed, and is reported.
+another, names what the change breaks, and names the test (a file or a node
+id) that should kill it.  For each mutant the tool copies the checkout to a
+temporary directory, applies the mutant there, and runs that test with
+``pytest -x``; only when it passes does the whole suite run, with ``-x``
+too, so a verdict is never weaker than the suite's.  The suite runs without
+``tests/test_tools.py``: its catalogue check fails in every mutated copy,
+whose old text is gone, so it would kill every mutant.  Each run has a
+timeout of TIMEOUT seconds.  The mutant must fail a run: one that passes
+the suite survives, and the tool then exits 1.  It also exits 1, before
+running anything, when the old text of any entry is not found exactly once
+or its named test does not exist, so the catalogue cannot silently rot as
+the code or the tests change.  A run that hits the timeout counts as
+killed, and is reported.
 
 Mutants known to be equivalent (no test can tell them apart) are listed
 with the reason, their old text is checked, and they are not run.
@@ -15,11 +21,13 @@ with the reason, their old text is checked, and they are not run.
 Usage: python tools/mutants.py
 
 Standard library only; the suite needs pytest and hypothesis.  Each
-surviving mutant costs a whole suite run.
+surviving mutant, and each one its named test misses, costs a whole suite
+run.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -40,6 +48,7 @@ class Mutant:
     old: str  # must occur exactly once in the file
     new: str
     breaks: str  # what the mutant breaks, or why it is equivalent
+    test: str | None = None  # the test file or node id run first; None if equivalent
 
 
 MUTANTS = [
@@ -47,114 +56,144 @@ MUTANTS = [
     Mutant("augment-highest-arm-first", "src/matrex/union.py",
            "    for i in arms_of[source]:\n        if prepared[i].takes(source):",
            "    for i in reversed(arms_of[source]):\n        if prepared[i].takes(source):",
-           "a direct insertion goes to the highest arm that takes it, not the lowest"),
+           "a direct insertion goes to the highest arm that takes it, not the lowest",
+           test="tests/test_circuits.py::test_direct_and_searched_insertions_match_reference"),
     Mutant("default-takes-ignores-x", "src/matrex/core.py",
-           "if self.matroid._indep(self.whole() | {x}):",
-           "if self.matroid._indep(self.whole()):",
-           "the oracle part takes every element, dependent or not"),
+           "if self.matroid._indep(frozenset(self.part | {x})):",
+           "if self.matroid._indep(frozenset(self.part)):",
+           "the oracle part takes every element, dependent or not",
+           test="tests/test_circuits.py::test_circuits_match_the_oracle"),
     Mutant("default-circuit-asks-again", "src/matrex/core.py",
-           "if x != self._refused and self.takes(x):",
+           "if x != self._last and self.takes(x):",
            "if self.takes(x):",
-           "the oracle part's circuit repeats the query takes just made (work only)"),
+           "the oracle part's circuit repeats the query takes just made (work only)",
+           test="tests/test_union.py::TestExamples::test_swap_through_the_default_prepared_part"),
     Mutant("uniform-takes-a-full-part", "src/matrex/core.py",
            "return len(self.part) < self.matroid.rank_bound",
            "return len(self.part) <= self.matroid.rank_bound",
-           "a uniform part of rank-bound size takes one more element"),
+           "a uniform part of rank-bound size takes one more element",
+           test="tests/test_circuits.py::test_circuits_match_the_oracle"),
     Mutant("forest-takes-by-endpoints", "src/matrex/core.py",
            "return self.root[u] != self.root[v]  # False for a self-loop: u == v",
            "return u != v",
-           "a forest part takes an edge that closes a cycle"),
+           "a forest part takes an edge that closes a cycle",
+           test="tests/test_circuits.py::test_circuits_match_the_oracle"),
     Mutant("echelon-takes-reduces-a-full-part", "src/matrex/core.py",
            "return len(self.part) < self.matroid.rows and self._reduce(x)[1] is not None",
            "return self._reduce(x)[1] is not None",
-           "a full linear part reduces every element it refuses (work only)"),
+           "a full linear part reduces every element it refuses (work only)",
+           test="tests/test_exchange.py::TestOracleBoundary::test_work_per_solve_is_pinned"),
     Mutant("echelon-reuses-no-reduction", "src/matrex/core.py",
-           "        if self.last is not None and self.last[0] == x:\n"
-           "            return self.last[1], self.last[2]\n",
+           "        if self._last is not None and self._last[0] == x:\n"
+           "            return self._last[1:]\n",
            "",
-           "circuit and add reduce again what takes just reduced (work only)"),
+           "circuit and add reduce again what takes just reduced (work only)",
+           test="tests/test_exchange.py::TestOracleBoundary::test_work_per_solve_is_pinned"),
+    Mutant("memo-outlives-a-remove", "src/matrex/core.py",
+           "        self.part.remove(y)\n        self._last = None\n",
+           "        self.part.remove(y)\n",
+           "a part answers from a memo made before its last remove",
+           test="tests/test_circuits.py::test_circuits_hold_until_the_next_move"),
     Mutant("basis-takes-ignores-x", "src/matrex/core.py",
            "return any(not grown & ~b for b in self.matroid._masks)",
            "return any(not self.mask & ~b for b in self.matroid._masks)",
-           "a basis part takes an element that no basis covers with the part"),
+           "a basis part takes an element that no basis covers with the part",
+           test="tests/test_circuits.py::test_circuits_match_the_oracle"),
     Mutant("slot-takes-a-parallel-copy", "src/matrex/core.py",
            "return e not in self.cover and self.inner.takes(e)",
            "return self.inner.takes(e)",
-           "a slot part takes a second copy of an element it covers"),
+           "a slot part takes a second copy of an element it covers",
+           test="tests/test_circuits.py::test_slot_circuits_match_the_oracle"),
     # --- the rank cap of is_basis ---------------------------------------------
     Mutant("rank-cap-skips-independence", "src/matrex/core.py",
            "        if len(s) == self._rank_cap:\n            return self._indep(s)",
            "        if len(s) == self._rank_cap:\n            return True",
-           "every set of rank-cap size is a basis, dependent or not"),
+           "every set of rank-cap size is a basis, dependent or not",
+           test="tests/test_core.py::TestIsBasis"),
     Mutant("linear-rank-cap-too-high", "src/matrex/core.py",
            "self._rank_cap = rows\n",
            "self._rank_cap = rows + 1\n",
-           "linear bases are checked by a full rank scan again (work only)"),
+           "linear bases are checked by a full rank scan again (work only)",
+           test="tests/test_exchange.py::TestOracleBoundary::test_work_per_solve_is_pinned"),
     Mutant("graphic-rank-cap-too-high", "src/matrex/core.py",
            "self._rank_cap = max(self._order - 1, 0)",
            "self._rank_cap = self._order",
-           "graphic bases are checked by a full rank scan again (work only)"),
+           "graphic bases are checked by a full rank scan again (work only)",
+           test="tests/test_exchange.py::TestOracleBoundary::test_work_per_solve_is_pinned"),
     Mutant("graphic-greedy-stops-at-vertex-count", "src/matrex/core.py",
            "return frozenset(itertools.islice(joined, self._rank_cap))",
            "return frozenset(itertools.islice(joined, max(self.vertex_count - 1, 0)))",
-           "the greedy forest scan walks every edge when a vertex id is untouched (work only)"),
+           "the greedy forest scan walks every edge when a vertex id is untouched (work only)",
+           test="tests/test_circuits.py::test_graphic_greedy_scan_stops_once_spanning"),
     # --- the one-byte pivot ---------------------------------------------------
     Mutant("pivot-counts-from-the-top", "src/matrex/core.py",
            "return width - len(rest) if rest else None",
            "return len(rest) - 1 if rest else None",
-           "the one-byte pivot is read from the wrong end"),
+           "the one-byte pivot is read from the wrong end",
+           test="tests/test_fields.py"),
     Mutant("pivot-reads-raw-bytes", "src/matrex/core.py",
            "self.residues = bytes(b % prime for b in range(256))",
            "self.residues = bytes(range(256))",
-           "a field that is a nonzero multiple of p counts as a pivot"),
+           "a field that is a nonzero multiple of p counts as a pivot",
+           test="tests/test_fields.py"),
     # --- the echelons' pivots, without unpivoted-column bookkeeping ---------
     Mutant("echelon-full-one-row-early", "src/matrex/core.py",
            "        if len(self.rows) == self.width:\n            return False\n"
            "        vec = self.reduce(vec)\n        col = self.pivot(vec)",
            "        if len(self.rows) == self.width - 1:\n            return False\n"
            "        vec = self.reduce(vec)\n        col = self.pivot(vec)",
-           "a GF(p) echelon one row short of full refuses every vector"),
+           "a GF(p) echelon one row short of full refuses every vector",
+           test="tests/test_fields.py"),
     Mutant("bit-echelon-full-one-row-early", "src/matrex/core.py",
            "        if len(self.rows) == self.width:\n            return False\n"
            "        vec = self.reduce(vec)\n        low = vec & self.columns",
            "        if len(self.rows) == self.width - 1:\n            return False\n"
            "        vec = self.reduce(vec)\n        low = vec & self.columns",
-           "a GF(2) echelon one row short of full refuses every vector"),
+           "a GF(2) echelon one row short of full refuses every vector",
+           test="tests/test_fields.py"),
     Mutant("wide-pivot-reads-raw-fields", "src/matrex/core.py",
            "for c, a in enumerate(fields.unpack(low, width)) if a % p), None)",
            "for c, a in enumerate(fields.unpack(low, width)) if a), None)",
-           "a wide field that is a nonzero multiple of p counts as a pivot"),
+           "a wide field that is a nonzero multiple of p counts as a pivot",
+           test="tests/test_fields.py"),
     # --- the exchange's slot lists and the symmetric shortcut -----------------
     Mutant("exchange-arms-descending", "src/matrex/exchange.py",
            "pairs = [tuple(sorted({tag, (tag + 1) % k})) for tag in range(k)]",
            "pairs = [tuple(sorted({tag, (tag + 1) % k}, reverse=True)) for tag in range(k)]",
-           "the exchange solve asks a slot's higher arm first, breaking the tie-break"),
+           "the exchange solve asks a slot's higher arm first, breaking the tie-break",
+           test="tests/test_exchange.py"),
     Mutant("symmetric-shortcut-skips-bases-check", "src/matrex/exchange.py",
            "        _check_bases(matroid, (b1, b2))\n",
            "",
-           "a shared element of two non-bases is returned as an exchange"),
+           "a shared element of two non-bases is returned as an exchange",
+           test="tests/test_exchange.py"),
     # --- the search's skipped candidates -------------------------------------
     Mutant("search-skips-a1-inside-the-union", "src/matrex/verify.py",
            "return not seed & ~functools.reduce(operator.and_, bases) or seed == bases[0]",
            "return not seed & ~functools.reduce(operator.or_, bases) or seed == bases[0]",
-           "the search skips every candidate, witnesses included"),
+           "the search skips every candidate, witnesses included",
+           test="tests/test_verify.py"),
     # --- guards that earlier mutation runs found unguarded --------------------
     Mutant("verify-partition-allows-overlap", "src/matrex/union.py",
            "        if part & seen:\n            return False\n",
            "",
-           "verify_partition accepts parts that share an element"),
+           "verify_partition accepts parts that share an element",
+           test="tests/test_union.py"),
     Mutant("certificate-accepts-equal-rank-sum", "src/matrex/union.py",
            "if rank_sum >= len(witness):",
            "if rank_sum > len(witness):",
-           "a witness whose rank sum equals its size passes as a certificate"),
+           "a witness whose rank sum equals its size passes as a certificate",
+           test="tests/test_union.py"),
     Mutant("verify-witness-without-shift-by-one", "src/matrex/verify.py",
            "    return shift1_seen",
            "    return True",
-           "a family with no shift-by-one tuple passes as a witness"),
+           "a family with no shift-by-one tuple passes as a witness",
+           test="tests/test_verify.py"),
     Mutant("forest-cut-keeps-tree-size", "src/matrex/core.py",
            "        self.size[self.root[v]] -= self.size[u]\n",
            "",
-           "a cut tree keeps its old size, so links re-hang the wrong tree (work only)"),
+           "a cut tree keeps its old size, so links re-hang the wrong tree (work only)",
+           test="tests/test_exchange.py::TestOracleBoundary::test_work_per_solve_is_pinned"),
 ]
 
 #: Mutants that no test can tell apart from the code, with the reason.
@@ -167,12 +206,33 @@ EQUIVALENT: list[Mutant] = [
            "return len(self.part) < self.matroid.rows and",
            "return len(self.part) != self.matroid.rows and",
            "add refuses a dependent element, so a part never holds more than rows"),
+    Mutant("memo-outlives-an-add", "src/matrex/core.py",
+           "        self.part.add(x)\n        self._last = None\n",
+           "        self.part.add(x)\n",
+           "no memo goes stale on an add: a refusal stays true as the part grows, "
+           "and the linear memo then names the element just added"),
 ]
+
+
+def names_a_test(test: str) -> bool:
+    """Whether ``test``, a test file or a node id without parameters
+    (``file::function`` or ``file::Class::method``), names a test."""
+    path, *names = test.split("::")
+    if not (ROOT / path).is_file():
+        return False
+    body = ast.parse((ROOT / path).read_text()).body
+    for name in names:
+        found = [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name == name]
+        if not found:
+            return False
+        body = found[0].body
+    return True
 
 
 def check_catalogue(entries) -> list[str]:
     """A message for each entry whose old text is not found exactly once,
-    or whose name is not unique."""
+    whose name is not unique, or whose named test does not exist."""
     problems, names = [], set()
     for m in entries:
         if m.name in names:
@@ -182,12 +242,16 @@ def check_catalogue(entries) -> list[str]:
         count = path.read_text().count(m.old) if path.is_file() else 0
         if count != 1:
             problems.append(f"{m.name}: old text found {count} times in {m.path}")
+        if m.test is not None and not names_a_test(m.test):
+            problems.append(f"{m.name}: no test {m.test}")
     return problems
 
 
-def run(mutant: Mutant) -> tuple[str, float]:
-    """Apply ``mutant`` to a copy of the checkout and run the suite there.
-    Returns "killed", "timeout" or "survived", and the seconds taken."""
+def run(mutant: Mutant) -> tuple[str, str, float]:
+    """Apply ``mutant`` to a copy of the checkout and run its named test
+    there, then the suite if that test passes.  Returns "killed", "timeout"
+    or "survived", what ran last (the named test or "suite"), and the
+    seconds taken."""
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                     ".bench_out", ".bench_work-*", ".bench_build")
     with tempfile.TemporaryDirectory(prefix="matrex-mutant-") as tmp:
@@ -197,14 +261,20 @@ def run(mutant: Mutant) -> tuple[str, float]:
         target.write_text(target.read_text().replace(mutant.old, mutant.new, 1))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         env.setdefault("HYPOTHESIS_PROFILE", "ci")
-        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         start = time.monotonic()
-        try:
-            done = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT)
-        except subprocess.TimeoutExpired:
-            return "timeout", time.monotonic() - start
-        return ("survived" if done.returncode == 0 else "killed"), time.monotonic() - start
+        for test in [mutant.test, "suite"] if mutant.test else ["suite"]:
+            args = ["--ignore=tests/test_tools.py"] if test == "suite" else [test]
+            cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
+            try:
+                done = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+            except subprocess.TimeoutExpired:
+                return "timeout", test, time.monotonic() - start
+            # A failed test (exit 1) or a failed import (exit 2) kills; the
+            # named test's other exits fall back to the suite.
+            if done.returncode in (1, 2) or (test == "suite" and done.returncode != 0):
+                return "killed", test, time.monotonic() - start
+        return "survived", "suite", time.monotonic() - start
 
 
 def main() -> int:
@@ -212,18 +282,19 @@ def main() -> int:
     if problems:
         print("\n".join(problems))
         return 1
-    survivors = []
+    survivors, start = [], time.monotonic()
     for m in MUTANTS:
-        verdict, seconds = run(m)
-        print(f"{verdict:8} {seconds:6.1f} s  {m.name}: {m.breaks}", flush=True)
+        verdict, test, seconds = run(m)
+        print(f"{verdict:8} {seconds:6.1f} s  {m.name} ({test}): {m.breaks}", flush=True)
         if verdict == "survived":
             survivors.append(m.name)
     for m in EQUIVALENT:
         print(f"{'skipped':8} {'':8}  {m.name}: equivalent, {m.breaks}")
+    wall = f"in {time.monotonic() - start:.0f} s"
     if survivors:
-        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived: {', '.join(survivors)}")
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived {wall}: {', '.join(survivors)}")
         return 1
-    print(f"all {len(MUTANTS)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed {wall}")
     return 0
 
 
