@@ -16,6 +16,7 @@ import operator
 import sys
 from abc import ABC, abstractmethod
 from array import array
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from .errors import InternalVerificationError, SizeLimitError, ValidationError
@@ -277,7 +278,7 @@ class PreparedPart:
         self._last = x
         return False
 
-    def circuit(self, x: int) -> ElementSet | None:
+    def circuit(self, x: int) -> AbstractSet[int] | None:
         if x != self._last and self.takes(x):
             return None
         m, s = self.matroid, frozenset(self.part)
@@ -312,7 +313,7 @@ class _UniformPart(PreparedPart):
     def takes(self, x: int) -> bool:
         return len(self.part) < self.matroid.rank_bound
 
-    def circuit(self, x: int) -> set[int] | None:
+    def circuit(self, x: int) -> AbstractSet[int] | None:
         return self.part if len(self.part) >= self.matroid.rank_bound else None
 
     def add(self, x: int) -> None:
@@ -372,7 +373,7 @@ class _ForestPart(PreparedPart):
         u, v = self.matroid._ends[x]
         return self.root[u] != self.root[v]  # False for a self-loop: u == v
 
-    def circuit(self, x: int) -> ElementSet | None:
+    def circuit(self, x: int) -> AbstractSet[int] | None:
         u, v = self.matroid._ends[x]
         if u == v:
             return frozenset()
@@ -776,7 +777,7 @@ class _EchelonPart(PreparedPart):
         # A part of ``rows`` elements spans the space: no reduction needed.
         return len(self.part) < self.matroid.rows and self._reduce(x)[1] is not None
 
-    def circuit(self, x: int) -> ElementSet | None:
+    def circuit(self, x: int) -> AbstractSet[int] | None:
         vec, col = self._reduce(x)
         if col is not None:
             return None
@@ -989,7 +990,7 @@ class _BasisPart(PreparedPart):
         super().__init__(matroid, part)
         self.mask = _mask(part, matroid._bit)
 
-    def circuit(self, x: int) -> ElementSet | None:
+    def circuit(self, x: int) -> AbstractSet[int] | None:
         i = self.matroid._bit.get(x)
         if i is None:
             return frozenset()
@@ -1102,7 +1103,7 @@ class _SlotPart(PreparedPart):
         e = self.matroid.slots[x][1]
         return e not in self.cover and self.inner.takes(e)
 
-    def circuit(self, x: int) -> set[int] | ElementSet | None:
+    def circuit(self, x: int) -> AbstractSet[int] | None:
         e = self.matroid.slots[x][1]
         if e in self.cover:
             return frozenset((self.cover[e],))

@@ -17,9 +17,9 @@ def load_tool(name):
 
 def test_mutant_catalogue_matches_the_source():
     # Every catalogued mutant's old text occurs exactly once, and every
-    # mutant that runs names a test that exists, so a stale entry fails
-    # here and not only in the full mutation run.
+    # entry names a test that exists, so a stale entry fails here and not
+    # only in the full mutation run.
     mutants = load_tool("mutants")
     assert mutants.check_catalogue(mutants.MUTANTS + mutants.EQUIVALENT) == []
-    assert all(m.test for m in mutants.MUTANTS)
+    assert not mutants.names_a_test("")
     assert not mutants.names_a_test("tests/test_tools.py::no_such_test")

@@ -16,7 +16,8 @@ the code or the tests change.  A run that hits the timeout counts as
 killed, and is reported.
 
 Mutants known to be equivalent (no test can tell them apart) are listed
-with the reason, their old text is checked, and they are not run.
+with the reason and the test that covers their code; their old text and
+test are checked, and they are not run.
 
 Usage: python tools/mutants.py
 
@@ -48,7 +49,7 @@ class Mutant:
     old: str  # must occur exactly once in the file
     new: str
     breaks: str  # what the mutant breaks, or why it is equivalent
-    test: str | None = None  # the test file or node id run first; None if equivalent
+    test: str  # the test file or node id run first, or that covers an equivalent one
 
 
 MUTANTS = [
@@ -201,16 +202,19 @@ EQUIVALENT: list[Mutant] = [
     Mutant("uniform-takes-below-bound-as-unequal", "src/matrex/core.py",
            "return len(self.part) < self.matroid.rank_bound",
            "return len(self.part) != self.matroid.rank_bound",
-           "add refuses to grow a part past the rank bound, so it never exceeds it"),
+           "add refuses to grow a part past the rank bound, so it never exceeds it",
+           test="tests/test_circuits.py::test_circuits_match_the_oracle"),
     Mutant("echelon-takes-below-rows-as-unequal", "src/matrex/core.py",
            "return len(self.part) < self.matroid.rows and",
            "return len(self.part) != self.matroid.rows and",
-           "add refuses a dependent element, so a part never holds more than rows"),
+           "add refuses a dependent element, so a part never holds more than rows",
+           test="tests/test_circuits.py::test_circuits_match_the_oracle"),
     Mutant("memo-outlives-an-add", "src/matrex/core.py",
            "        self.part.add(x)\n        self._last = None\n",
            "        self.part.add(x)\n",
            "no memo goes stale on an add: a refusal stays true as the part grows, "
-           "and the linear memo then names the element just added"),
+           "and the linear memo then names the element just added",
+           test="tests/test_circuits.py::test_circuits_hold_until_the_next_move"),
 ]
 
 
@@ -242,7 +246,7 @@ def check_catalogue(entries) -> list[str]:
         count = path.read_text().count(m.old) if path.is_file() else 0
         if count != 1:
             problems.append(f"{m.name}: old text found {count} times in {m.path}")
-        if m.test is not None and not names_a_test(m.test):
+        if not names_a_test(m.test):
             problems.append(f"{m.name}: no test {m.test}")
     return problems
 
@@ -262,7 +266,7 @@ def run(mutant: Mutant) -> tuple[str, str, float]:
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         env.setdefault("HYPOTHESIS_PROFILE", "ci")
         start = time.monotonic()
-        for test in [mutant.test, "suite"] if mutant.test else ["suite"]:
+        for test in (mutant.test, "suite"):
             args = ["--ignore=tests/test_tools.py"] if test == "suite" else [test]
             cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
             try:
