@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -63,9 +64,16 @@ MAX_INPUT_BYTES = 16 * 2**20
 
 
 def _read_json(path: str):
+    # A read allocates the size it asks for, so the size that fstat reports
+    # bounds the first one.  A file that fills it may be longer than that
+    # (a FIFO reports 0, and a file may grow): the second read takes the
+    # rest up to one byte past the cap.
     try:
         with open(path, "rb") as f:
-            data = f.read(MAX_INPUT_BYTES + 1)
+            want = min(os.fstat(f.fileno()).st_size, MAX_INPUT_BYTES) + 1
+            data = f.read(want)
+            if len(data) == want:
+                data += f.read(MAX_INPUT_BYTES + 1 - want)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
     if len(data) > MAX_INPUT_BYTES:

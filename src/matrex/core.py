@@ -11,6 +11,7 @@ through the partition's arms, which query it in its own ids.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import sys
@@ -79,14 +80,16 @@ def _check_bases(matroid: Matroid, bases) -> None:
 
 
 def _element_set(elements, n: int) -> ElementSet:
-    """``elements`` as a frozenset of ids in range(n), or raise."""
+    """``elements`` as a frozenset of ids in range(n), or raise.  A frozenset
+    of ints, as ``io.element_array`` makes, is kept as it is."""
     try:
         if iter(elements) is elements:  # a one-shot iterator: keep its items
             elements = tuple(elements)
     except TypeError:  # not iterable
         raise ValidationError(f"expected a set of element ids, got {elements!r}") from None
     try:
-        s = frozenset(map(operator.index, elements))
+        ints = set(map(type, elements)) <= {int}
+        s = frozenset(elements if ints else map(operator.index, elements))
     except TypeError:
         s = frozenset(map(_as_int, elements))  # raises for the first non-integer
     if s and (min(s) < 0 or max(s) >= n):
@@ -96,25 +99,15 @@ def _element_set(elements, n: int) -> ElementSet:
     return s
 
 
-def _dense(sets) -> tuple[dict[int, int], tuple[int, ...]]:
-    """Bit positions for the elements of ``sets``: bit i stands for the i-th
-    smallest of them, so a mask costs the size of their union, however
-    large the ids.  Returns the position of each element and the elements
-    in bit order."""
-    elements = tuple(sorted(set().union(*sets)))
-    return {e: i for i, e in enumerate(elements)}, elements
-
-
-def _mask(s, bit: dict[int, int]) -> int | None:
-    """The bitmask of ``s`` under the positions ``bit``, or None when some
-    element of ``s`` has no position."""
-    mask = 0
-    for e in s:
-        i = bit.get(e)
-        if i is None:
-            return None
-        mask |= 1 << i
-    return mask
+def _mask(s, weight: dict[int, int]) -> int | None:
+    """The bitmask of ``s``, the OR of its elements' weights, or None when
+    some element of ``s`` has no weight.  The weights are distinct powers of
+    two, so a sum would do, but an OR of long ints runs faster: it carries
+    nothing."""
+    try:
+        return functools.reduce(operator.or_, map(weight.__getitem__, s), 0)
+    except KeyError:
+        return None
 
 
 def _elements(mask: int, elements: tuple[int, ...]) -> ElementSet:
@@ -924,15 +917,19 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
     ascending order) if any exists.  Families of more than AXIOM_CHECK_CAP
     sets raise SizeLimitError.
     """
-    _, masks, _, elements = _basis_family(n, family)
+    masks, _, elements = _basis_family(n, family)
     violation = _axiom_violation(masks, elements)
     return violation is None, violation
 
 
 def _basis_family(n, family):
-    """``family`` as a nonempty list of element sets on ``n`` elements, with
-    their bitmasks, the bit positions and the elements in bit order (see
-    ``_dense``); or raise.  The sets are checked before ``n``: a negative n
+    """The bitmasks of ``family``, a nonempty sequence of element sets on
+    ``n`` elements, in its order, with the weight of each element and the
+    elements in bit order; or raise.  Bit i stands for ``elements[i]``, the
+    elements of the family's union in descending order, so a mask costs the
+    size of that union, however large the ids, and the smallest element is
+    the top bit: masks of one size descend as their sets ascend in
+    lexicographic order.  The sets are checked before ``n``: a negative n
     shows first as an element out of range, and a non-integer one once the
     range check meets it."""
     family = _listed(family, "bases must be a sequence of element sets")
@@ -943,14 +940,15 @@ def _basis_family(n, family):
     if not sets:
         raise ValidationError("basis family must be nonempty")
     _count(n, "ground size")
-    bit, elements = _dense(sets)
-    return sets, [_mask(b, bit) for b in sets], bit, elements
+    elements = tuple(sorted(set().union(*sets), reverse=True))
+    weight = {e: 1 << i for i, e in enumerate(elements)}
+    return [_mask(b, weight) for b in sets], weight, elements
 
 
 def _axiom_violation(masks: list[int], elements: tuple[int, ...]) -> AxiomViolation | None:
     """The first violation of ``check_base_axiom`` by a nonempty family of
     bitmasks, in its scan order, or None.  Bit i stands for ``elements[i]``,
-    and ``elements`` ascends, so the lowest bit is the smallest element."""
+    and ``elements`` descends, so the top bit is the smallest element."""
     if len(masks) > AXIOM_CHECK_CAP:
         raise SizeLimitError(f"{len(masks)} bases exceed the axiom check cap {AXIOM_CHECK_CAP}")
     size = masks[0].bit_count()
@@ -971,12 +969,12 @@ def _axiom_violation(masks: list[int], elements: tuple[int, ...]) -> AxiomViolat
                 swaps[removed] = swaps.get(removed, 0) | added
         for b2 in masks:
             rest = b1 & ~b2
-            while rest:  # the e1 of b1 - b2, lowest first
-                e1 = rest & -rest
-                if not swaps.get(e1, 0) & b2:
+            while rest:  # the e1 of b1 - b2, top bit (smallest element) first
+                top = rest.bit_length() - 1
+                if not swaps.get(1 << top, 0) & b2:
                     return AxiomViolation(_elements(b1, elements), _elements(b2, elements),
-                                          elements[e1.bit_length() - 1])
-                rest ^= e1
+                                          elements[top])
+                rest ^= 1 << top
     return None
 
 
@@ -984,18 +982,27 @@ class _BasisPart(PreparedPart):
     # The part is a bitmask.  part + x is independent when some basis covers
     # it; otherwise y is on its circuit when some basis covers part - y + x,
     # that is when part + x misses that basis in y alone.  An element in no
-    # basis is a loop, and has no bit.
+    # basis is a loop, and has no weight.  One scan of the family answers
+    # the takes, circuit and add of one x: its answer is kept in ``_last``
+    # as (x, circuit) until the part's next move.
 
     def __init__(self, matroid: BasisMatroid, part: ElementSet):
         super().__init__(matroid, part)
-        self.mask = _mask(part, matroid._bit)
+        self.mask = _mask(part, matroid._weight)
+
+    def takes(self, x: int) -> bool:
+        return self.circuit(x) is None
 
     def circuit(self, x: int) -> AbstractSet[int] | None:
-        i = self.matroid._bit.get(x)
-        if i is None:
+        if self._last is None or self._last[0] != x:
+            self._last = (x, self._scan(x))
+        return self._last[1]
+
+    def _scan(self, x: int) -> AbstractSet[int] | None:
+        w = self.matroid._weight.get(x)
+        if w is None:  # a loop
             return frozenset()
-        grown = self.mask | 1 << i
-        closing = 0
+        grown, closing = self.mask | w, 0
         for b in self.matroid._masks:
             missing = grown & ~b
             if not missing:
@@ -1003,61 +1010,59 @@ class _BasisPart(PreparedPart):
             if not missing & (missing - 1):
                 closing |= missing
         # A basis missing x alone covers the part, and closes no circuit.
-        return _elements(closing & ~(1 << i), self.matroid._elements)
-
-    def takes(self, x: int) -> bool:
-        i = self.matroid._bit.get(x)
-        if i is None:  # a loop
-            return False
-        grown = self.mask | 1 << i
-        return any(not grown & ~b for b in self.matroid._masks)
+        return _elements(closing & ~w, self.matroid._elements)
 
     def add(self, x: int) -> None:
-        if not self.takes(x):
+        if self.circuit(x) is not None:
             raise self._dependent(x)
-        self.mask |= 1 << self.matroid._bit[x]
+        self.mask |= self.matroid._weight[x]
         self._put(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
-        self.mask ^= 1 << self.matroid._bit[y]
+        self.mask ^= self.matroid._weight[y]
 
 
 class BasisMatroid(Matroid):
     """Matroid given explicitly by its basis family.
 
-    ``bases`` holds the family in lexicographic order, and each basis is
-    also kept as a bitmask, which independence, circuits and the axiom
-    check work on.  Bit i stands for the i-th smallest element of the union
-    of the bases; the other elements are loops.  The exchange axiom is
-    validated at construction (up to AXIOM_CHECK_CAP bases);
+    The family is kept once, as bitmasks: ``_masks`` is a dict whose keys
+    are the masks of the distinct bases, in the lexicographic order of the
+    bases, so that one structure serves the ordered scans of independence,
+    circuits and enumeration and the membership test of ``is_basis``.  Bit
+    i stands for ``_elements[i]``, the elements of the union of the bases in
+    descending order (see ``_basis_family``); the other elements are loops.
+    ``bases`` builds the family's element sets from the masks.  The exchange
+    axiom is validated at construction (up to AXIOM_CHECK_CAP bases);
     ``validate=False`` skips it for large, already-trusted families.
     """
 
     def __init__(self, n: int, bases, validate: bool = True):
         super().__init__(n)
-        family, masks, self._bit, self._elements = _basis_family(self._n, bases)
-        if len(set(map(len, family))) > 1:
+        masks, self._weight, self._elements = _basis_family(self._n, bases)
+        if len(set(map(int.bit_count, masks))) > 1:
             raise ValidationError("all bases must have the same cardinality")
         if validate:
             violation = _axiom_violation(masks, self._elements)
             if violation is not None:
                 raise ValidationError(f"exchange axiom violated: {violation}")
-        mask_of = dict(zip(family, masks))
-        self.bases = tuple(sorted(mask_of, key=canon))
-        self._masks = tuple(mask_of[b] for b in self.bases)
-        self._family = frozenset(self._masks)
-        self._full_rank = len(family[0])
+        self._masks = dict.fromkeys(sorted(masks, reverse=True))
+        self._full_rank = masks[0].bit_count()
+
+    @property
+    def bases(self) -> tuple[ElementSet, ...]:
+        """The distinct bases, in lexicographic order."""
+        return tuple(_elements(m, self._elements) for m in self._masks)
 
     def _indep(self, s: ElementSet) -> bool:
-        m = _mask(s, self._bit)
+        m = _mask(s, self._weight)
         return m is not None and any(not m & ~b for b in self._masks)
 
     def _prepare(self, s: ElementSet) -> PreparedPart:
         return _BasisPart(self, s)
 
     def is_basis(self, elements) -> bool:
-        return _mask(self.check_subset(elements), self._bit) in self._family
+        return _mask(self.check_subset(elements), self._weight) in self._masks
 
     def enumerate_bases(self, cap: int = ENUMERATION_CAP) -> list[ElementSet]:
         # The generic scan's result: ``bases`` is in its order.  Above the
@@ -1067,7 +1072,7 @@ class BasisMatroid(Matroid):
         return list(self.bases)
 
     def __repr__(self) -> str:
-        return f"BasisMatroid(n={self._n}, bases={len(self.bases)})"
+        return f"BasisMatroid(n={self._n}, bases={len(self._masks)})"
 
 
 class Restriction(Matroid):

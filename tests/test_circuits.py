@@ -261,6 +261,34 @@ def test_basis_parts_change_like_generic_ones(matroid):
                                   lambda part: core.PreparedPart(matroid, part))
 
 
+class CountedScans(dict):
+    """A basis family that counts the scans made of it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_basis_part_scans_the_family_once_per_element():
+    # The takes, circuit and add of one x share one scan of the family,
+    # until the part's next move; a loop needs none.
+    matroid = BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]])  # 4 is a loop
+    part = matroid._prepare(frozenset({0}))
+    matroid._masks = CountedScans(matroid._masks)
+    assert part.takes(1) and part.circuit(1) is None
+    part.add(1)
+    assert matroid._masks.scans == 1
+    assert not part.takes(2) and part.circuit(2) == {0, 1}
+    assert part.takes(3) and part.circuit(3) is None
+    assert not part.takes(4) and part.circuit(4) == set()
+    assert matroid._masks.scans == 3
+    part.remove(1)
+    assert part.takes(2) and part.circuit(2) is None
+    assert matroid._masks.scans == 4
+
+
 def with_slots(matroid):
     """``matroid`` and its lift over two copies of its first basis and one
     more basis: parallel slot copies of every element of the first."""

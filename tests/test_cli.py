@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,39 @@ class TestCheck:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "size-limit"
         assert error["message"] == f"{big} is larger than the input cap of {len(text)} bytes"
+
+    @pytest.mark.parametrize("reported", [0, 10])
+    def test_input_cap_holds_when_fstat_reports_less(self, tmp_path, monkeypatch, capsys,
+                                                     reported):
+        # A FIFO reports size 0, and a file may grow after fstat: the file
+        # is read on to one byte past the cap all the same.
+        from matrex import cli
+
+        text = json.dumps(UNIFORM42)
+        small, big = write(tmp_path, "m.json", text), write(tmp_path, "big.json", text + " ")
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            (0,) * 6 + (reported,) + tuple(fstat(fd))[7:]))
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(text))
+        assert cli.main(["check", small]) == 0
+        assert capsys.readouterr().out == "rank 2, 4 elements, 6 bases\n"
+        assert cli.main(["check", "--json-errors", big]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "size-limit"
+
+    def test_small_input_file_costs_no_cap_sized_buffer(self, tmp_path, capsys):
+        # A read sized to the cap would allocate 16 MiB for this file.
+        from matrex import cli
+
+        path = write(tmp_path, "m.json", UNIFORM42)
+        assert cli.main(["check", path]) == 0  # imports and the parser, once
+        tracemalloc.start()
+        try:
+            assert cli.main(["check", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == "rank 2, 4 elements, 6 bases\n" * 2
+        assert peak < 2**20
 
     def test_matrix_above_entry_cap_exits_3(self, tmp_path, monkeypatch, capsys):
         from matrex import cli, io

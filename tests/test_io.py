@@ -1,6 +1,8 @@
 """File formats: strict parsing, canonical emission, round-trips."""
 
+import itertools
 import sys
+import tracemalloc
 
 import pytest
 
@@ -76,6 +78,25 @@ class TestMatroidFormat:
     def test_restriction_has_no_format(self):
         with pytest.raises(FormatError):
             matroid_to_json(core.Restriction(UniformMatroid(4, 2), {0, 1}))
+
+
+def test_a_bases_file_keeps_only_its_masks():
+    # 256 bases of rank 1,500 (the family of tests/test_cli.py's 7 MiB file,
+    # with a smaller free part): the matroid holds one mask per basis and
+    # one weight per element, under 1 MiB here, not a set per basis, which
+    # takes tens of MiB.
+    free = list(range(1492))
+    family = [free + [1492 + 2 * i + pick for i, pick in enumerate(picks)]
+              for picks in itertools.product((0, 1), repeat=8)]
+    obj = {"type": "bases", "n": 1508, "bases": family}
+    tracemalloc.start()
+    try:
+        matroid = matroid_from_json(obj)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert repr(matroid) == "BasisMatroid(n=1508, bases=256)"
+    assert retained < 2 * 2**20
 
 
 class TestElementArrays:

@@ -99,12 +99,13 @@ def walk_sets(is_basis, bases, seed, offsets):
     """``verify._shift_tuples`` on element sets: the sets become masks over
     the union of ``bases`` (bit i for its i-th smallest id), and each tested
     mask and each answer is mapped back to a set."""
-    bit, elements = core._dense(bases)
-    masks = [core._mask(b, bit) for b in bases]
+    elements = sorted(set().union(*bases))
+    weight = {e: 1 << i for i, e in enumerate(elements)}
+    masks = [core._mask(b, weight) for b in bases]
     pools = [verify._subsets(b, len(seed)) for b in masks]
     plan = verify._check_plan(len(bases), offsets)
     walk = verify._shift_tuples(lambda s: is_basis(core._elements(s, elements)), plan, masks,
-                                pools, core._mask(seed, bit))
+                                pools, core._mask(seed, weight))
     return [tuple(core._elements(a, elements) for a in parts) for parts in walk]
 
 

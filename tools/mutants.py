@@ -95,11 +95,21 @@ MUTANTS = [
            "        self.part.remove(y)\n",
            "a part answers from a memo made before its last remove",
            test="tests/test_circuits.py::test_circuits_hold_until_the_next_move"),
-    Mutant("basis-takes-ignores-x", "src/matrex/core.py",
-           "return any(not grown & ~b for b in self.matroid._masks)",
-           "return any(not self.mask & ~b for b in self.matroid._masks)",
+    Mutant("basis-circuit-ignores-x", "src/matrex/core.py",
+           "grown, closing = self.mask | w, 0",
+           "grown, closing = self.mask, 0",
            "a basis part takes an element that no basis covers with the part",
            test="tests/test_circuits.py::test_circuits_match_the_oracle"),
+    Mutant("basis-memo-ignores-x", "src/matrex/core.py",
+           "if self._last is None or self._last[0] != x:",
+           "if self._last is None:",
+           "a basis part answers for x what it found for the element asked before",
+           test="tests/test_circuits.py::test_basis_part_scans_the_family_once_per_element"),
+    Mutant("basis-part-forgets-its-scan", "src/matrex/core.py",
+           "if self._last is None or self._last[0] != x:",
+           "if True:",
+           "the circuit and add of a basis part scan the family again after takes (work only)",
+           test="tests/test_circuits.py::test_basis_part_scans_the_family_once_per_element"),
     Mutant("slot-takes-a-parallel-copy", "src/matrex/core.py",
            "return e not in self.cover and self.inner.takes(e)",
            "return self.inner.takes(e)",
@@ -174,6 +184,48 @@ MUTANTS = [
            "return not seed & ~functools.reduce(operator.or_, bases) or seed == bases[0]",
            "the search skips every candidate, witnesses included",
            test="tests/test_verify.py"),
+    # --- the basis family as masks --------------------------------------------
+    Mutant("mask-gives-a-loop-no-weight", "src/matrex/core.py",
+           "    except KeyError:\n        return None",
+           "    except KeyError:\n        return 0",
+           "a set holding a loop is independent, as the empty set is",
+           test="tests/test_core.py::test_basis_queries_match_the_family"),
+    Mutant("basis-family-in-mask-order", "src/matrex/core.py",
+           "self._masks = dict.fromkeys(sorted(masks, reverse=True))",
+           "self._masks = dict.fromkeys(sorted(masks))",
+           "a basis family enumerates in reverse lexicographic order",
+           test="tests/test_core.py::test_basis_queries_match_the_family"),
+    Mutant("axiom-check-takes-e1-largest-first", "src/matrex/core.py",
+           "top = rest.bit_length() - 1",
+           "top = (rest & -rest).bit_length() - 1",
+           "the axiom check names the largest e1 of b1 - b2 that fails, not the smallest",
+           test="tests/test_core.py::TestBaseAxiom::test_split_family_fails_with_first_violation"),
+    Mutant("element-array-allows-repeats", "src/matrex/io.py",
+           "all(map(operator.lt, values, values[1:]))",
+           "all(map(operator.le, values, values[1:]))",
+           "a file's element array may repeat an id, which the set then drops",
+           test="tests/test_io.py::TestElementArrays::test_ascending_enforced"),
+    # --- the CLI's input cap and its sized reads -------------------------------
+    Mutant("cli-input-cap-off", "src/matrex/cli.py",
+           "    if len(data) > MAX_INPUT_BYTES:\n        raise",
+           "    if False:\n        raise",
+           "an input file above the cap is parsed",
+           test="tests/test_cli.py::TestCheck::test_input_file_above_cap_exits_3"),
+    Mutant("cli-read-asks-the-cap", "src/matrex/cli.py",
+           "want = min(os.fstat(f.fileno()).st_size, MAX_INPUT_BYTES) + 1",
+           "want = MAX_INPUT_BYTES + 1",
+           "every input file costs a buffer of the cap's size (memory only)",
+           test="tests/test_cli.py::TestCheck::test_small_input_file_costs_no_cap_sized_buffer"),
+    Mutant("cli-read-stops-at-fstat-size", "src/matrex/cli.py",
+           "            if len(data) == want:\n",
+           "            if False:\n",
+           "a FIFO, or a file that grew after fstat, is read only as far as fstat said",
+           test="tests/test_cli.py::TestCheck::test_input_cap_holds_when_fstat_reports_less"),
+    Mutant("cli-read-stops-at-the-cap", "src/matrex/cli.py",
+           "data += f.read(MAX_INPUT_BYTES + 1 - want)",
+           "data += f.read(MAX_INPUT_BYTES - want)",
+           "a file one byte above the cap, longer than fstat said, is cut to the cap and parsed",
+           test="tests/test_cli.py::TestCheck::test_input_cap_holds_when_fstat_reports_less"),
     # --- guards that earlier mutation runs found unguarded --------------------
     Mutant("verify-partition-allows-overlap", "src/matrex/union.py",
            "        if part & seen:\n            return False\n",
@@ -213,7 +265,7 @@ EQUIVALENT: list[Mutant] = [
            "        self.part.add(x)\n        self._last = None\n",
            "        self.part.add(x)\n",
            "no memo goes stale on an add: a refusal stays true as the part grows, "
-           "and the linear memo then names the element just added",
+           "and the linear and basis memos then name the element just added",
            test="tests/test_circuits.py::test_circuits_hold_until_the_next_move"),
 ]
 
