@@ -13,7 +13,8 @@ algorithms" (1986).  Each arm's only state is one prepared part
 answers its circuits, and takes every swap in place, as in the incremental
 form of Knuth, "Matroid partitioning" (1973).  A part's answers hold only
 until its next move, so the search reads each circuit before it applies a
-path.
+path.  Parts do not move during a search, so an arm whose whole part a
+search has labelled is asked only whether it takes a node.
 """
 
 from __future__ import annotations
@@ -177,7 +178,12 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
     owner for the circuit of D_i + x: there is none when x can join D_i (a
     sink arc), and otherwise its elements are exactly the y that x can
     replace.  So one expansion costs its own arms and circuits, whatever the
-    number of arms or of nodes reached.  Every circuit is read into
+    number of arms or of nodes reached.  Parts do not move during a search,
+    so once a circuit of arm i is its whole part (the source's circuits
+    included), every element of that part gets labelled and arm i is
+    closed: a later expansion into it asks only ``takes``, True being a
+    sink arc, and a False adds no label, so it builds no circuit.  That
+    changes no label, path or reached set.  Every circuit is read into
     ``parent`` before any move, as it may be the live part itself.  Ties
     are broken deterministically: nodes are scanned in first-discovered
     order, sink arcs in ascending arm index, swap-arc targets in ascending
@@ -189,6 +195,7 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
             prepared[i].add(source)
             return None
     found = [prepared[i].circuit(source) for i in arms_of[source]]
+    closed = {i for i, c in zip(arms_of[source], found) if len(c) == len(prepared[i].part)}
 
     parent: dict[int, int | None] = {source: None}
     queue: deque[int] = deque()
@@ -209,10 +216,17 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
         for i in arms_of[x]:
             if i == home:
                 continue
-            circuit = prepared[i].circuit(x)
+            if i in closed:  # all of its part is labelled: only a sink arc is new
+                if not prepared[i].takes(x):
+                    continue
+                circuit = None
+            else:
+                circuit = prepared[i].circuit(x)
             if circuit is None:
                 _apply_path(prepared, owner, parent, x, i)
                 return None
+            if len(circuit) == len(prepared[i].part):
+                closed.add(i)
             found.append(circuit)
 
 
@@ -221,8 +235,9 @@ def _apply_path(prepared, owner, parent, last, sink_arm) -> None:
     of at least one swap (a direct insertion never gets here): walking
     back, each node moves into the arm its successor leaves.  All removals
     go first, so every part stays independent at every step.  The first
-    addition is ``last`` to the sink arm, whose circuit query was the last
-    one made, so a sink part that lost nothing may reuse that query's work."""
+    addition is ``last`` to the sink arm, whose ``circuit`` query (or, for a
+    closed arm, ``takes``) was the last one made, so a sink part that lost
+    nothing may reuse that query's work."""
     moves = []
     x, arm = last, sink_arm
     while x is not None:

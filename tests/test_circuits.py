@@ -650,6 +650,66 @@ def test_solver_matches_reference_on_exchange_shaped_problems(monkeypatch):
     assert max(lengths) > 2
 
 
+def closing_problem(seed):
+    """3 or 4 arms, each element allowed in 2 or 3 of them, so a source's
+    circuits may come from closed and open arms at once: uniform arms,
+    whose circuits are their whole parts once full, and K_4 and K_6 arms,
+    whose parts' tree paths can be the whole part."""
+    rng = random.Random(seed)
+    k, n = rng.randint(3, 4), rng.randint(6, 16)
+    lists = [rng.sample(range(k), rng.randint(2, 3)) for _ in range(n)]
+    arms = []
+    for i in range(k):
+        vertices = rng.choice((0, 4, 6))
+        if vertices:
+            edges = list(itertools.combinations(range(vertices), 2))
+            matroid = GraphicMatroid(vertices, [rng.choice(edges) for _ in range(n)])
+        else:
+            matroid = UniformMatroid(n, rng.randint(1, 4))
+        arms.append(Arm({x for x, listed in enumerate(lists) if i in listed}, matroid))
+    return PartitionProblem(frozenset(range(n)), arms)
+
+
+def test_solver_matches_reference_where_searches_close_arms(monkeypatch):
+    # Once a search has read a circuit that is an arm's whole part, it asks
+    # that arm only takes(): True is a sink arc, False adds no label.  The
+    # partitions and the certificates' reached sets must not change.
+    augment, search, whole, closed_takes = union._augment, [0], set(), []
+
+    def counting(*args):
+        search[0] += 1
+        return augment(*args)
+
+    def spying(cls):
+        circuit, takes = cls.circuit, cls.takes
+
+        def spy_circuit(self, x):
+            found = circuit(self, x)
+            if found is not None and len(found) == len(self.part):
+                whole.add((search[0], id(self)))
+            return found
+
+        def spy_takes(self, x):
+            answer = takes(self, x)
+            if (search[0], id(self)) in whole:
+                closed_takes.append(answer)
+            return answer
+        monkeypatch.setattr(cls, "circuit", spy_circuit)
+        monkeypatch.setattr(cls, "takes", spy_takes)
+
+    monkeypatch.setattr(union, "_augment", counting)
+    spying(core._UniformPart)
+    spying(core._ForestPart)
+    certificates = 0
+    for seed in range(400):
+        problem = closing_problem(seed)
+        outcome = matroid_partition(problem)
+        assert outcome == reference_partition(problem), seed
+        certificates += isinstance(outcome, DeficiencyCertificate)
+    assert 100 < certificates < 250  # 159
+    assert closed_takes.count(True) > 30 and closed_takes.count(False) > 1000  # 47 and 1,324
+
+
 def test_direct_and_searched_insertions_match_reference(monkeypatch):
     # Exchange lifts of U(2r, r): every part fills up, and then insertions
     # search long paths.  Each insertion is one _augment call, whether an

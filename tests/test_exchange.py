@@ -597,9 +597,9 @@ class TestOracleBoundary:
     @pytest.mark.parametrize("make, k, seed, pins", [
         # A 4 x 12 matrix over GF(3) of rank 4: one-byte fields.
         (lambda: LinearMatroid(3, 4, GF3_COLUMNS), 4, 0,
-         {"takes": 22, "circuit": 16, "reduce": 64, "greedy": 0}),
+         {"takes": 24, "circuit": 14, "reduce": 63, "greedy": 0}),
         (lambda: GraphicMatroid(6, K6_EDGES), 3, 9,
-         {"takes": 20, "circuit": 13, "rehung": 32, "greedy": 0}),
+         {"takes": 23, "circuit": 10, "rehung": 32, "greedy": 0}),
     ], ids=["gf3", "k6"])
     def test_work_per_solve_is_pinned(self, make, k, seed, pins, monkeypatch):
         # The exact work of one solve, instance check included, on a fresh
@@ -607,7 +607,9 @@ class TestOracleBoundary:
         # vertices re-hung by links and cuts, and rank scans.  Bases of
         # ``rows`` (or vertices - 1) elements are checked without a scan.
         # Before takes() and the rank cap, these read 0, 34, 73 and 1 on the
-        # GF(3) instance and 0, 29, 32 and 1 on K_6.  A forest part that
+        # GF(3) instance and 0, 29, 32 and 1 on K_6; before a search asked
+        # an arm whose whole part it had labelled only takes(), 22, 16, 64
+        # and 0 on GF(3) and 20, 13, 32 and 0 on K_6.  A forest part that
         # mis-sizes its trees after a cut re-hangs more vertices here.
         instance = seeded_instance(make(), k, seed)
         counts = dict.fromkeys(pins, 0)
@@ -630,6 +632,38 @@ class TestOracleBoundary:
             counting(cls, "greedy_independent", "greedy")
         cyclic_exchange(ExchangeInstance(make(), instance.bases, instance.seed))
         assert counts == pins
+
+    def test_uniform_search_asks_no_closed_arm_for_a_circuit(self, monkeypatch):
+        # A slot part of U(2r, r) that is full answers the circuit of an
+        # uncovered element with its whole part.  Once a search has read
+        # that, the part's elements are all labelled, so the search asks it
+        # only takes() until the search ends.  Before, this solve made 83
+        # takes and 41 circuit calls.
+        augment, search, closed = union._augment, [0], set()
+        counts = {"takes": 0, "circuit": 0}
+        takes, circuit = core._SlotPart.takes, core._SlotPart.circuit
+
+        def counting_augment(*args):
+            search[0] += 1
+            return augment(*args)
+
+        def counting_takes(self, x):
+            counts["takes"] += 1
+            return takes(self, x)
+
+        def counting_circuit(self, x):
+            assert (search[0], id(self)) not in closed, "a closed arm was asked for a circuit"
+            counts["circuit"] += 1
+            found = circuit(self, x)
+            if found is not None and len(found) == len(self.part):
+                closed.add((search[0], id(self)))
+            return found
+
+        monkeypatch.setattr(union, "_augment", counting_augment)
+        monkeypatch.setattr(core._SlotPart, "takes", counting_takes)
+        monkeypatch.setattr(core._SlotPart, "circuit", counting_circuit)
+        cyclic_exchange(seeded_instance(UniformMatroid(30, 15), 4, seed=0))
+        assert counts == {"takes": 98, "circuit": 26}
 
     def test_parts_are_prepared_once_per_arm(self, monkeypatch):
         # Full preparations of the inner linear parts: one per arm, even
@@ -668,16 +702,16 @@ class TestOracleBoundary:
                     assert solve() > inst.k, (layer, method)
 
     def test_bases_are_checked_once_per_solve(self, monkeypatch):
-        # k checks in ExchangeInstance and k on the shifted sets; the lift
-        # trusts the validated instance
+        # k checks in ExchangeInstance and k on the shifted sets, all on
+        # validated sets; the lift trusts the validated instance
         calls = []
-        is_basis = core.Matroid.is_basis
+        basis = core.Matroid._basis
 
-        def counting_is_basis(self, elements):
+        def counting_basis(self, s):
             calls.append(self)
-            return is_basis(self, elements)
+            return basis(self, s)
 
-        monkeypatch.setattr(core.Matroid, "is_basis", counting_is_basis)
+        monkeypatch.setattr(core.Matroid, "_basis", counting_basis)
         k6 = GraphicMatroid(6, K6_EDGES)
         cyclic_exchange(seeded_instance(k6, 3, seed=1))
         assert calls == [k6] * 6
