@@ -75,7 +75,7 @@ def _check_bases(matroid: Matroid, bases) -> None:
     """Raise unless every set of ``bases``, already validated as element
     sets, is a basis of ``matroid``."""
     for idx, b in enumerate(bases):
-        if not matroid._basis(b):
+        if not matroid.is_basis(b):
             raise ValidationError(f"bases[{idx}] is not a basis of the matroid")
 
 
@@ -154,9 +154,7 @@ class Matroid(ABC):
     set that the class knows without a query (rows for a linear matroid,
     touched vertices minus one for a graphic one).  A set of that size is a
     basis exactly when it is independent, whatever the true rank, so
-    ``_basis``, the basis test on a validated set that ``is_basis`` runs
-    and internal code calls, tests such a set without computing
-    ``full_rank``.
+    ``is_basis`` tests such a set without computing ``full_rank``.
     """
 
     _rank_cap: int | None = None
@@ -212,10 +210,7 @@ class Matroid(ABC):
         return self._full_rank
 
     def is_basis(self, elements) -> bool:
-        return self._basis(self.check_subset(elements))
-
-    def _basis(self, s: ElementSet) -> bool:
-        """Whether a validated subset of the ground set is a basis."""
+        s = self.check_subset(elements)
         if len(s) == self._rank_cap:
             return self._indep(s)
         return len(s) == self.full_rank() and self._indep(s)
@@ -1034,7 +1029,7 @@ class BasisMatroid(Matroid):
     The family is kept once, as bitmasks: ``_masks`` is a dict whose keys
     are the masks of the distinct bases, in the lexicographic order of the
     bases, so that one structure serves the ordered scans of independence,
-    circuits and enumeration and the membership test of ``_basis``.  Bit
+    circuits and enumeration and the membership test of ``is_basis``.  Bit
     i stands for ``_elements[i]``, the elements of the union of the bases in
     descending order (see ``_basis_family``); the other elements are loops.
     ``bases`` builds the family's element sets from the masks.  The exchange
@@ -1066,11 +1061,8 @@ class BasisMatroid(Matroid):
     def _prepare(self, s: ElementSet) -> PreparedPart:
         return _BasisPart(self, s)
 
-    # Its own entry, which ``bench/tracing.py`` binds by name.
-    is_basis = Matroid.is_basis
-
-    def _basis(self, s: ElementSet) -> bool:
-        return _mask(s, self._weight) in self._masks
+    def is_basis(self, elements) -> bool:
+        return _mask(self.check_subset(elements), self._weight) in self._masks
 
     def enumerate_bases(self, cap: int = ENUMERATION_CAP) -> list[ElementSet]:
         # The generic scan's result: ``bases`` is in its order.  Above the

@@ -139,7 +139,7 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
     partition unchecked; this read-back checks it instead, and raises
     ``InternalVerificationError`` on the first check that fails: there are
     k parts, A_1 is the seed, each part projects onto its shifted set, each
-    A_i has the seed's size, each shifted set is a basis (``_basis``),
+    A_i has the seed's size, each shifted set is a basis (``is_basis``),
     each part lies in its color class, and no slot is in two parts.
     Together these imply all that ``verify_partition`` checks, so each
     shifted set's independence is tested once.
@@ -194,7 +194,7 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
             raise InternalVerificationError(
                 f"exchange set {i} has size {len(parts[i])}, expected {len(seed)}"
             )
-        if not matroid._basis(s):
+        if not matroid.is_basis(s):
             raise InternalVerificationError(
                 f"shifted set {i} ({canon(s)}) is not a basis"
             )

@@ -173,43 +173,31 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
     state exists, and only whether they take it (``PreparedPart.takes``),
     which builds no circuit: the lowest one that does gets it, which is the
     path a search would apply at its first expansion.  Otherwise the search
-    starts from the circuits of the source in each of its arms.  Each
+    expands the source first, which has no owner, like any other node.  Each
     expanded node x asks the prepared part of each of its arms except its
     owner for the circuit of D_i + x: there is none when x can join D_i (a
     sink arc), and otherwise its elements are exactly the y that x can
     replace.  So one expansion costs its own arms and circuits, whatever the
     number of arms or of nodes reached.  Parts do not move during a search,
-    so once a circuit of arm i is its whole part (the source's circuits
-    included), every element of that part gets labelled and arm i is
-    closed: a later expansion into it asks only ``takes``, True being a
-    sink arc, and a False adds no label, so it builds no circuit.  That
-    changes no label, path or reached set.  Every circuit is read into
-    ``parent`` before any move, as it may be the live part itself.  Ties
-    are broken deterministically: nodes are scanned in first-discovered
-    order, sink arcs in ascending arm index, swap-arc targets in ascending
-    element id.
+    so once a circuit of arm i is its whole part, every element of that
+    part gets labelled and arm i is closed: a later expansion into it asks
+    only ``takes``, True being a sink arc, and a False adds no label, so it
+    builds no circuit.  That changes no label, path or reached set.  Every
+    circuit is read into ``parent`` before any move, as it may be the live
+    part itself.  Ties are broken deterministically: nodes are scanned in
+    first-discovered order, sink arcs in ascending arm index, swap-arc
+    targets in ascending element id.
     """
     for i in arms_of[source]:
         if prepared[i].takes(source):
             owner[source] = i
             prepared[i].add(source)
             return None
-    found = [prepared[i].circuit(source) for i in arms_of[source]]
-    closed = {i for i, c in zip(arms_of[source], found) if len(c) == len(prepared[i].part)}
 
     parent: dict[int, int | None] = {source: None}
-    queue: deque[int] = deque()
-    x = source
-    while True:
-        if found:
-            # difference() with a dict probes it once per target; the
-            # ``-`` operator with ``parent.keys()`` would walk all of it.
-            targets = found[0].union(*found[1:]) if len(found) > 1 else found[0]
-            for y in sorted(targets.difference(parent)):
-                parent[y] = x
-                queue.append(y)
-        if not queue:
-            return set(parent)
+    queue: deque[int] = deque([source])
+    closed: set[int] = set()
+    while queue:
         x = queue.popleft()
         home = owner.get(x)
         found = []
@@ -228,6 +216,14 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
             if len(circuit) == len(prepared[i].part):
                 closed.add(i)
             found.append(circuit)
+        if found:
+            # difference() with a dict probes it once per target; the
+            # ``-`` operator with ``parent.keys()`` would walk all of it.
+            targets = found[0].union(*found[1:]) if len(found) > 1 else found[0]
+            for y in sorted(targets.difference(parent)):
+                parent[y] = x
+                queue.append(y)
+    return set(parent)
 
 
 def _apply_path(prepared, owner, parent, last, sink_arm) -> None:

@@ -48,9 +48,8 @@ def brute_force_cyclic_exchange(instance: ExchangeInstance, cap: int = BRUTE_FOR
     partial tuple is dropped as soon as one of its decided shifted sets
     (B_i \\ A_i) u A_{i-1} is not a basis.  It returns the same list, in the
     same lexicographic order of the chosen subsets, as enumerating every
-    tuple and testing all k sets would.  The walk runs on element sets built
-    from the instance's validated bases, and passes each set it tests to
-    the matroid's ``_basis``, which validates nothing again.
+    tuple and testing all k sets would.  The walk runs on element sets, and
+    passes each set it tests to the matroid's ``is_basis``.
     """
     if instance.k < 2:
         raise ValidationError("brute force enumeration needs k >= 2")
@@ -59,7 +58,7 @@ def brute_force_cyclic_exchange(instance: ExchangeInstance, cap: int = BRUTE_FOR
         raise SizeLimitError(f"total basis size {total} exceeds brute force cap {cap}")
     size = len(instance.seed)
     pools = [list(map(frozenset, itertools.combinations(sorted(b), size))) for b in instance.bases]
-    return list(_shift_tuples(instance.matroid._basis, _check_plan(instance.k, (1,)),
+    return list(_shift_tuples(instance.matroid.is_basis, _check_plan(instance.k, (1,)),
                               instance.bases, pools, instance.seed))
 
 
@@ -287,10 +286,7 @@ def verify_witness(witness: Shift2Witness) -> bool:
 
     True iff the matroid has rank 3 with k >= 3 valid bases and a valid seed
     subset, some tuple satisfies all shift-by-one sets, and no tuple
-    satisfies shift-by-one and shift-by-two simultaneously.  The witness's
-    sets are validated once, and every set built from them is tested by
-    the matroid's ``_basis``; the enumeration shares no code with the
-    walker of ``brute_force_cyclic_exchange``.
+    satisfies shift-by-one and shift-by-two simultaneously.
     """
     m = witness.matroid
     k = witness.k
@@ -301,7 +297,7 @@ def verify_witness(witness: Shift2Witness) -> bool:
         return False
     if k < 3 or m.full_rank() != 3:
         return False
-    if not all(m._basis(b) for b in bases):
+    if not all(m.is_basis(b) for b in bases):
         return False
     if not seed <= bases[0]:
         return False
@@ -311,9 +307,9 @@ def verify_witness(witness: Shift2Witness) -> bool:
     shift1_seen = False
     for combo in itertools.product(*pools):
         parts = (seed,) + tuple(frozenset(c) for c in combo)
-        if all(m._basis(s) for s in _shift_sets(bases, parts, 1)):
+        if all(m.is_basis(s) for s in _shift_sets(bases, parts, 1)):
             shift1_seen = True
-            if all(m._basis(s) for s in _shift_sets(bases, parts, 2)):
+            if all(m.is_basis(s) for s in _shift_sets(bases, parts, 2)):
                 return False
     return shift1_seen
 

@@ -23,16 +23,3 @@ def test_mutant_catalogue_matches_the_source():
     assert mutants.check_catalogue(mutants.MUTANTS + mutants.EQUIVALENT) == []
     assert not mutants.names_a_test("")
     assert not mutants.names_a_test("tests/test_tools.py::no_such_test")
-
-
-def test_unknown_mutant_name_exits_1_before_running(monkeypatch, capsys):
-    # Named mutants run alone; one unknown name stops the run before any
-    # mutant is applied.
-    mutants = load_tool("mutants")
-
-    def refuse(mutant):
-        raise AssertionError(f"ran {mutant.name}")
-
-    monkeypatch.setattr(mutants, "run", refuse)
-    assert mutants.main(["augment-arm-never-closes", "no-such-mutant"]) == 1
-    assert capsys.readouterr().out == "no-such-mutant: no such mutant\n"

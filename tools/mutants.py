@@ -19,10 +19,7 @@ Mutants known to be equivalent (no test can tell them apart) are listed
 with the reason and the test that covers their code; their old text and
 test are checked, and they are not run.
 
-Usage: python tools/mutants.py [NAME...]
-
-With names, only the named mutants run (an equivalent one is listed, not
-run); an unknown name exits 1 before anything runs.
+Usage: python tools/mutants.py
 
 Standard library only; the suite needs pytest and hypothesis.  Each
 surviving mutant, and each one its named test misses, costs a whole suite
@@ -73,16 +70,6 @@ MUTANTS = [
            "            if True:\n",
            "a search stops reading an arm after any circuit, so it misses labels",
            test="tests/test_circuits.py::test_solver_matches_reference_where_searches_close_arms"),
-    Mutant("augment-source-closes-nothing", "src/matrex/union.py",
-           "closed = {i for i, c in zip(arms_of[source], found) if len(c) == len(prepared[i].part)}",
-           "closed = set()",
-           "a search asks again for circuits the source already read as whole parts (work only)",
-           test="tests/test_exchange.py::TestOracleBoundary::test_work_per_solve_is_pinned"),
-    Mutant("basis-test-ignores-the-mask", "src/matrex/core.py",
-           "return _mask(s, self._weight) in self._masks",
-           "return len(s) == self._full_rank",
-           "every set of a basis family's rank passes as a basis",
-           test="tests/test_core.py::test_basis_queries_match_the_family"),
     # --- the direct-insertion test, PreparedPart.takes -----------------------
     Mutant("augment-highest-arm-first", "src/matrex/union.py",
            "    for i in arms_of[source]:\n        if prepared[i].takes(source):",
@@ -363,31 +350,26 @@ def run(mutant: Mutant) -> tuple[str, str, float]:
         return "survived", "suite", time.monotonic() - start
 
 
-def main(names: list[str]) -> int:
+def main() -> int:
     problems = check_catalogue(MUTANTS + EQUIVALENT)
-    known = {m.name for m in MUTANTS + EQUIVALENT}
-    problems += [f"{name}: no such mutant" for name in names if name not in known]
     if problems:
         print("\n".join(problems))
         return 1
-    chosen = [m for m in MUTANTS if not names or m.name in names]
     survivors, start = [], time.monotonic()
-    for m in chosen:
+    for m in MUTANTS:
         verdict, test, seconds = run(m)
         print(f"{verdict:8} {seconds:6.1f} s  {m.name} ({test}): {m.breaks}", flush=True)
         if verdict == "survived":
             survivors.append(m.name)
     for m in EQUIVALENT:
-        if names and m.name not in names:
-            continue
         print(f"{'skipped':8} {'':8}  {m.name}: equivalent, {m.breaks}")
     wall = f"in {time.monotonic() - start:.0f} s"
     if survivors:
-        print(f"{len(survivors)} of {len(chosen)} mutants survived {wall}: {', '.join(survivors)}")
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived {wall}: {', '.join(survivors)}")
         return 1
-    print(f"all {len(chosen)} mutants killed {wall}")
+    print(f"all {len(MUTANTS)} mutants killed {wall}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
