@@ -134,21 +134,22 @@ class Matroid(ABC):
     Subclasses implement ``_indep``, the one oracle method, on trusted
     frozensets: the public methods validate ids once, internal code calls
     ``_indep``.  Nothing is memoised here; the partition solver keeps one
-    prepared part per arm, and a part remembers at most one answer, until
-    its next move.
+    prepared part per arm, and only a linear or bases-type part remembers
+    an answer, one at a time, until its next move.
 
     ``_prepare(s)``, for an independent ``s``, returns a ``PreparedPart``:
     its ``takes(x)`` tells whether ``s + x`` is independent, its
-    ``circuit(x)`` gives the fundamental circuit of ``s + x``, its
-    ``add(x)`` grows the part by an ``x`` that has none, and its
-    ``remove(y)`` drops an element ``y`` of the part; both answers hold
-    until the part's next move.  The default part
-    asks ``_indep`` once per element of ``s`` and prepares again on ``add``
-    and ``remove``; classes with structure (uniform, graphic, linear, basis
-    families, the slot lift) return parts that answer each ``x`` directly
-    and change in place.  A subclass author may return a ``PreparedPart``
-    subclass that overrides ``__init__`` (calling the base one) and
-    ``circuit`` only, and inherit ``takes``, ``add`` and ``remove``.
+    ``circuit(x)``, asked only for an ``x`` that ``takes`` refused, gives
+    the fundamental circuit of ``s + x``, its ``add(x)`` grows the part by
+    an ``x`` that it takes, and its ``remove(y)`` drops an element ``y`` of
+    the part; both answers hold until the part's next move.  The default
+    part asks ``_indep`` once per element of ``s`` and prepares again on
+    ``add`` and ``remove``; classes with structure (uniform, graphic,
+    linear, basis families, the slot lift) return parts that answer each
+    ``x`` directly and change in place.  A subclass author may return a
+    ``PreparedPart`` subclass that overrides ``__init__`` (calling the base
+    one) and ``circuit`` only, and inherit ``takes``, ``add`` and
+    ``remove``.
 
     ``_rank_cap``, when not None, is a bound on the size of any independent
     set that the class knows without a query (rows for a linear matroid,
@@ -234,46 +235,38 @@ class PreparedPart:
     kept while the part changes.
 
     ``part`` is a set that the part owns and changes in place: callers read
-    it, but never keep or mutate it.  ``circuit(x)``, for ``x`` outside the
-    part, is None when ``part + x`` is independent (``takes(x)`` is True),
-    otherwise the set of the elements of the part on the unique circuit of
-    ``part + x`` (empty when ``x`` is a loop).  Both answers hold until the
-    part's next move, ``add`` or ``remove``, and no longer: a circuit that
-    is the whole part may be ``part`` itself, as the uniform and slot parts
-    answer, so a caller reads a circuit before it moves the part.
-    ``add(x)`` grows the part by an ``x`` whose circuit is None, and
-    ``remove(y)`` drops ``y`` from the part.
+    it, but never keep or mutate it.  Each method answers one question.
+    ``takes(x)``, for ``x`` outside the part, says whether ``part + x`` is
+    independent.  ``circuit(x)`` is asked only after ``takes(x)`` refused
+    ``x``, with no move in between, and gives the elements of the part on
+    the unique circuit of ``part + x`` (empty when ``x`` is a loop).  Both
+    answers hold until the part's next move, ``add`` or ``remove``, and no
+    longer: a circuit that is the whole part may be ``part`` itself, as the
+    uniform and slot parts answer, so a caller reads a circuit before it
+    moves the part.  ``add(x)`` grows the part by an ``x`` that it takes,
+    and ``remove(y)`` drops ``y`` from the part.
 
-    A part keeps at most one memo, ``_last``, about the element it was last
-    asked about; ``_put`` and ``_drop`` reset it on every move.  This base
-    class answers through the oracle, on a frozenset of the part (once
-    ``part + x`` is dependent, ``part - y + x`` is independent exactly when
-    y lies on its circuit), keeps in ``_last`` the last x that ``takes``
-    refused, so that its ``circuit`` asks no query twice, and ``add`` and
-    ``remove`` prepare again by re-running ``__init__`` on a frozenset of
-    the changed part; subclasses change their state in place, ``part``
-    through ``_put`` and ``_drop``.  They also refuse, with an
+    This base class answers through the oracle, on a frozenset of the part
+    (once ``part + x`` is dependent, ``part - y + x`` is independent
+    exactly when y lies on its circuit), so its ``circuit`` asks no query
+    that ``takes`` asked, and ``add`` and ``remove`` prepare again by
+    re-running ``__init__`` on a frozenset of the changed part.  Subclasses
+    change their state in place, and refuse, with an
     InternalVerificationError, an ``add`` that would make the part
-    dependent and a ``remove`` of a non-member, mostly for the price of one
-    comparison on each move.
+    dependent and a ``remove`` of a non-member (``_drop``), mostly for the
+    price of one comparison on each move.
     """
 
     def __init__(self, matroid: Matroid, part: ElementSet):
         self.matroid = matroid
         self.part = set(part)
-        self._last = None  # what the last query learnt, until the next move
 
     def takes(self, x: int) -> bool:
-        """Whether ``part + x`` is independent, that is ``circuit(x)`` is
-        None, without building the circuit."""
-        if self.matroid._indep(frozenset(self.part | {x})):
-            return True
-        self._last = x
-        return False
+        """Whether ``part + x`` is independent."""
+        return self.matroid._indep(frozenset(self.part | {x}))
 
-    def circuit(self, x: int) -> AbstractSet[int] | None:
-        if x != self._last and self.takes(x):
-            return None
+    def circuit(self, x: int) -> AbstractSet[int]:
+        """The circuit of ``part + x``, for an ``x`` that ``takes`` refused."""
         m, s = self.matroid, frozenset(self.part)
         return frozenset(y for y in s if m._indep((s - {y}) | {x}))
 
@@ -287,32 +280,25 @@ class PreparedPart:
         name = type(self.matroid).__name__
         return InternalVerificationError(f"{name} part: adding {x} makes it dependent")
 
-    def _put(self, x: int) -> None:
-        """Put ``x`` into ``part``, and forget the memo."""
-        self.part.add(x)
-        self._last = None
-
     def _drop(self, y: int) -> None:
-        """Take ``y`` out of ``part``, and forget the memo, or refuse a
-        non-member."""
+        """Take ``y`` out of ``part``, or refuse a non-member."""
         if y not in self.part:
             name = type(self.matroid).__name__
             raise InternalVerificationError(f"{name} part: {y} is not in the part")
         self.part.remove(y)
-        self._last = None
 
 
 class _UniformPart(PreparedPart):
     def takes(self, x: int) -> bool:
         return len(self.part) < self.matroid.rank_bound
 
-    def circuit(self, x: int) -> AbstractSet[int] | None:
-        return self.part if len(self.part) >= self.matroid.rank_bound else None
+    def circuit(self, x: int) -> AbstractSet[int]:
+        return self.part
 
     def add(self, x: int) -> None:
         if len(self.part) >= self.matroid.rank_bound:
             raise self._dependent(x)
-        self._put(x)
+        self.part.add(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -366,13 +352,9 @@ class _ForestPart(PreparedPart):
         u, v = self.matroid._ends[x]
         return self.root[u] != self.root[v]  # False for a self-loop: u == v
 
-    def circuit(self, x: int) -> AbstractSet[int] | None:
+    def circuit(self, x: int) -> AbstractSet[int]:
         u, v = self.matroid._ends[x]
-        if u == v:
-            return frozenset()
-        if self.takes(x):
-            return None
-        up, depth, path = self.up, self.depth, []
+        up, depth, path = self.up, self.depth, []  # a self-loop climbs nowhere
         while u != v:
             if depth[u] < depth[v]:
                 u, v = v, u
@@ -382,7 +364,7 @@ class _ForestPart(PreparedPart):
 
     def add(self, x: int) -> None:
         self._link(x)
-        self._put(x)
+        self.part.add(x)
 
     def remove(self, y: int) -> None:
         self._drop(y)
@@ -763,6 +745,7 @@ class _EchelonPart(PreparedPart):
         self.tag_shift = d * matroid._fields.bits
         self.order: list[int | None] = []  # the element tagged e_j, None if vacant
         self.vacant: list[int] = []
+        self._last = None
         for e in part:
             self._append(e)
 
@@ -770,10 +753,8 @@ class _EchelonPart(PreparedPart):
         # A part of ``rows`` elements spans the space: no reduction needed.
         return len(self.part) < self.matroid.rows and self._reduce(x)[1] is not None
 
-    def circuit(self, x: int) -> AbstractSet[int] | None:
-        vec, col = self._reduce(x)
-        if col is not None:
-            return None
+    def circuit(self, x: int) -> AbstractSet[int]:
+        vec = self._reduce(x)[0]
         return self.matroid._fields.support(vec >> self.tag_shift, self.order)
 
     def _reduce(self, x: int) -> tuple[int, int | None]:
@@ -790,10 +771,12 @@ class _EchelonPart(PreparedPart):
 
     def add(self, x: int) -> None:
         self._append(x)
-        self._put(x)
+        self.part.add(x)
+        self._last = None
 
     def remove(self, y: int) -> None:
         self._drop(y)
+        self._last = None
         j = self.order.index(y)
         self.echelon.drop(self.tag_shift + j * self.matroid._fields.bits)
         self.order[j] = None
@@ -983,17 +966,21 @@ class _BasisPart(PreparedPart):
     # it; otherwise y is on its circuit when some basis covers part - y + x,
     # that is when part + x misses that basis in y alone.  An element in no
     # basis is a loop, and has no weight.  One scan of the family answers
-    # the takes, circuit and add of one x: its answer is kept in ``_last``
-    # as (x, circuit) until the part's next move.
+    # the takes, circuit and add of one x: its answer, None when the part
+    # takes x, is kept in ``_last`` as (x, answer) until the part's next move.
 
     def __init__(self, matroid: BasisMatroid, part: ElementSet):
         super().__init__(matroid, part)
         self.mask = _mask(part, matroid._weight)
+        self._last = None
 
     def takes(self, x: int) -> bool:
-        return self.circuit(x) is None
+        return self._answer(x) is None
 
-    def circuit(self, x: int) -> AbstractSet[int] | None:
+    def circuit(self, x: int) -> AbstractSet[int]:
+        return self._answer(x)
+
+    def _answer(self, x: int) -> AbstractSet[int] | None:
         if self._last is None or self._last[0] != x:
             self._last = (x, self._scan(x))
         return self._last[1]
@@ -1013,13 +1000,15 @@ class _BasisPart(PreparedPart):
         return _elements(closing & ~w, self.matroid._elements)
 
     def add(self, x: int) -> None:
-        if self.circuit(x) is not None:
+        if not self.takes(x):
             raise self._dependent(x)
         self.mask |= self.matroid._weight[x]
-        self._put(x)
+        self.part.add(x)
+        self._last = None
 
     def remove(self, y: int) -> None:
         self._drop(y)
+        self._last = None
         self.mask ^= self.matroid._weight[y]
 
 
@@ -1108,13 +1097,11 @@ class _SlotPart(PreparedPart):
         e = self.matroid.slots[x][1]
         return e not in self.cover and self.inner.takes(e)
 
-    def circuit(self, x: int) -> AbstractSet[int] | None:
+    def circuit(self, x: int) -> AbstractSet[int]:
         e = self.matroid.slots[x][1]
         if e in self.cover:
             return frozenset((self.cover[e],))
-        found = self.inner.circuit(e)
-        if found is None:
-            return None
+        found = self.inner.circuit(e)  # the inner part refused e
         if len(found) == len(self.cover):
             # A circuit lies in the part, so this one is all of it: its
             # lift is the whole slot part.
@@ -1126,7 +1113,7 @@ class _SlotPart(PreparedPart):
         if e in self.cover:  # another copy of e is in the part
             raise self._dependent(x)
         self.inner.add(e)
-        self._put(x)
+        self.part.add(x)
         self.cover[e] = x
 
     def remove(self, y: int) -> None:

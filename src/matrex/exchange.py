@@ -240,8 +240,7 @@ def symmetric_exchange_single(matroid: Matroid, basis1, basis2, element1: int) -
     _check_matroid(matroid, "matroid")
     b1 = matroid.check_subset(basis1)
     b2 = matroid.check_subset(basis2)
-    if type(element1).__hash__ is None:  # unhashable, so not an integer
-        element1 = _as_int(element1, "element")
+    element1 = _as_int(element1, "element")
     if element1 not in b1:
         raise ValidationError(f"element {element1} is not in the first basis")
     if element1 in b2:

@@ -173,16 +173,17 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
     state exists, and only whether they take it (``PreparedPart.takes``),
     which builds no circuit: the lowest one that does gets it, which is the
     path a search would apply at its first expansion.  Otherwise the search
-    expands the source first, which has no owner, like any other node.  Each
-    expanded node x asks the prepared part of each of its arms except its
-    owner for the circuit of D_i + x: there is none when x can join D_i (a
-    sink arc), and otherwise its elements are exactly the y that x can
-    replace.  So one expansion costs its own arms and circuits, whatever the
-    number of arms or of nodes reached.  Parts do not move during a search,
-    so once a circuit of arm i is its whole part, every element of that
-    part gets labelled and arm i is closed: a later expansion into it asks
-    only ``takes``, True being a sink arc, and a False adds no label, so it
-    builds no circuit.  That changes no label, path or reached set.  Every
+    expands the source first, like any other node.  Each expanded node x
+    asks the prepared part of each of its arms except its owner whether it
+    takes x: True is a sink arc, x joining D_i.  An arm that refuses x is
+    asked for the circuit of D_i + x, whose elements are exactly the y that
+    x can replace.  The source, the one node with no owner, is not asked
+    ``takes`` again: its arms have just refused it.  So one expansion costs
+    its own arms and circuits, whatever the number of arms or of nodes
+    reached.  Parts do not move during a search, so once a circuit of arm i
+    is its whole part, every element of that part gets labelled and arm i
+    is closed: a later expansion asks it only ``takes``, since a refusal
+    adds no label.  That changes no label, path or reached set.  Every
     circuit is read into ``parent`` before any move, as it may be the live
     part itself.  Ties are broken deterministically: nodes are scanned in
     first-discovered order, sink arcs in ascending arm index, swap-arc
@@ -204,15 +205,13 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
         for i in arms_of[x]:
             if i == home:
                 continue
-            if i in closed:  # all of its part is labelled: only a sink arc is new
-                if not prepared[i].takes(x):
-                    continue
-                circuit = None
-            else:
-                circuit = prepared[i].circuit(x)
-            if circuit is None:
+            # The source, the one node with no owner, was asked above.
+            if home is not None and prepared[i].takes(x):
                 _apply_path(prepared, owner, parent, x, i)
                 return None
+            if i in closed:  # all of its part is labelled: no label is new
+                continue
+            circuit = prepared[i].circuit(x)
             if len(circuit) == len(prepared[i].part):
                 closed.add(i)
             found.append(circuit)
@@ -231,9 +230,9 @@ def _apply_path(prepared, owner, parent, last, sink_arm) -> None:
     of at least one swap (a direct insertion never gets here): walking
     back, each node moves into the arm its successor leaves.  All removals
     go first, so every part stays independent at every step.  The first
-    addition is ``last`` to the sink arm, whose ``circuit`` query (or, for a
-    closed arm, ``takes``) was the last one made, so a sink part that lost
-    nothing may reuse that query's work."""
+    addition is ``last`` to the sink arm, whose ``takes`` query was the last
+    one made, so a sink part that lost nothing may reuse that query's
+    work."""
     moves = []
     x, arm = last, sink_arm
     while x is not None:

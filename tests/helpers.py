@@ -375,6 +375,12 @@ def exchange_shaped_problem(seed, max_n=16, max_k=6):
     return PartitionProblem(frozenset(range(n)), arms)
 
 
+def circuit_or_none(prepared, x):
+    """A prepared part's answer for x, asked in the one order its contract
+    allows: None when it takes x, otherwise the circuit of part + x."""
+    return None if prepared.takes(x) else prepared.circuit(x)
+
+
 def reference_partition(problem):
     """The augmenting-path solver with one independence query per arc, as
     ``matroid_partition`` was before it read arcs off fundamental circuits.
@@ -425,8 +431,8 @@ def check_every_augmentation(monkeypatch):
     it holds the elements that ``owner`` assigns to the arm; the parts are
     disjoint and each independent in its matroid through the validated
     public query; and each prepared part answers every x in allowed - part
-    as a freshly prepared one does: the same circuit, and ``takes(x)``
-    exactly when the fresh circuit is None.  An arm allows the elements
+    as a freshly prepared one does: ``takes(x)`` as the fresh part's, and
+    for a refused x the same circuit.  An arm allows the elements
     whose list names it.  The matroids and lists are the arguments of the
     ``union._partition`` call made last, which must be the solve under way.
     Returns the list of inserted sources."""
@@ -459,10 +465,10 @@ def check_every_augmentation(monkeypatch):
                 fresh = matroid._prepare(frozenset(part))
                 allowed = {x for x, listed in lists.items() if i in listed}
                 for x in sorted(allowed - part):
-                    expected = fresh.circuit(x)
-                    assert kept.takes(x) == (expected is None), \
-                        "a kept prepared part must take x exactly when x closes no circuit"
-                    assert kept.circuit(x) == expected, \
+                    takes = kept.takes(x)
+                    assert takes == fresh.takes(x), \
+                        "a kept prepared part must take x exactly when a fresh one does"
+                    assert takes or kept.circuit(x) == fresh.circuit(x), \
                         "a kept prepared part must answer as a fresh one"
             augmented.append(source)
         return reached

@@ -3,6 +3,7 @@ oracle loop and a brute-force minimal-circuit search, grown and shrunk parts
 against fresh ones, and the circuit-based partition solver against the
 one-query-per-arc reference solver."""
 
+import collections
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from matrex import (
     Arm,
     BasisMatroid,
     DeficiencyCertificate,
+    ExchangeInstance,
     GraphicMatroid,
     InstanceGenSpec,
     InternalVerificationError,
@@ -36,6 +38,7 @@ from helpers import (
     K4_EDGES,
     OracleOnly,
     check_every_augmentation,
+    circuit_or_none,
     exchange_shaped_problem,
     fixture_matroids,
     random_problem,
@@ -77,22 +80,21 @@ def assert_circuits_match(matroid, s):
     own, generic = matroid._prepare(s), core.PreparedPart(matroid, s)
     for x in sorted(matroid.ground_set() - s):
         expected = brute_circuit(matroid, s, x)
-        assert generic.takes(x) == own.takes(x) == (expected is None), (matroid, s, x)
-        assert generic.circuit(x) == expected, (matroid, s, x)
-        assert own.circuit(x) == expected, (matroid, s, x)
+        assert circuit_or_none(generic, x) == expected, (matroid, s, x)
+        assert circuit_or_none(own, x) == expected, (matroid, s, x)
 
 
 def assert_grows_like_fresh(matroid, rng):
-    """Grow one prepared part by random elements that have no circuit; after
-    every step it answers every x outside the part as a fresh one does."""
+    """Grow one prepared part by random elements that it takes; after every
+    step it answers every x outside the part as a fresh one does."""
     part = random_independent(matroid, rng)
     prepared = matroid._prepare(part)
     while True:
         fresh = matroid._prepare(part)
         outside = sorted(matroid.ground_set() - part)
         for x in outside:
-            assert prepared.circuit(x) == fresh.circuit(x), (matroid, part, x)
-        free = [x for x in outside if fresh.circuit(x) is None]
+            assert circuit_or_none(prepared, x) == circuit_or_none(fresh, x), (matroid, part, x)
+        free = [x for x in outside if fresh.takes(x)]
         if not free:
             return
         x = rng.choice(free)
@@ -102,11 +104,11 @@ def assert_grows_like_fresh(matroid, rng):
 
 
 def assert_changes_like_fresh(matroid, rng, prepare=None):
-    """Add and remove random elements of one prepared part, asking for the
-    circuit of each element before adding it, as the solver does; after
-    every step the part answers every x outside it, ``takes`` and
-    ``circuit``, as the circuits of a fresh one made by ``prepare`` (by
-    default the matroid's own) do."""
+    """Add and remove random elements of one prepared part, asking whether
+    it takes each element before adding it, as the solver does.  After every
+    step the part answers every x outside it as a fresh one made by
+    ``prepare`` (by default the matroid's own) does: ``takes`` as the fresh
+    ``takes``, and for a refused x ``circuit`` as the fresh ``circuit``."""
     prepare = prepare or matroid._prepare
     part = random_independent(matroid, rng)
     prepared = matroid._prepare(part)
@@ -114,16 +116,18 @@ def assert_changes_like_fresh(matroid, rng, prepare=None):
         fresh = prepare(part)
         outside = sorted(matroid.ground_set() - part)
         for x in outside:
-            assert prepared.takes(x) == (fresh.circuit(x) is None), (matroid, part, x)
-            assert prepared.circuit(x) == fresh.circuit(x), (matroid, part, x)
-        free = [x for x in outside if fresh.circuit(x) is None]
+            takes = prepared.takes(x)
+            assert takes == fresh.takes(x), (matroid, part, x)
+            if not takes:
+                assert prepared.circuit(x) == fresh.circuit(x), (matroid, part, x)
+        free = [x for x in outside if fresh.takes(x)]
         if part and (not free or rng.random() < 0.5):
             y = rng.choice(sorted(part))
             prepared.remove(y)
             part -= {y}
         elif free:
             x = rng.choice(free)
-            assert prepared.circuit(x) is None
+            assert prepared.takes(x)
             prepared.add(x)
             part |= {x}
         else:  # an empty part and only loops outside it
@@ -273,19 +277,20 @@ class CountedScans(dict):
 
 def test_basis_part_scans_the_family_once_per_element():
     # The takes, circuit and add of one x share one scan of the family,
-    # until the part's next move; a loop needs none.
+    # until the part's next move; a loop needs none.  A remove forgets the
+    # scan: kept, it would still refuse 2.
     matroid = BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]])  # 4 is a loop
     part = matroid._prepare(frozenset({0}))
     matroid._masks = CountedScans(matroid._masks)
-    assert part.takes(1) and part.circuit(1) is None
+    assert part.takes(1)
     part.add(1)
     assert matroid._masks.scans == 1
-    assert not part.takes(2) and part.circuit(2) == {0, 1}
-    assert part.takes(3) and part.circuit(3) is None
+    assert part.takes(3)
     assert not part.takes(4) and part.circuit(4) == set()
+    assert not part.takes(2) and part.circuit(2) == {0, 1}
     assert matroid._masks.scans == 3
     part.remove(1)
-    assert part.takes(2) and part.circuit(2) is None
+    assert part.takes(2)
     assert matroid._masks.scans == 4
 
 
@@ -309,9 +314,10 @@ TAKES_CORPUS = [lift for matroid in [
 
 @pytest.mark.parametrize("matroid", TAKES_CORPUS, ids=repr)
 def test_takes_matches_circuits_after_changes(matroid):
-    # Seeded add and remove sequences: after each move, takes(x) is True
-    # exactly when a fresh part has no circuit for x, the matroid's own part
-    # and the default oracle part alike.
+    # Seeded add and remove sequences: after each move, takes(x) is a fresh
+    # part's takes(x), and for a refused x circuit(x) is the fresh part's
+    # circuit(x), with the matroid's own part and the default oracle part
+    # as the fresh one alike.
     for seed in range(10):
         assert_changes_like_fresh(matroid, random.Random(seed))
         assert_changes_like_fresh(matroid, random.Random(seed),
@@ -345,7 +351,7 @@ def test_prepared_parts_refuse_misuse(matroid, part, x, y):
     assert prepared.part == part
     fresh = matroid._prepare(frozenset(part))
     for e in sorted(matroid.ground_set() - part):
-        assert prepared.circuit(e) == fresh.circuit(e)
+        assert circuit_or_none(prepared, e) == circuit_or_none(fresh, e)
 
 
 def test_slot_part_refuses_an_inner_dependent_add():
@@ -362,15 +368,16 @@ def test_slot_part_refuses_an_inner_dependent_add():
 
 def assert_circuits_hold_until_a_move(matroid, rng, prepare=None):
     """Add and remove random elements of one prepared part.  Its ``part`` is
-    its own set, and before every move the circuits it answered since the
-    last move, compared once all of them are asked, are a freshly prepared
-    part's."""
+    its own set, and before every move the answers it gave since the last
+    move (None for an x it takes, else the circuit), compared once all of
+    them are asked, are a freshly prepared part's."""
     prepared = (prepare or matroid._prepare)(random_independent(matroid, rng))
     assert type(prepared.part) is set
     for _ in range(2 * matroid.ground_size + 2):
-        circuits = {x: prepared.circuit(x) for x in sorted(matroid.ground_set() - prepared.part)}
+        circuits = {x: circuit_or_none(prepared, x)
+                    for x in sorted(matroid.ground_set() - prepared.part)}
         fresh = matroid._prepare(frozenset(prepared.part))
-        assert circuits == {x: fresh.circuit(x) for x in circuits}
+        assert circuits == {x: circuit_or_none(fresh, x) for x in circuits}
         free = [x for x, circuit in circuits.items() if circuit is None]
         if prepared.part and (not free or rng.random() < 0.5):
             prepared.remove(rng.choice(sorted(prepared.part)))
@@ -405,8 +412,8 @@ def assert_whole_circuits_stay_fresh(matroid, part, rng):
 
     def circuits():
         fresh = matroid._prepare(frozenset(prepared.part))
-        found = {x: prepared.circuit(x) for x in sorted(ground - prepared.part)}
-        assert found == {x: fresh.circuit(x) for x in found}
+        found = {x: circuit_or_none(prepared, x) for x in sorted(ground - prepared.part)}
+        assert found == {x: circuit_or_none(fresh, x) for x in found}
         return found
 
     def closes_the_whole_part():
@@ -476,9 +483,9 @@ def assert_lift_remaps_inner_circuits(lift):
             inner = lift.inner._prepare(frozenset(slot_of))
             for x in sorted(lift.ground_set() - part):
                 e = lift.slots[x][1]
-                found = frozenset({e}) if e in slot_of else inner.circuit(e)
+                found = frozenset({e}) if e in slot_of else circuit_or_none(inner, e)
                 expected = None if found is None else frozenset(slot_of[y] for y in found)
-                assert prepared.circuit(x) == expected, (lift, part, x)
+                assert circuit_or_none(prepared, x) == expected, (lift, part, x)
 
 
 @pytest.mark.parametrize("lift", [
@@ -504,7 +511,7 @@ def test_whole_part_circuit_lifts_the_whole_part():
     prepared = lift._prepare(frozenset(range(5)))  # the first block: edges 0..4
     assert prepared.circuit(9) == frozenset(range(5))  # slot 9 copies edge 5
     prepared.remove(2)
-    assert prepared.circuit(9) is None
+    assert prepared.takes(9)
     prepared.add(6)  # slot 6 copies edge 2 again
     assert prepared.circuit(9) == frozenset({0, 1, 3, 4, 6})
     prepared.remove(0)
@@ -685,7 +692,7 @@ def test_solver_matches_reference_where_searches_close_arms(monkeypatch):
 
         def spy_circuit(self, x):
             found = circuit(self, x)
-            if found is not None and len(found) == len(self.part):
+            if len(found) == len(self.part):
                 whole.add((search[0], id(self)))
             return found
 
@@ -788,3 +795,55 @@ def test_solver_matches_reference_on_exchange_instances(spec, monkeypatch):
         for seed in range(6):
             cyclic_exchange(random_instance(InstanceGenSpec(k=k, seed=seed, **spec)))
     assert len(solved) == 18
+
+
+PART_CLASSES = [core.PreparedPart, core._UniformPart, core._ForestPart, core._EchelonPart,
+                core._BasisPart, core._SlotPart]
+
+
+def test_solves_ask_circuits_only_of_refused_elements(monkeypatch):
+    # Every circuit(x) in exchange and partition solves follows a takes(x)
+    # that refused x on the same part, with no move of that part in between,
+    # for every part class, the default oracle part included.
+    refused, circuits = {}, collections.Counter()  # part -> refused since its last move
+
+    def spying(cls):
+        takes, circuit, add, remove = (cls.__dict__[name]
+                                       for name in ("takes", "circuit", "add", "remove"))
+
+        def spy_takes(self, x):
+            answer = takes(self, x)
+            if not answer:
+                refused.setdefault(self, set()).add(x)
+            return answer
+
+        def spy_circuit(self, x):
+            assert x in refused.get(self, ()), f"{cls.__name__} was asked the circuit of {x}"
+            circuits[cls] += 1
+            return circuit(self, x)
+
+        def moving(method):
+            def spy(self, x):
+                method(self, x)
+                refused.pop(self, None)
+            return spy
+
+        monkeypatch.setattr(cls, "takes", spy_takes)
+        monkeypatch.setattr(cls, "circuit", spy_circuit)
+        monkeypatch.setattr(cls, "add", moving(add))
+        monkeypatch.setattr(cls, "remove", moving(remove))
+
+    for cls in PART_CLASSES:
+        spying(cls)
+    for spec in EXCHANGE_SPECS:
+        for seed in range(3):
+            cyclic_exchange(random_instance(InstanceGenSpec(k=3, seed=seed, **spec)))
+    k4 = GraphicMatroid(4, K4_EDGES)
+    cyclic_exchange(ExchangeInstance(OracleOnly(k4), [{0, 1, 2}, {3, 4, 5}, {1, 3, 5}], {0, 1}))
+    for seed in range(60):
+        problem = random_problem(seed)
+        oracle = PartitionProblem(problem.universe,
+                                  [Arm(arm.allowed, OracleOnly(arm.matroid)) for arm in problem.arms])
+        assert matroid_partition(problem) == matroid_partition(oracle) == \
+            reference_partition(problem), seed
+    assert set(circuits) == set(PART_CLASSES), circuits

@@ -389,12 +389,25 @@ class TestSymmetricExchange:
 
     @pytest.mark.parametrize("element, message", [
         ([0], "element must be an integer, got [0]"),
-        ("a", "element a is not in the first basis"),
+        ("a", "element must be an integer, got 'a'"),
+        (1.0, "element must be an integer, got 1.0"),
     ])
     def test_single_rejects_a_non_integer_element(self, element, message):
         with pytest.raises(ValidationError) as info:
             symmetric_exchange_single(UniformMatroid(3, 1), {0}, {1}, element)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("basis2", [{0, 3, 5}, {3, 4, 5}], ids=["shared", "not-shared"])
+    def test_single_checks_the_element_on_both_paths(self, basis2):
+        # A float equal to a member is refused whether or not the second
+        # basis shares it, and an integer-like element comes back as an int.
+        k4 = GraphicMatroid(4, K4_EDGES)
+        with pytest.raises(ValidationError) as info:
+            symmetric_exchange_single(k4, {0, 1, 2}, basis2, 0.0)
+        assert str(info.value) == "element must be an integer, got 0.0"
+        result = symmetric_exchange_single(k4, {0, 1, 2}, basis2, False)
+        assert type(result) is int
+        assert result == symmetric_exchange_single(k4, {0, 1, 2}, basis2, 0)
 
     @pytest.mark.parametrize("exchange", [multiple_symmetric_exchange, symmetric_exchange_single])
     def test_non_matroid_rejected(self, exchange):
@@ -584,7 +597,7 @@ class TestOracleBoundary:
         monkeypatch.setattr(core.Matroid, "check_subset", counting_check)
         monkeypatch.setattr(core.SlotMatroid, "_prepare", counting_prepare)
         observed = []
-        for seed in (1, 4):  # 24 and 20 queries
+        for seed in (1, 4):  # 25 and 20 queries
             inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed)
             counts.update(check=0, query=0)
             cyclic_exchange(inst)
@@ -597,9 +610,9 @@ class TestOracleBoundary:
     @pytest.mark.parametrize("make, k, seed, pins", [
         # A 4 x 12 matrix over GF(3) of rank 4: one-byte fields.
         (lambda: LinearMatroid(3, 4, GF3_COLUMNS), 4, 0,
-         {"takes": 24, "circuit": 14, "reduce": 63, "greedy": 0}),
+         {"takes": 34, "circuit": 13, "reduce": 63, "greedy": 0}),
         (lambda: GraphicMatroid(6, K6_EDGES), 3, 9,
-         {"takes": 23, "circuit": 10, "rehung": 32, "greedy": 0}),
+         {"takes": 29, "circuit": 10, "rehung": 32, "greedy": 0}),
     ], ids=["gf3", "k6"])
     def test_work_per_solve_is_pinned(self, make, k, seed, pins, monkeypatch):
         # The exact work of one solve, instance check included, on a fresh
@@ -609,7 +622,9 @@ class TestOracleBoundary:
         # Before takes() and the rank cap, these read 0, 34, 73 and 1 on the
         # GF(3) instance and 0, 29, 32 and 1 on K_6; before a search asked
         # an arm whose whole part it had labelled only takes(), 22, 16, 64
-        # and 0 on GF(3) and 20, 13, 32 and 0 on K_6.  A forest part that
+        # and 0 on GF(3) and 20, 13, 32 and 0 on K_6; before a search asked
+        # circuit() only of an arm that takes() refused, 24, 14, 63 and 0
+        # on GF(3) and 23, 10, 32 and 0 on K_6.  A forest part that
         # mis-sizes its trees after a cut re-hangs more vertices here.
         instance = seeded_instance(make(), k, seed)
         counts = dict.fromkeys(pins, 0)
@@ -638,7 +653,8 @@ class TestOracleBoundary:
         # uncovered element with its whole part.  Once a search has read
         # that, the part's elements are all labelled, so the search asks it
         # only takes() until the search ends.  Before, this solve made 83
-        # takes and 41 circuit calls.
+        # takes and 41 circuit calls; before circuit() was asked only of an
+        # arm that takes() refused, 98 and 26.
         augment, search, closed = union._augment, [0], set()
         counts = {"takes": 0, "circuit": 0}
         takes, circuit = core._SlotPart.takes, core._SlotPart.circuit
@@ -655,7 +671,7 @@ class TestOracleBoundary:
             assert (search[0], id(self)) not in closed, "a closed arm was asked for a circuit"
             counts["circuit"] += 1
             found = circuit(self, x)
-            if found is not None and len(found) == len(self.part):
+            if len(found) == len(self.part):
                 closed.add((search[0], id(self)))
             return found
 
@@ -663,7 +679,7 @@ class TestOracleBoundary:
         monkeypatch.setattr(core._SlotPart, "takes", counting_takes)
         monkeypatch.setattr(core._SlotPart, "circuit", counting_circuit)
         cyclic_exchange(seeded_instance(UniformMatroid(30, 15), 4, seed=0))
-        assert counts == {"takes": 98, "circuit": 26}
+        assert counts == {"takes": 116, "circuit": 22}
 
     def test_parts_are_prepared_once_per_arm(self, monkeypatch):
         # Full preparations of the inner linear parts: one per arm, even

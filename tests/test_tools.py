@@ -23,3 +23,32 @@ def test_mutant_catalogue_matches_the_source():
     assert mutants.check_catalogue(mutants.MUTANTS + mutants.EQUIVALENT) == []
     assert not mutants.names_a_test("")
     assert not mutants.names_a_test("tests/test_tools.py::no_such_test")
+
+
+def test_sloc_counts_code_lines_only():
+    # Module, class and function docstrings, comments and blank lines do
+    # not count; every physical line of a multi-line statement does, a
+    # string literal that is not a docstring included.
+    sloc = load_tool("sloc")
+    source = (
+        '"""A module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment\n"
+        'TEXT = """one\n'
+        'two"""\n'
+        "\n"
+        "\n"
+        "class A:\n"
+        '    """A class docstring."""\n'
+        "\n"
+        "    def f(self, x):\n"
+        '        """A function\n'
+        '        docstring."""\n'
+        "        # another comment\n"
+        "        return (x +\n"
+        "                1)\n"
+    )
+    assert sloc.code_lines(source) == 7  # import, TEXT (2), class, def, return (2)
+    assert sloc.code_lines('"""Only a docstring."""\n\n# and a comment\n') == 0

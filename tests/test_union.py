@@ -95,14 +95,31 @@ class TestExamples:
         result = matroid_partition(PartitionProblem({0, 1}, [Arm({0, 1}, m), Arm({0}, m)]))
         assert result == Partition((frozenset({1}), frozenset({0})))
         # An insertion asks takes() first; circuits are built once a search
-        # starts, for the source and then for each expanded node.  A circuit
-        # asks takes() itself, except for the element takes() just refused.
-        assert calls == [("takes", 0), ("add", 0), ("takes", 1), ("circuit", 1), ("circuit", 0),
-                         ("takes", 0), ("remove", 0), ("add", 0), ("add", 1)]
+        # starts, for the source, which takes() just refused, and then for
+        # each expanded node that an arm refuses.  Node 0's takes() on arm 1
+        # is a sink arc.
+        assert calls == [("takes", 0), ("add", 0), ("takes", 1), ("circuit", 1), ("takes", 0),
+                         ("remove", 0), ("add", 0), ("add", 1)]
         # The solve asks {0}, {0, 1} (refused), {1} (1 swaps with 0) and {0},
-        # no query twice, as many as circuits alone asked; the check of the
-        # result asks {1} and {0}.
+        # no query twice; the check of the result asks {1} and {0}.
         assert queries == [{0}, {0, 1}, {1}, {0}, {1}, {0}]
+
+    def test_a_path_removes_every_node_before_it_adds(self, monkeypatch):
+        # Element 2 fits only arm 0, which holds 0; 0 moves on to arm 1,
+        # which holds 1, and 1 to arm 2.  Applying that path takes 1 and 0
+        # out of their arms before it puts any element into its new one.
+        calls = []
+        for name in ("add", "remove"):
+            def spy(self, x, name=name, method=getattr(core._UniformPart, name)):
+                calls.append((name, x))
+                return method(self, x)
+            monkeypatch.setattr(core._UniformPart, name, spy)
+        m = UniformMatroid(3, 1)
+        result = matroid_partition(
+            PartitionProblem({0, 1, 2}, [Arm({0, 2}, m), Arm({0, 1}, m), Arm({1}, m)]))
+        assert result == Partition((frozenset({2}), frozenset({0}), frozenset({1})))
+        assert calls == [("add", 0), ("add", 1),
+                         ("remove", 1), ("remove", 0), ("add", 1), ("add", 0), ("add", 2)]
 
 
 class TestVerifyPartition:

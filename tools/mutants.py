@@ -53,23 +53,49 @@ class Mutant:
 
 
 MUTANTS = [
-    # --- the search's closed arms ---------------------------------------------
+    # --- the search: takes() for sink arcs, circuit() of open arms that refuse
+    Mutant("augment-owned-node-never-sinks", "src/matrex/union.py",
+           "if home is not None and prepared[i].takes(x):",
+           "if False:",
+           "a search finds no sink arc, so every insertion that searches fails",
+           test="tests/test_circuits.py::test_solver_matches_reference_on_random_problems"),
+    Mutant("augment-asks-the-source-again", "src/matrex/union.py",
+           "if home is not None and prepared[i].takes(x):",
+           "if prepared[i].takes(x):",
+           "a search asks the source's arms again what the direct insertion asked (work only)",
+           test="tests/test_union.py::TestExamples::test_swap_through_the_default_prepared_part"),
+    Mutant("augment-asks-a-closed-arm-for-its-circuit", "src/matrex/union.py",
+           "            if i in closed:  # all of its part is labelled: no label is new\n"
+           "                continue\n",
+           "",
+           "a search asks an arm whose whole part it labelled for circuits (work only)",
+           test="tests/test_exchange.py::TestOracleBoundary"
+                "::test_uniform_search_asks_no_closed_arm_for_a_circuit"),
     Mutant("augment-arm-never-closes", "src/matrex/union.py",
            "            if len(circuit) == len(prepared[i].part):\n                closed.add(i)\n",
            "",
-           "a search asks an arm whose whole part it labelled for circuits again (work only)",
+           "a search never marks an arm whose whole part it labelled, and asks it for "
+           "circuits again (work only)",
            test="tests/test_exchange.py::TestOracleBoundary"
                 "::test_uniform_search_asks_no_closed_arm_for_a_circuit"),
     Mutant("augment-closed-arm-skips-takes", "src/matrex/union.py",
-           "if not prepared[i].takes(x):",
-           "if True:",
+           "if home is not None and prepared[i].takes(x):",
+           "if home is not None and i not in closed and prepared[i].takes(x):",
            "a search misses the sink arcs into an arm whose whole part it labelled",
            test="tests/test_circuits.py::test_solver_matches_reference_where_searches_close_arms"),
     Mutant("augment-any-circuit-closes", "src/matrex/union.py",
            "            if len(circuit) == len(prepared[i].part):\n",
            "            if True:\n",
-           "a search stops reading an arm after any circuit, so it misses labels",
+           "a search stops asking an arm for circuits after any circuit, so it misses labels",
            test="tests/test_circuits.py::test_solver_matches_reference_where_searches_close_arms"),
+    Mutant("path-interleaves-moves", "src/matrex/union.py",
+           "    for x, old, _ in moves:\n        if old is not None:\n"
+           "            prepared[old].remove(x)\n    for x, _, new in moves:\n"
+           "        prepared[new].add(x)\n",
+           "    for x, old, new in moves:\n        if old is not None:\n"
+           "            prepared[old].remove(x)\n        prepared[new].add(x)\n",
+           "a path adds a node to its new arm before the nodes behind it leave theirs",
+           test="tests/test_union.py::TestExamples::test_a_path_removes_every_node_before_it_adds"),
     # --- the direct-insertion test, PreparedPart.takes -----------------------
     Mutant("augment-highest-arm-first", "src/matrex/union.py",
            "    for i in arms_of[source]:\n        if prepared[i].takes(source):",
@@ -77,15 +103,10 @@ MUTANTS = [
            "a direct insertion goes to the highest arm that takes it, not the lowest",
            test="tests/test_circuits.py::test_direct_and_searched_insertions_match_reference"),
     Mutant("default-takes-ignores-x", "src/matrex/core.py",
-           "if self.matroid._indep(frozenset(self.part | {x})):",
-           "if self.matroid._indep(frozenset(self.part)):",
+           "return self.matroid._indep(frozenset(self.part | {x}))",
+           "return self.matroid._indep(frozenset(self.part))",
            "the oracle part takes every element, dependent or not",
            test="tests/test_circuits.py::test_circuits_match_the_oracle"),
-    Mutant("default-circuit-asks-again", "src/matrex/core.py",
-           "if x != self._last and self.takes(x):",
-           "if self.takes(x):",
-           "the oracle part's circuit repeats the query takes just made (work only)",
-           test="tests/test_union.py::TestExamples::test_swap_through_the_default_prepared_part"),
     Mutant("uniform-takes-a-full-part", "src/matrex/core.py",
            "return len(self.part) < self.matroid.rank_bound",
            "return len(self.part) <= self.matroid.rank_bound",
@@ -107,11 +128,16 @@ MUTANTS = [
            "",
            "circuit and add reduce again what takes just reduced (work only)",
            test="tests/test_exchange.py::TestOracleBoundary::test_work_per_solve_is_pinned"),
-    Mutant("memo-outlives-a-remove", "src/matrex/core.py",
-           "        self.part.remove(y)\n        self._last = None\n",
-           "        self.part.remove(y)\n",
-           "a part answers from a memo made before its last remove",
-           test="tests/test_circuits.py::test_circuits_hold_until_the_next_move"),
+    Mutant("echelon-memo-outlives-a-remove", "src/matrex/core.py",
+           "        self._drop(y)\n        self._last = None\n        j = self.order.index(y)",
+           "        self._drop(y)\n        j = self.order.index(y)",
+           "a linear part answers from a reduction made before its last remove",
+           test="tests/test_circuits.py::test_takes_matches_circuits_after_changes"),
+    Mutant("basis-memo-outlives-a-remove", "src/matrex/core.py",
+           "        self._last = None\n        self.mask ^= self.matroid._weight[y]",
+           "        self.mask ^= self.matroid._weight[y]",
+           "a basis part answers from a scan made before its last remove",
+           test="tests/test_circuits.py::test_basis_part_scans_the_family_once_per_element"),
     Mutant("basis-circuit-ignores-x", "src/matrex/core.py",
            "grown, closing = self.mask | w, 0",
            "grown, closing = self.mask, 0",
@@ -195,6 +221,26 @@ MUTANTS = [
            "",
            "a shared element of two non-bases is returned as an exchange",
            test="tests/test_exchange.py"),
+    Mutant("symmetric-shortcut-skips-element-check", "src/matrex/exchange.py",
+           "    element1 = _as_int(element1, \"element\")\n",
+           "",
+           "a float or bool equal to a shared element is returned as it is",
+           test="tests/test_exchange.py::TestSymmetricExchange"
+                "::test_single_checks_the_element_on_both_paths"),
+    # --- the read-back of cyclic_exchange: one mutant per check ---------------
+    *(Mutant(f"read-back-skips-{check}", "src/matrex/exchange.py", old, "if False:",
+             f"the read-back lets a partition through that fails its {check} check",
+             test="tests/test_exchange.py::TestReadBackChecks::" + test)
+      for check, old, test in [
+          ("reached-set", "if isinstance(outcome, set):", "test_a_reached_set_raises"),
+          ("arity", "if len(outcome) != k:", "test_corrupted_partition_raises"),
+          ("seed", "if parts[0] != seed:", "test_corrupted_partition_raises"),
+          ("projection", "if projections[i] != s:", "test_corrupted_partition_raises"),
+          ("size", "if len(parts[i]) != len(seed):", "test_corrupted_partition_raises"),
+          ("is-basis", "if not matroid.is_basis(s):", "test_corrupted_partition_raises"),
+          ("class", "if not part <= classes.classes[i]:", "test_corrupted_partition_raises"),
+          ("disjoint", "if not seen.isdisjoint(part):", "test_corrupted_partition_raises"),
+      ]),
     # --- the search's skipped candidates -------------------------------------
     Mutant("search-skips-a1-inside-the-union", "src/matrex/verify.py",
            "return not seed & ~functools.reduce(operator.and_, bases) or seed == bases[0]",
@@ -278,11 +324,18 @@ EQUIVALENT: list[Mutant] = [
            "return len(self.part) != self.matroid.rows and",
            "add refuses a dependent element, so a part never holds more than rows",
            test="tests/test_circuits.py::test_circuits_match_the_oracle"),
-    Mutant("memo-outlives-an-add", "src/matrex/core.py",
-           "        self.part.add(x)\n        self._last = None\n",
-           "        self.part.add(x)\n",
-           "no memo goes stale on an add: a refusal stays true as the part grows, "
-           "and the linear and basis memos then name the element just added",
+    Mutant("echelon-memo-outlives-an-add", "src/matrex/core.py",
+           "        self._append(x)\n        self.part.add(x)\n        self._last = None\n",
+           "        self._append(x)\n        self.part.add(x)\n",
+           "after add(x) the memo names x, now in the part; a part is asked only of "
+           "elements outside it, and x leaves it only by a remove, which forgets the memo",
+           test="tests/test_circuits.py::test_circuits_hold_until_the_next_move"),
+    Mutant("basis-memo-outlives-an-add", "src/matrex/core.py",
+           "        self.mask |= self.matroid._weight[x]\n        self.part.add(x)\n"
+           "        self._last = None\n",
+           "        self.mask |= self.matroid._weight[x]\n        self.part.add(x)\n",
+           "after add(x) the memo names x, now in the part; a part is asked only of "
+           "elements outside it, and x leaves it only by a remove, which forgets the memo",
            test="tests/test_circuits.py::test_circuits_hold_until_the_next_move"),
 ]
 
