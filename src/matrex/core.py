@@ -26,8 +26,9 @@ from .errors import InternalVerificationError, SizeLimitError, ValidationError
 ENUMERATION_CAP = 20
 
 #: Largest basis family whose exchange-axiom check runs.  The check makes
-#: O(|family|^2) operations on n-bit masks, plus one per element of each
-#: difference b1 - b2.
+#: at most O(|family|^2) dict operations on masks of the elements outside
+#: the common part, plus one per element of each difference b1 - b2 that
+#: it walks for a failing first basis.
 AXIOM_CHECK_CAP = 256
 
 ElementSet = frozenset[int]
@@ -249,12 +250,11 @@ class PreparedPart:
     This base class answers through the oracle, on a frozenset of the part
     (once ``part + x`` is dependent, ``part - y + x`` is independent
     exactly when y lies on its circuit), so its ``circuit`` asks no query
-    that ``takes`` asked, and ``add`` and ``remove`` prepare again by
-    re-running ``__init__`` on a frozenset of the changed part.  Subclasses
-    change their state in place, and refuse, with an
-    InternalVerificationError, an ``add`` that would make the part
-    dependent and a ``remove`` of a non-member (``_drop``), mostly for the
-    price of one comparison on each move.
+    that ``takes`` asked.  Every part changes its state in place, and
+    refuses, with an InternalVerificationError, an ``add`` that would make
+    the part dependent and a ``remove`` of a non-member (``_drop``): here
+    for the price of one oracle query on each ``add``, in the subclasses
+    mostly for one comparison on each move.
     """
 
     def __init__(self, matroid: Matroid, part: ElementSet):
@@ -271,10 +271,12 @@ class PreparedPart:
         return frozenset(y for y in s if m._indep((s - {y}) | {x}))
 
     def add(self, x: int) -> None:
-        self.__init__(self.matroid, frozenset(self.part | {x}))
+        if not self.takes(x):
+            raise self._dependent(x)
+        self.part.add(x)
 
     def remove(self, y: int) -> None:
-        self.__init__(self.matroid, frozenset(self.part - {y}))
+        self._drop(y)
 
     def _dependent(self, x: int) -> InternalVerificationError:
         name = type(self.matroid).__name__
@@ -901,7 +903,12 @@ def check_base_axiom(n: int, family) -> tuple[bool, AxiomViolation | None]:
     sets raise SizeLimitError.
     """
     masks, _, elements = _basis_family(n, family)
-    violation = _axiom_violation(masks, elements)
+    size = masks[0].bit_count()
+    odd = next((b for b in masks if b.bit_count() != size), None)
+    if odd is None or len(masks) > AXIOM_CHECK_CAP:  # the cap raises before the sizes
+        violation = _axiom_violation(masks, elements)
+    else:
+        violation = AxiomViolation(_elements(masks[0], elements), _elements(odd, elements), None)
     return violation is None, violation
 
 
@@ -930,34 +937,93 @@ def _basis_family(n, family):
 
 def _axiom_violation(masks: list[int], elements: tuple[int, ...]) -> AxiomViolation | None:
     """The first violation of ``check_base_axiom`` by a nonempty family of
-    bitmasks, in its scan order, or None.  Bit i stands for ``elements[i]``,
-    and ``elements`` descends, so the top bit is the smallest element."""
+    bitmasks of one size, in its scan order, or None.  Bit i stands for
+    ``elements[i]``, and ``elements`` descends, so the top bit is the
+    smallest element."""
     if len(masks) > AXIOM_CHECK_CAP:
         raise SizeLimitError(f"{len(masks)} bases exceed the axiom check cap {AXIOM_CHECK_CAP}")
-    size = masks[0].bit_count()
-    for b in masks[1:]:
-        if b.bit_count() != size:
-            return AxiomViolation(_elements(masks[0], elements), _elements(b, elements), None)
+    # Neither e1 nor e2 can lie in every basis, so only the other bits, the
+    # free ones, take part, and every basis holds as many of them.
+    common = functools.reduce(operator.and_, masks)
+    free = [b ^ common for b in masks]
+    b1 = free[0]
+    # swaps[e1]: the mask of every e2 with b1 - e1 + e2 in the family, for
+    # the first basis b1, keyed by the bit of e1.  All sets have one size,
+    # so such a member differs from b1 in e1 and e2 only.
+    swaps: dict[int, int] = {}
+    outside = ~b1
+    for b in free:
+        added = b & outside
+        if added and not added & (added - 1):
+            removed = b1 & ~b
+            swaps[removed] = swaps.get(removed, 0) | added
+    if len(swaps) < b1.bit_count():
+        # Some e1 of b1 has no e2 at all, so b1 fails against some b2.
+        found = _first_failure(b1, swaps, free)
+    else:
+        # b1 has a distinct neighbour b1 - e1 + e2 for each of its free
+        # bits, so they number fewer than the members of the family, and
+        # the bases have at most |F|(|F| - 1) one-element deletions.
+        found = _indexed_violation(free)
+    if found is None:
+        return None
+    first, second, top = found
+    return AxiomViolation(_elements(masks[first], elements), _elements(masks[second], elements),
+                          elements[top])
 
-    for b1 in masks:
-        # swaps[e1]: the mask of every e2 with b1 - e1 + e2 in the family,
-        # keyed by the bit of e1.  All sets have one size, so such a member
-        # differs from b1 in e1 and e2 only.
-        swaps: dict[int, int] = {}
-        outside = ~b1
-        for b in masks:
-            added = b & outside
-            if added and not added & (added - 1):
-                removed = b1 & ~b
-                swaps[removed] = swaps.get(removed, 0) | added
-        for b2 in masks:
-            rest = b1 & ~b2
-            while rest:  # the e1 of b1 - b2, top bit (smallest element) first
-                top = rest.bit_length() - 1
-                if not swaps.get(1 << top, 0) & b2:
-                    return AxiomViolation(_elements(b1, elements), _elements(b2, elements),
-                                          elements[top])
-                rest ^= 1 << top
+
+def _first_failure(b1: int, swaps: dict[int, int], free: list[int]) -> tuple[int, int, int] | None:
+    """The positions of b1 and the first b2 and the bit of the first e1
+    that fail the first basis b1 of ``_axiom_violation``, from its swaps,
+    or None when b1 passes."""
+    for j, b2 in enumerate(free):
+        rest = b1 & ~b2
+        while rest:  # the e1 of b1 - b2, top bit (smallest element) first
+            top = rest.bit_length() - 1
+            if not swaps.get(1 << top, 0) & b2:
+                return 0, j, top
+            rest ^= 1 << top
+    return None
+
+
+def _indexed_violation(free: list[int]) -> tuple[int, int, int] | None:
+    """The positions of b1 and b2 and the bit of e1 of the first violation
+    by the free bits of a family (see ``_axiom_violation``), or None."""
+    # holders[w]: the positions of the bases that hold bit w, as a bitset.
+    holders: dict[int, int] = {}
+    for i, b in enumerate(free):
+        while b:
+            w = b & -b
+            holders[w] = holders.get(w, 0) | 1 << i
+            b ^= w
+    # covered[b ^ w], over each bit w of each basis b: the positions of the
+    # bases that hold some bit w deleted to reach that key.  So
+    # covered[b1 ^ e1] holds every b2 that holds e1 or an e2 with
+    # b1 - e1 + e2 in the family, and every other b2 fails (b1, e1).
+    covered: dict[int, int] = {}
+    for b in free:
+        rest = b
+        while rest:
+            w = rest & -rest
+            covered[b ^ w] = covered.get(b ^ w, 0) | holders[w]
+            rest ^= w
+    everyone = (1 << len(free)) - 1
+    # The keys are the b1 ^ e1 of every pair (b1, e1), so when each of them
+    # covers every b2, the family passes: the common case, in one C loop.
+    if min(covered.values(), default=everyone) == everyone:
+        return None
+    for i, b1 in enumerate(free):
+        rest, first = b1, 0
+        while rest:  # e1 top bit (smallest element) first
+            e1 = 1 << (rest.bit_length() - 1)
+            failing = everyone & ~covered[b1 ^ e1]
+            if failing:
+                low = failing & -failing  # the first b2 that e1 fails
+                if not first or low < first:  # a tie keeps the smaller e1
+                    first, top = low, e1.bit_length() - 1
+            rest ^= e1
+        if first:
+            return i, first.bit_length() - 1, top
     return None
 
 

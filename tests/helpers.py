@@ -286,6 +286,9 @@ class OracleOnly(Matroid):
     def _indep(self, s):
         return self.inner._indep(s)
 
+    def __repr__(self):
+        return f"OracleOnly({self.inner!r})"
+
 
 def fixture_matroids(max_n=10):
     """One representative per implemented matroid class, all with n <= max_n."""

@@ -335,6 +335,10 @@ MISUSES = [
     (BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]), {0, 1}, 2, 3),
     (BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]), {0}, 3, 1),  # a loop
     (disjoint_copies(UniformMatroid(3, 2), [{0, 1}, {0, 1}]), {0}, 2, 1),  # parallel copies
+    # the default oracle part
+    (OracleOnly(UniformMatroid(4, 2)), {0, 1}, 2, 3),
+    (OracleOnly(GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])), {0, 1}, 2, 2),
+    (OracleOnly(BasisMatroid(4, [[0, 1], [0, 2], [1, 2]])), {0}, 3, 1),  # a loop
 ]
 
 

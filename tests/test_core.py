@@ -1,9 +1,11 @@
 """Matroid classes, rank, bases, restriction, and the parallel-copy lift."""
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matrex import core
@@ -173,6 +175,9 @@ class TestBaseAxiom:
             check_base_axiom(n, [[e] for e in range(n)])
         with pytest.raises(SizeLimitError):
             BasisMatroid(n, [[e] for e in range(n)])
+        # the cap is checked before the sizes
+        with pytest.raises(SizeLimitError):
+            check_base_axiom(n, [[e] for e in range(n - 1)] + [[0, 1]])
         assert BasisMatroid(n, [[e] for e in range(n)], validate=False).full_rank() == 1
 
     def test_uniform_rank_is_known_at_construction(self):
@@ -506,6 +511,70 @@ def test_mask_axiom_check_takes_sparse_huge_ids(case):
     n, family = case
     spread = [[10**8 * e + 7 for e in b] for b in family]
     assert check_base_axiom(10**9, spread) == base_axiom_by_sets(10**9, spread)
+
+
+@st.composite
+def common_part_families(draw):
+    """A basis family with a common part, in scan order: the bases of a free
+    part plus U(1, 2) and U(2, 3) summands, as in tests/test_cli.py's 7 MiB
+    family, or random sets of one size that share a common part, each
+    holding more or fewer other elements than the family has sets.  Then
+    one basis is dropped, replaced by a random set of its size or repeated.
+    Returns (n, family)."""
+    common = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        blocks, start = [], common
+        for r, m in draw(st.lists(st.sampled_from(((1, 2), (2, 3))), min_size=1, max_size=4)):
+            blocks.append([frozenset(c) for c in itertools.combinations(range(start, start + m), r)])
+            start += m
+        n = start
+        family = [frozenset(range(common)).union(*picks) for picks in itertools.product(*blocks)]
+    else:
+        n = common + draw(st.integers(1, 8))
+        size = draw(st.integers(0, n - common))
+        others = st.frozensets(st.integers(common, n - 1), min_size=size, max_size=size)
+        family = [s | frozenset(range(common))
+                  for s in draw(st.lists(others, min_size=1, max_size=16))]
+    family = draw(st.permutations(family))
+    i = draw(st.integers(0, len(family) - 1))
+    change = draw(st.sampled_from(("dropped", "replaced", "repeated")))
+    if change == "dropped" and len(family) > 1:
+        family.pop(i)
+    elif change == "replaced":
+        family[i] = draw(st.frozensets(st.integers(0, n - 1), min_size=len(family[i]),
+                                       max_size=len(family[i])))
+    elif change == "repeated":
+        family.insert(draw(st.integers(0, len(family))), family[i])
+    return n, [sorted(b) for b in family]
+
+
+@settings(max_examples=300, deadline=None)
+@given(common_part_families())
+# Two of b1's e1 fail the same first b2: the smaller e1 is named.
+@example((6, [[0, 3, 4], [0, 2, 3], [1, 2, 5], [0, 2, 4], [0, 3, 5], [1, 3, 5], [1, 3, 4],
+              [1, 2, 4]]))
+# The e1 that fails the earliest b2 is named, though a smaller e1 fails a later one.
+@example((5, [[0, 2, 3], [0, 1, 3], [1, 2, 3], [0, 1, 4], [0, 2, 4]]))
+def test_axiom_check_matches_set_reference_with_common_parts(case):
+    n, family = case
+    assert check_base_axiom(n, family) == base_axiom_by_sets(n, family)
+
+
+def test_axiom_check_memory_is_bounded():
+    # Each basis holds about 3,000 elements that are not in every basis,
+    # more than the family has other members, so the first basis fails and
+    # no index of one-element deletions is built: it would take about
+    # 0.7 GiB.
+    rng = random.Random(0)
+    family = [frozenset(rng.sample(range(6000), 3000)) for _ in range(256)]
+    tracemalloc.start()
+    try:
+        ok, violation = check_base_axiom(6000, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ok and violation.first == family[0]
+    assert peak < 8 * 2**20
 
 
 @settings(max_examples=200, deadline=None)

@@ -81,7 +81,7 @@ class TestExamples:
     def test_swap_through_the_default_prepared_part(self, monkeypatch):
         # Element 1 fits only arm 0, which holds 0, so 0 moves on to arm 1:
         # parts of a matroid known only by its oracle answer every circuit
-        # and take every move.
+        # and take every move, each add after its own takes().
         calls = []
         for name in ("takes", "circuit", "add", "remove"):
             def spy(self, x, name=name, method=getattr(core.PreparedPart, name)):
@@ -97,12 +97,15 @@ class TestExamples:
         # An insertion asks takes() first; circuits are built once a search
         # starts, for the source, which takes() just refused, and then for
         # each expanded node that an arm refuses.  Node 0's takes() on arm 1
-        # is a sink arc.
-        assert calls == [("takes", 0), ("add", 0), ("takes", 1), ("circuit", 1), ("takes", 0),
-                         ("remove", 0), ("add", 0), ("add", 1)]
+        # is a sink arc.  Each add asks takes() of its element again, so
+        # that it refuses one that would make the part dependent.
+        assert calls == [("takes", 0), ("add", 0), ("takes", 0), ("takes", 1), ("circuit", 1),
+                         ("takes", 0), ("remove", 0), ("add", 0), ("takes", 0),
+                         ("add", 1), ("takes", 1)]
         # The solve asks {0}, {0, 1} (refused), {1} (1 swaps with 0) and {0},
-        # no query twice; the check of the result asks {1} and {0}.
-        assert queries == [{0}, {0, 1}, {1}, {0}, {1}, {0}]
+        # and each of its three adds one query more: {0}, {0} and {1}.  A
+        # remove asks none.  The check of the result asks {1} and {0}.
+        assert queries == [{0}, {0}, {0, 1}, {1}, {0}, {0}, {1}, {1}, {0}]
 
     def test_a_path_removes_every_node_before_it_adds(self, monkeypatch):
         # Element 2 fits only arm 0, which holds 0; 0 moves on to arm 1,

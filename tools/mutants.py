@@ -258,11 +258,43 @@ MUTANTS = [
            "self._masks = dict.fromkeys(sorted(masks))",
            "a basis family enumerates in reverse lexicographic order",
            test="tests/test_core.py::test_basis_queries_match_the_family"),
+    # --- the exchange-axiom check: the first basis's scan, then the index --
     Mutant("axiom-check-takes-e1-largest-first", "src/matrex/core.py",
            "top = rest.bit_length() - 1",
            "top = (rest & -rest).bit_length() - 1",
            "the axiom check names the largest e1 of b1 - b2 that fails, not the smallest",
            test="tests/test_core.py::TestBaseAxiom::test_split_family_fails_with_first_violation"),
+    Mutant("axiom-check-first-basis-scans-all-of-b1", "src/matrex/core.py",
+           "        rest = b1 & ~b2\n",
+           "        rest = b1\n",
+           "the scan of a failing first basis asks about e1 in b2 too, and names b1 as b2",
+           test="tests/test_core.py::TestBaseAxiom::test_split_family_fails_with_first_violation"),
+    Mutant("axiom-check-always-indexes", "src/matrex/core.py",
+           "    if len(swaps) < b1.bit_count():\n",
+           "    if False:\n",
+           "a family whose first basis fails gets the index all the same, with one entry per "
+           "element of each basis (work and memory only)",
+           test="tests/test_core.py::test_axiom_check_memory_is_bounded"),
+    Mutant("axiom-check-index-passes-on-one-covered-key", "src/matrex/core.py",
+           "if min(covered.values(), default=everyone) == everyone:",
+           "if max(covered.values(), default=everyone) == everyone:",
+           "the indexed check passes a family once one b1 - e1 covers every b2",
+           test="tests/test_core.py::test_axiom_check_matches_set_reference_with_common_parts"),
+    Mutant("axiom-check-index-takes-the-last-b2", "src/matrex/core.py",
+           "low = failing & -failing",
+           "low = 1 << (failing.bit_length() - 1)",
+           "the indexed check names the last b2 that an e1 fails, not the first",
+           test="tests/test_core.py::test_axiom_check_matches_set_reference_with_common_parts"),
+    Mutant("axiom-check-index-tie-keeps-the-larger-e1", "src/matrex/core.py",
+           "if not first or low < first:",
+           "if not first or low <= first:",
+           "the indexed check names the largest e1 that fails the first b2, not the smallest",
+           test="tests/test_core.py::test_axiom_check_matches_set_reference_with_common_parts"),
+    Mutant("axiom-check-index-takes-e1-largest-first", "src/matrex/core.py",
+           "e1 = 1 << (rest.bit_length() - 1)",
+           "e1 = rest & -rest",
+           "the indexed check scans e1 largest first, so a tie keeps the largest",
+           test="tests/test_core.py::test_axiom_check_matches_set_reference_with_common_parts"),
     Mutant("element-array-allows-repeats", "src/matrex/io.py",
            "all(map(operator.lt, values, values[1:]))",
            "all(map(operator.le, values, values[1:]))",
@@ -305,6 +337,21 @@ MUTANTS = [
            "    return True",
            "a family with no shift-by-one tuple passes as a witness",
            test="tests/test_verify.py"),
+    Mutant("echelon-drops-the-first-tagged-row", "src/matrex/core.py",
+           "r = next(r for r in reversed(range(len(rows))) if rows[r][1] >> at & mask)",
+           "r = next(r for r in range(len(rows)) if rows[r][1] >> at & mask)",
+           "a GF(p) remove drops the first row that holds the tag, and rows after it keep it",
+           test="tests/test_circuits.py::test_takes_matches_circuits_after_changes"),
+    Mutant("bit-echelon-drops-the-first-tagged-row", "src/matrex/core.py",
+           "r = next(r for r in reversed(range(len(rows))) if rows[r][1] & bit)",
+           "r = next(r for r in range(len(rows)) if rows[r][1] & bit)",
+           "a GF(2) remove drops the first row that holds the tag, and rows after it keep it",
+           test="tests/test_circuits.py::test_takes_matches_circuits_after_changes"),
+    Mutant("forest-circuit-climbs-the-shallower-end", "src/matrex/core.py",
+           "            if depth[u] < depth[v]:\n",
+           "            if depth[u] > depth[v]:\n",
+           "a forest circuit climbs from the shallower end, past the meeting point",
+           test="tests/test_circuits.py::test_circuits_match_the_oracle"),
     Mutant("forest-cut-keeps-tree-size", "src/matrex/core.py",
            "        self.size[self.root[v]] -= self.size[u]\n",
            "",
