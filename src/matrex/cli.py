@@ -83,7 +83,10 @@ def _read_json(path: str):
 
 def _write(args, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -302,9 +302,6 @@ class _UniformPart(PreparedPart):
             raise self._dependent(x)
         self.part.add(x)
 
-    def remove(self, y: int) -> None:
-        self._drop(y)
-
 
 class UniformMatroid(Matroid):
     """U(r, n): a set is independent iff it has at most r elements."""

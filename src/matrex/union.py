@@ -46,11 +46,7 @@ class Arm:
         return self.matroid.rank(self._inside(subset))
 
     def _inside(self, subset) -> ElementSet:
-        items = _listed(subset, "expected a set of element ids")
-        try:
-            s = frozenset(items)
-        except TypeError:  # an unhashable item, so not an integer
-            s = frozenset(_as_ints(items))
+        s = frozenset(_as_ints(_listed(subset, "expected a set of element ids")))
         for e in s - self.allowed:
             raise ValidationError(f"element {e} is outside the arm's allowed set")
         return s
@@ -227,24 +223,24 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
 
 def _apply_path(prepared, owner, parent, last, sink_arm) -> None:
     """Apply the swaps along the path ending with ``last`` -> sink_arm, a path
-    of at least one swap (a direct insertion never gets here): walking
-    back, each node moves into the arm its successor leaves.  All removals
-    go first, so every part stays independent at every step.  The first
-    addition is ``last`` to the sink arm, whose ``takes`` query was the last
-    one made, so a sink part that lost nothing may reuse that query's
-    work."""
-    moves = []
+    of at least one swap (a direct insertion never gets here), in one walk
+    back from ``last``: each node leaves its owner's part, if it has one,
+    and joins the arm that its successor left, or the sink arm.
+
+    After each step the parts hold the result of applying the path's suffix
+    from that node, and a suffix of a shortest augmenting path is itself
+    one, so every part stays independent at every step; a part's ``add``
+    refuses any move that would break that.  The first move into the sink
+    arm is ``last``, right after the sink part's own ``takes(last)``, so
+    that part may reuse the query's work."""
     x, arm = last, sink_arm
     while x is not None:
         old = owner.get(x)
-        moves.append((x, old, arm))
-        owner[x] = arm
-        x, arm = parent[x], old
-    for x, old, _ in moves:
         if old is not None:
             prepared[old].remove(x)
-    for x, _, new in moves:
-        prepared[new].add(x)
+        prepared[arm].add(x)
+        owner[x] = arm
+        x, arm = parent[x], old
 
 
 def _certificate(arms, reached: set[int]) -> DeficiencyCertificate:

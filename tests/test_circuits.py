@@ -10,6 +10,14 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from matrex import (
     Arm,
@@ -368,6 +376,110 @@ def test_slot_part_refuses_an_inner_dependent_add():
 
 
 # --- parts that change in place ----------------------------------------------
+
+
+class PartContract(RuleBasedStateMachine):
+    """One prepared part of ``matroid`` under its four calls in any order:
+    ``takes(x)`` and ``add(x)`` of an x outside the part, ``circuit(x)`` of
+    an x that ``takes`` refused since the last move, and ``remove(y)`` of
+    any y.  Each answer is that of a part freshly prepared from the current
+    set, by the class and by the oracle alike.  An add or remove that the
+    fresh part refuses must raise and leave the part as it was, so it ends
+    no answer: every circuit given since the last move still holds, also
+    one that is the live part itself."""
+
+    matroid: Matroid
+
+    @initialize(data=st.data())
+    def prepare(self, data):
+        # Any independent set: the ones an ordered choice of elements keeps.
+        n = self.matroid.ground_size
+        kept = set()
+        for e in data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+            if self.matroid._indep(frozenset(kept | {e})):
+                kept.add(e)
+        self.part = kept
+        self.prepared = self.matroid._prepare(frozenset(kept))
+        self.refused = set()  # refused by takes since the last move
+        self.circuits = []  # (circuit, its value when given) since the last move
+
+    def fresh(self):
+        s = frozenset(self.part)
+        return self.matroid._prepare(s), core.PreparedPart(self.matroid, s)
+
+    def outside(self):
+        return sorted(self.matroid.ground_set() - self.part)
+
+    def moved(self):
+        self.refused.clear()
+        self.circuits.clear()
+
+    @precondition(lambda self: self.outside())
+    @rule(data=st.data())
+    def takes(self, data):
+        x = data.draw(st.sampled_from(self.outside()))
+        answer = self.prepared.takes(x)
+        assert all(answer == fresh.takes(x) for fresh in self.fresh())
+        if not answer:
+            self.refused.add(x)
+
+    @precondition(lambda self: self.refused)
+    @rule(data=st.data())
+    def circuit(self, data):
+        x = data.draw(st.sampled_from(sorted(self.refused)))
+        answer = self.prepared.circuit(x)
+        assert all(answer == circuit_or_none(fresh, x) for fresh in self.fresh())
+        self.circuits.append((answer, frozenset(answer)))
+
+    @precondition(lambda self: self.outside())
+    @rule(data=st.data())
+    def add(self, data):
+        x = data.draw(st.sampled_from(self.outside()))
+        if self.fresh()[1].takes(x):
+            self.prepared.add(x)
+            self.part.add(x)
+            self.moved()
+        else:
+            with pytest.raises(InternalVerificationError):
+                self.prepared.add(x)
+
+    @rule(data=st.data())
+    def remove(self, data):
+        y = data.draw(st.integers(0, self.matroid.ground_size - 1))
+        if y in self.part:
+            self.prepared.remove(y)
+            self.part.remove(y)
+            self.moved()
+        else:
+            with pytest.raises(InternalVerificationError):
+                self.prepared.remove(y)
+
+    @invariant()
+    def answers_hold(self):
+        assert self.prepared.part == self.part
+        assert all(answer == value for answer, value in self.circuits)
+
+
+# The part classes the contract covers: uniform, forest, GF(2), GF(3), a
+# prime with two-byte fields, bases-type, the default oracle part, and the
+# slot lift of each.
+CONTRACT_CORPUS = [lift for matroid in [
+    UniformMatroid(6, 3),
+    GraphicMatroid(4, [[0, 1], [1, 2], [2, 2], [0, 1], [0, 2], [1, 0], [3, 2]]),
+    LinearMatroid(2, 3, FANO_COLUMNS + [[0, 0, 0], [1, 1, 0]]),
+    LinearMatroid(3, 3, [[1, 2, 0], [0, 0, 0], [2, 1, 0], [0, 1, 1], [1, 0, 2], [1, 1, 1]]),
+    LinearMatroid(131, 3, [[1, 0, 130], [0, 0, 0], [2, 5, 7], [0, 1, 0], [130, 0, 1], [1, 1, 1],
+                           [4, 10, 14]]),
+    BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]]),  # a loop (4) and a coloop (3)
+    OracleOnly(GraphicMatroid(4, K4_EDGES)),
+] for lift in with_slots(matroid)]
+
+
+@pytest.mark.parametrize("matroid", CONTRACT_CORPUS, ids=repr)
+def test_part_contract(matroid):
+    machine = type("PartContractOn", (PartContract,), {"matroid": matroid})
+    run_state_machine_as_test(
+        machine, settings=settings(max_examples=60, stateful_step_count=30, deadline=None))
 
 
 def assert_circuits_hold_until_a_move(matroid, rng, prepare=None):
@@ -811,9 +923,7 @@ def test_solves_ask_circuits_only_of_refused_elements(monkeypatch):
     # for every part class, the default oracle part included.
     refused, circuits = {}, collections.Counter()  # part -> refused since its last move
 
-    def spying(cls):
-        takes, circuit, add, remove = (cls.__dict__[name]
-                                       for name in ("takes", "circuit", "add", "remove"))
+    def spying(cls, takes, circuit, add, remove):
 
         def spy_takes(self, x):
             answer = takes(self, x)
@@ -837,8 +947,11 @@ def test_solves_ask_circuits_only_of_refused_elements(monkeypatch):
         monkeypatch.setattr(cls, "add", moving(add))
         monkeypatch.setattr(cls, "remove", moving(remove))
 
-    for cls in PART_CLASSES:
-        spying(cls)
+    # Read every method, inherited ones included, before any is patched.
+    methods = {cls: [getattr(cls, name) for name in ("takes", "circuit", "add", "remove")]
+               for cls in PART_CLASSES}
+    for cls, found in methods.items():
+        spying(cls, *found)
     for spec in EXCHANGE_SPECS:
         for seed in range(3):
             cyclic_exchange(random_instance(InstanceGenSpec(k=3, seed=seed, **spec)))

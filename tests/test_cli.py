@@ -86,6 +86,26 @@ class TestCheck:
         assert info.value.code == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    @pytest.mark.parametrize("json_errors", [False, True])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, target, json_errors):
+        # The failed write is reported like a failed read, not as a traceback.
+        from matrex import cli
+
+        out = str(tmp_path if target == "directory" else tmp_path / "missing" / "out.txt")
+        argv = ["check", write(tmp_path, "m.json", UNIFORM42), "--output", out]
+        assert cli.main(argv + ["--json-errors"] * json_errors) == 1
+        captured = capsys.readouterr()
+        if json_errors:
+            error = json.loads(captured.out)["error"]
+            assert captured.err == "" and error["type"] == "format"
+            message = error["message"]
+        else:
+            assert captured.out == "" and captured.err.startswith("error: ")
+            message = captured.err[len("error: "):]
+        assert message.startswith(f"cannot write {out}: ")
+        assert ("Is a directory" if target == "directory" else "No such file") in message
+
     def test_over_cap_omits_basis_count(self, tmp_path):
         path = write(tmp_path, "m.json", {"type": "uniform", "n": 25, "rank": 3})
         proc = run_cli("check", path)

@@ -107,10 +107,11 @@ class TestExamples:
         # remove asks none.  The check of the result asks {1} and {0}.
         assert queries == [{0}, {0}, {0, 1}, {1}, {0}, {0}, {1}, {1}, {0}]
 
-    def test_a_path_removes_every_node_before_it_adds(self, monkeypatch):
+    def test_a_path_moves_each_node_as_it_walks_back(self, monkeypatch):
         # Element 2 fits only arm 0, which holds 0; 0 moves on to arm 1,
-        # which holds 1, and 1 to arm 2.  Applying that path takes 1 and 0
-        # out of their arms before it puts any element into its new one.
+        # which holds 1, and 1 to arm 2.  Applying that path walks back
+        # from 1: each node leaves its arm and joins its new one before the
+        # walk reaches the node behind it.
         calls = []
         for name in ("add", "remove"):
             def spy(self, x, name=name, method=getattr(core._UniformPart, name)):
@@ -122,7 +123,7 @@ class TestExamples:
             PartitionProblem({0, 1, 2}, [Arm({0, 2}, m), Arm({0, 1}, m), Arm({1}, m)]))
         assert result == Partition((frozenset({2}), frozenset({0}), frozenset({1})))
         assert calls == [("add", 0), ("add", 1),
-                         ("remove", 1), ("remove", 0), ("add", 1), ("add", 0), ("add", 2)]
+                         ("remove", 1), ("add", 1), ("remove", 0), ("add", 0), ("add", 2)]
 
 
 class TestVerifyPartition:
@@ -264,10 +265,15 @@ class TestValidation:
             assert str(info.value) == "expected a set of element ids, got 5"
 
     def test_arm_rejects_non_integer_ids(self):
-        arm = Arm({0, 1}, UniformMatroid(3, 1))
+        # A hashable non-integer is named as one, not as outside the
+        # allowed set, even when an integer equal to it is allowed.
+        arm = Arm({0, 1}, UniformMatroid(4, 2))
         for query in (arm.is_independent, arm.rank):
-            with pytest.raises(ValidationError, match="expected an integer"):
-                query({1.0})
+            for subset, item in (({1.0}, 1.0), ("01", "0"), (["a"], "a"), ([1.5], 1.5),
+                                 ([None], None)):
+                with pytest.raises(ValidationError) as info:
+                    query(subset)
+                assert str(info.value) == f"expected an integer, got {item!r}"
 
     def test_arm_rejects_an_unhashable_id(self):
         arm = Arm({0}, UniformMatroid(3, 1))

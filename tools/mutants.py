@@ -13,7 +13,9 @@ the suite survives, and the tool then exits 1.  It also exits 1, before
 running anything, when the old text of any entry is not found exactly once
 or its named test does not exist, so the catalogue cannot silently rot as
 the code or the tests change.  A run that hits the timeout counts as
-killed, and is reported.
+killed, and is reported.  Each run's address space is capped at MEMORY_CAP
+bytes (2 GiB), so a mutant that makes a test hold more than that fails it,
+by a MemoryError, instead of filling a small machine.
 
 Mutants known to be equivalent (no test can tell them apart) are listed
 with the reason and the test that covers their code; their old text and
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import ast
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -40,6 +43,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600  # seconds per mutant
+MEMORY_CAP = 2 * 2**30  # bytes of address space per pytest run
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 @dataclass(frozen=True)
@@ -88,14 +96,19 @@ MUTANTS = [
            "            if True:\n",
            "a search stops asking an arm for circuits after any circuit, so it misses labels",
            test="tests/test_circuits.py::test_solver_matches_reference_where_searches_close_arms"),
-    Mutant("path-interleaves-moves", "src/matrex/union.py",
-           "    for x, old, _ in moves:\n        if old is not None:\n"
-           "            prepared[old].remove(x)\n    for x, _, new in moves:\n"
-           "        prepared[new].add(x)\n",
-           "    for x, old, new in moves:\n        if old is not None:\n"
-           "            prepared[old].remove(x)\n        prepared[new].add(x)\n",
-           "a path adds a node to its new arm before the nodes behind it leave theirs",
-           test="tests/test_union.py::TestExamples::test_a_path_removes_every_node_before_it_adds"),
+    Mutant("path-keeps-the-old-owner", "src/matrex/union.py",
+           "        owner[x] = arm\n",
+           "",
+           "a path moves its nodes but leaves their owners as they were, so later searches "
+           "skip the wrong arm and remove nodes from arms that do not hold them",
+           test="tests/test_circuits.py::test_solver_matches_reference_on_random_problems"),
+    Mutant("path-adds-before-it-removes", "src/matrex/union.py",
+           "        if old is not None:\n            prepared[old].remove(x)\n"
+           "        prepared[arm].add(x)\n",
+           "        prepared[arm].add(x)\n        if old is not None:\n"
+           "            prepared[old].remove(x)\n",
+           "a node joins its new arm before it leaves its owner's part",
+           test="tests/test_union.py::TestExamples::test_a_path_moves_each_node_as_it_walks_back"),
     # --- the direct-insertion test, PreparedPart.takes -----------------------
     Mutant("augment-highest-arm-first", "src/matrex/union.py",
            "    for i in arms_of[source]:\n        if prepared[i].takes(source):",
@@ -301,6 +314,11 @@ MUTANTS = [
            "a file's element array may repeat an id, which the set then drops",
            test="tests/test_io.py::TestElementArrays::test_ascending_enforced"),
     # --- the CLI's input cap and its sized reads -------------------------------
+    Mutant("cli-write-error-escapes", "src/matrex/cli.py",
+           'raise FormatError(f"cannot write {args.output}: {exc}") from None',
+           "raise",
+           "an output path that cannot be written ends the CLI in a traceback",
+           test="tests/test_cli.py::TestCheck::test_unwritable_output_exits_1"),
     Mutant("cli-input-cap-off", "src/matrex/cli.py",
            "    if len(data) > MAX_INPUT_BYTES:\n        raise",
            "    if False:\n        raise",
@@ -322,6 +340,12 @@ MUTANTS = [
            "a file one byte above the cap, longer than fstat said, is cut to the cap and parsed",
            test="tests/test_cli.py::TestCheck::test_input_cap_holds_when_fstat_reports_less"),
     # --- guards that earlier mutation runs found unguarded --------------------
+    Mutant("arm-hashes-before-it-converts", "src/matrex/union.py",
+           '_as_ints(_listed(subset, "expected a set of element ids"))',
+           '_listed(subset, "expected a set of element ids")',
+           "an arm hashes the items as given, so it calls a non-integer id outside its "
+           "allowed set, and an unhashable one raises a raw TypeError",
+           test="tests/test_union.py::TestValidation::test_arm_rejects_non_integer_ids"),
     Mutant("verify-partition-allows-overlap", "src/matrex/union.py",
            "        if part & seen:\n            return False\n",
            "",
@@ -440,7 +464,8 @@ def run(mutant: Mutant) -> tuple[str, str, float]:
             cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
             try:
                 done = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                                      stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+                                      stderr=subprocess.DEVNULL, timeout=TIMEOUT,
+                                      preexec_fn=_cap_memory)
             except subprocess.TimeoutExpired:
                 return "timeout", test, time.monotonic() - start
             # A failed test (exit 1) or a failed import (exit 2) kills; the
