@@ -138,19 +138,19 @@ class Matroid(ABC):
     prepared part per arm, and only a linear or bases-type part remembers
     an answer, one at a time, until its next move.
 
-    ``_prepare(s)``, for an independent ``s``, returns a ``PreparedPart``:
-    its ``takes(x)`` tells whether ``s + x`` is independent, its
+    ``_prepare()`` returns an empty ``PreparedPart``, which ``add`` grows:
+    its ``takes(x)`` tells whether ``part + x`` is independent, its
     ``circuit(x)``, asked only for an ``x`` that ``takes`` refused, gives
-    the fundamental circuit of ``s + x``, its ``add(x)`` grows the part by
-    an ``x`` that it takes, and its ``remove(y)`` drops an element ``y`` of
-    the part; both answers hold until the part's next move.  The default
-    part asks ``_indep`` once per element of ``s`` and prepares again on
-    ``add`` and ``remove``; classes with structure (uniform, graphic,
-    linear, basis families, the slot lift) return parts that answer each
-    ``x`` directly and change in place.  A subclass author may return a
-    ``PreparedPart`` subclass that overrides ``__init__`` (calling the base
-    one) and ``circuit`` only, and inherit ``takes``, ``add`` and
-    ``remove``.
+    the fundamental circuit of ``part + x``, its ``add(x)`` grows the part
+    by an ``x`` that it takes, and its ``remove(y)`` drops an element ``y``
+    of the part; both answers hold until the part's next move.  The
+    default part asks ``_indep`` once per element of the part for a
+    circuit; classes with structure (uniform, graphic, linear, basis
+    families, the slot lift) return parts that answer each ``x`` directly
+    and change in place.  A subclass author may return a ``PreparedPart``
+    subclass that overrides ``__init__`` (calling the base one) to set up
+    its empty state, and ``circuit``; it overrides ``add`` and ``remove``
+    too when it keeps state beyond ``part``, and may inherit ``takes``.
 
     ``_rank_cap``, when not None, is a bound on the size of any independent
     set that the class knows without a query (rows for a linear matroid,
@@ -183,9 +183,9 @@ class Matroid(ABC):
     def _indep(self, s: ElementSet) -> bool:
         """Independence of a validated subset of the ground set."""
 
-    def _prepare(self, s: ElementSet) -> "PreparedPart":
-        """The fundamental circuits of the independent set ``s``."""
-        return PreparedPart(self, s)
+    def _prepare(self) -> "PreparedPart":
+        """An empty part, which ``add`` grows, and its fundamental circuits."""
+        return PreparedPart(self)
 
     def greedy_independent(self, elements) -> ElementSet:
         """Maximum independent subset of ``elements``.
@@ -235,8 +235,9 @@ class PreparedPart:
     """The fundamental circuits of an independent set ``part`` of ``matroid``,
     kept while the part changes.
 
-    ``part`` is a set that the part owns and changes in place: callers read
-    it, but never keep or mutate it.  Each method answers one question.
+    A part starts empty and grows only through ``add``.  ``part`` is a set
+    that the part owns and changes in place: callers read it, but never
+    keep or mutate it.  Each method answers one question.
     ``takes(x)``, for ``x`` outside the part, says whether ``part + x`` is
     independent.  ``circuit(x)`` is asked only after ``takes(x)`` refused
     ``x``, with no move in between, and gives the elements of the part on
@@ -251,15 +252,15 @@ class PreparedPart:
     (once ``part + x`` is dependent, ``part - y + x`` is independent
     exactly when y lies on its circuit), so its ``circuit`` asks no query
     that ``takes`` asked.  Every part changes its state in place, and
-    refuses, with an InternalVerificationError, an ``add`` that would make
-    the part dependent and a ``remove`` of a non-member (``_drop``): here
-    for the price of one oracle query on each ``add``, in the subclasses
-    mostly for one comparison on each move.
+    refuses, with an InternalVerificationError, an ``add`` of a member or
+    of an element that would make the part dependent, and a ``remove`` of
+    a non-member (``_drop``): here for the price of one oracle query on
+    each ``add``, in the subclasses mostly for one comparison on each move.
     """
 
-    def __init__(self, matroid: Matroid, part: ElementSet):
+    def __init__(self, matroid: Matroid):
         self.matroid = matroid
-        self.part = set(part)
+        self.part: set[int] = set()
 
     def takes(self, x: int) -> bool:
         """Whether ``part + x`` is independent."""
@@ -271,7 +272,7 @@ class PreparedPart:
         return frozenset(y for y in s if m._indep((s - {y}) | {x}))
 
     def add(self, x: int) -> None:
-        if not self.takes(x):
+        if x in self.part or not self.takes(x):
             raise self._dependent(x)
         self.part.add(x)
 
@@ -298,7 +299,7 @@ class _UniformPart(PreparedPart):
         return self.part
 
     def add(self, x: int) -> None:
-        if len(self.part) >= self.matroid.rank_bound:
+        if x in self.part or len(self.part) >= self.matroid.rank_bound:
             raise self._dependent(x)
         self.part.add(x)
 
@@ -317,8 +318,8 @@ class UniformMatroid(Matroid):
     def _indep(self, s: ElementSet) -> bool:
         return len(s) <= self.rank_bound
 
-    def _prepare(self, s: ElementSet) -> PreparedPart:
-        return _UniformPart(self, s)
+    def _prepare(self) -> PreparedPart:
+        return _UniformPart(self)
 
     def __repr__(self) -> str:
         return f"UniformMatroid(n={self._n}, r={self.rank_bound})"
@@ -336,16 +337,14 @@ class _ForestPart(PreparedPart):
     so it takes space for the touched vertices only.
     """
 
-    def __init__(self, matroid: GraphicMatroid, part: ElementSet):
-        super().__init__(matroid, part)
+    def __init__(self, matroid: GraphicMatroid):
+        super().__init__(matroid)
         order = matroid._order
         self.up: list[tuple[int, int] | None] = [None] * order
         self.depth = [0] * order
         self.root = list(range(order))
         self.size = [1] * order
         self.adjacent: list[list[tuple[int, int]]] = [[] for _ in range(order)]
-        for i in part:
-            self._link(i)
 
     def takes(self, x: int) -> bool:
         u, v = self.matroid._ends[x]
@@ -362,7 +361,19 @@ class _ForestPart(PreparedPart):
         return frozenset(path)
 
     def add(self, x: int) -> None:
-        self._link(x)
+        u, v = self.matroid._ends[x]
+        root, size = self.root, self.size
+        if root[u] == root[v]:  # a self-loop, or both ends in one tree
+            raise self._dependent(x)
+        if size[root[u]] > size[root[v]]:
+            u, v = v, u
+        top = root[v]
+        size[top] += size[root[u]]
+        # Hang u below v, then walk u's old tree outwards from u.
+        self.up[u], self.depth[u], root[u] = (v, x), self.depth[v] + 1, top
+        self._spread(u, v)
+        self.adjacent[u].append((v, x))
+        self.adjacent[v].append((u, x))
         self.part.add(x)
 
     def remove(self, y: int) -> None:
@@ -376,21 +387,6 @@ class _ForestPart(PreparedPart):
         self.up[u], self.depth[u], self.root[u] = None, 0, u
         self.size[u] = self._spread(u, None)
         self.size[self.root[v]] -= self.size[u]
-
-    def _link(self, i: int) -> None:
-        u, v = self.matroid._ends[i]
-        root, size = self.root, self.size
-        if root[u] == root[v]:  # a self-loop, or both ends in one tree
-            raise self._dependent(i)
-        if size[root[u]] > size[root[v]]:
-            u, v = v, u
-        top = root[v]
-        size[top] += size[root[u]]
-        # Hang u below v, then walk u's old tree outwards from u.
-        self.up[u], self.depth[u], root[u] = (v, i), self.depth[v] + 1, top
-        self._spread(u, v)
-        self.adjacent[u].append((v, i))
-        self.adjacent[v].append((u, i))
 
     def _spread(self, u: int, came_from: int | None) -> int:
         """Hang every vertex reached from u, away from ``came_from``, below
@@ -493,8 +489,8 @@ class GraphicMatroid(Matroid):
         joined = (i for i, joins in zip(ordered, self._joins(ordered)) if joins)
         return frozenset(itertools.islice(joined, self._rank_cap))
 
-    def _prepare(self, s: ElementSet) -> PreparedPart:
-        return _ForestPart(self, s)
+    def _prepare(self) -> PreparedPart:
+        return _ForestPart(self)
 
     def __repr__(self) -> str:
         return f"GraphicMatroid(vertices={self.vertex_count}, edges={list(self.edges)})"
@@ -737,16 +733,14 @@ class _EchelonPart(PreparedPart):
     # the nonzero ones mark the circuit.  Removing y drops the row that holds
     # y's tag last and leaves y's slot in ``order`` vacant for the next add.
 
-    def __init__(self, matroid: LinearMatroid, part: ElementSet):
-        super().__init__(matroid, part)
+    def __init__(self, matroid: LinearMatroid):
+        super().__init__(matroid)
         d = matroid.rows
         self.echelon = matroid._fields.echelon(d, 2 * d)
         self.tag_shift = d * matroid._fields.bits
         self.order: list[int | None] = []  # the element tagged e_j, None if vacant
         self.vacant: list[int] = []
         self._last = None
-        for e in part:
-            self._append(e)
 
     def takes(self, x: int) -> bool:
         # A part of ``rows`` elements spans the space: no reduction needed.
@@ -769,7 +763,19 @@ class _EchelonPart(PreparedPart):
         return vec, col
 
     def add(self, x: int) -> None:
-        self._append(x)
+        # No row carries tag j yet, so x tagged e_j reduces to x reduced
+        # untagged, plus e_j: reuse the reduction that takes(x) or
+        # circuit(x) just made.  A member's column is in the span.
+        vec, col = self._reduce(x)
+        if col is None:  # x is in the span of the part
+            raise self._dependent(x)
+        if self.vacant:
+            j = self.vacant.pop()
+            self.order[j] = x
+        else:
+            j = len(self.order)
+            self.order.append(x)
+        self.echelon.keep(vec + (1 << self.tag_shift + j * self.matroid._fields.bits), col)
         self.part.add(x)
         self._last = None
 
@@ -780,21 +786,6 @@ class _EchelonPart(PreparedPart):
         self.echelon.drop(self.tag_shift + j * self.matroid._fields.bits)
         self.order[j] = None
         self.vacant.append(j)
-
-    def _append(self, e: int) -> None:
-        # No row carries tag j yet, so e tagged e_j reduces to e reduced
-        # untagged, plus e_j: reuse the reduction that takes(e) or
-        # circuit(e) just made.
-        vec, col = self._reduce(e)
-        if col is None:  # e is in the span of the part
-            raise self._dependent(e)
-        if self.vacant:
-            j = self.vacant.pop()
-            self.order[j] = e
-        else:
-            j = len(self.order)
-            self.order.append(e)
-        self.echelon.keep(vec + (1 << self.tag_shift + j * self.matroid._fields.bits), col)
 
 
 _BYTES = bytes(range(256))
@@ -868,8 +859,8 @@ class LinearMatroid(Matroid):
         return frozenset(e for e in sorted(self.check_subset(elements))
                          if echelon.add(self._packed[e]))
 
-    def _prepare(self, s: ElementSet) -> PreparedPart:
-        return _EchelonPart(self, s)
+    def _prepare(self) -> PreparedPart:
+        return _EchelonPart(self)
 
     def __repr__(self) -> str:
         return f"LinearMatroid(p={self.prime}, rows={self.rows}, n={self._n})"
@@ -1032,9 +1023,9 @@ class _BasisPart(PreparedPart):
     # the takes, circuit and add of one x: its answer, None when the part
     # takes x, is kept in ``_last`` as (x, answer) until the part's next move.
 
-    def __init__(self, matroid: BasisMatroid, part: ElementSet):
-        super().__init__(matroid, part)
-        self.mask = _mask(part, matroid._weight)
+    def __init__(self, matroid: BasisMatroid):
+        super().__init__(matroid)
+        self.mask = 0
         self._last = None
 
     def takes(self, x: int) -> bool:
@@ -1063,7 +1054,7 @@ class _BasisPart(PreparedPart):
         return _elements(closing & ~w, self.matroid._elements)
 
     def add(self, x: int) -> None:
-        if not self.takes(x):
+        if x in self.part or not self.takes(x):
             raise self._dependent(x)
         self.mask |= self.matroid._weight[x]
         self.part.add(x)
@@ -1110,8 +1101,8 @@ class BasisMatroid(Matroid):
         m = _mask(s, self._weight)
         return m is not None and any(not m & ~b for b in self._masks)
 
-    def _prepare(self, s: ElementSet) -> PreparedPart:
-        return _BasisPart(self, s)
+    def _prepare(self) -> PreparedPart:
+        return _BasisPart(self)
 
     def is_basis(self, elements) -> bool:
         return _mask(self.check_subset(elements), self._weight) in self._masks
@@ -1151,10 +1142,10 @@ class _SlotPart(PreparedPart):
     # Another copy of a covered element closes a parallel pair; any other
     # slot closes the lift of its element's inner circuit.
 
-    def __init__(self, matroid: SlotMatroid, part: ElementSet):
-        super().__init__(matroid, part)
-        self.cover = {matroid.slots[j][1]: j for j in part}
-        self.inner = matroid.inner._prepare(frozenset(self.cover))
+    def __init__(self, matroid: SlotMatroid):
+        super().__init__(matroid)
+        self.cover: dict[int, int] = {}  # covered inner element -> its slot in the part
+        self.inner = matroid.inner._prepare()
 
     def takes(self, x: int) -> bool:
         e = self.matroid.slots[x][1]
@@ -1209,8 +1200,8 @@ class SlotMatroid(Matroid):
         proj = frozenset(self.slots[j][1] for j in s)
         return len(proj) == len(s) and self.inner._indep(proj)
 
-    def _prepare(self, s: ElementSet) -> PreparedPart:
-        return _SlotPart(self, s)
+    def _prepare(self) -> PreparedPart:
+        return _SlotPart(self)
 
     def __repr__(self) -> str:
         return f"SlotMatroid({self.inner!r}, slots={len(self.slots)})"

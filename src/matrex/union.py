@@ -9,12 +9,13 @@ The exchange arcs are read off fundamental circuits: one circuit per
 expanded node and arm instead of one independence query per candidate swap,
 as in Cunningham, "Improved bounds for matroid partition and intersection
 algorithms" (1986).  Each arm's only state is one prepared part
-(``Matroid._prepare``): it holds the arm's set D_i for the whole solve,
-answers its circuits, and takes every swap in place, as in the incremental
-form of Knuth, "Matroid partitioning" (1973).  A part's answers hold only
-until its next move, so the search reads each circuit before it applies a
-path.  Parts do not move during a search, so an arm whose whole part a
-search has labelled is asked only whether it takes a node.
+(``Matroid._prepare``): it starts empty, holds the arm's set D_i for the
+whole solve, answers its circuits, and takes every swap in place, as in
+the incremental form of Knuth, "Matroid partitioning" (1973).  A part's
+answers hold only until its next move, so the search reads each circuit
+before it applies a path.  Parts do not move during a search, so an arm
+whose whole part a search has labelled is asked only whether it takes a
+node.
 """
 
 from __future__ import annotations
@@ -146,11 +147,11 @@ def _partition(matroids, arms_of) -> tuple[ElementSet, ...] | set[int]:
     exchange digraph: an arc x -> sink_i means x can be added to D_i
     directly, and an arc x -> y (y in D_i, x outside D_i) means x can take
     y's place.  Applying the swaps along a shortest path keeps every D_i
-    independent.  Each arm's only state is its prepared part, made once
-    from the empty set: it holds D_i, answers the circuits, and takes every
-    move along a path in place.
+    independent.  Each arm's only state is its prepared part, made once,
+    empty: it holds D_i, answers the circuits, and takes every move along a
+    path in place.
     """
-    prepared = [matroid._prepare(frozenset()) for matroid in matroids]
+    prepared = [matroid._prepare() for matroid in matroids]
     owner: dict[int, int] = {}
     for element in arms_of:
         reached = _augment(arms_of, prepared, owner, element)

@@ -384,6 +384,14 @@ def circuit_or_none(prepared, x):
     return None if prepared.takes(x) else prepared.circuit(x)
 
 
+def grown(prepared, part):
+    """``prepared``, an empty prepared part, grown by an ``add`` of each
+    element of the independent set ``part``, in ascending order."""
+    for x in sorted(part):
+        prepared.add(x)
+    return prepared
+
+
 def reference_partition(problem):
     """The augmenting-path solver with one independence query per arc, as
     ``matroid_partition`` was before it read arcs off fundamental circuits.
@@ -465,7 +473,7 @@ def check_every_augmentation(monkeypatch):
                 assert part == {x for x, home in owner.items() if home == i}, \
                     "a prepared part must hold the arm's part"
                 assert matroid.is_independent(part), "parts must stay independent"
-                fresh = matroid._prepare(frozenset(part))
+                fresh = grown(matroid._prepare(), part)
                 allowed = {x for x, listed in lists.items() if i in listed}
                 for x in sorted(allowed - part):
                     takes = kept.takes(x)

@@ -49,6 +49,7 @@ from helpers import (
     circuit_or_none,
     exchange_shaped_problem,
     fixture_matroids,
+    grown,
     random_problem,
     reference_partition,
     union_find_forest,
@@ -85,7 +86,7 @@ def random_independent(matroid, rng):
 
 
 def assert_circuits_match(matroid, s):
-    own, generic = matroid._prepare(s), core.PreparedPart(matroid, s)
+    own, generic = grown(matroid._prepare(), s), grown(core.PreparedPart(matroid), s)
     for x in sorted(matroid.ground_set() - s):
         expected = brute_circuit(matroid, s, x)
         assert circuit_or_none(generic, x) == expected, (matroid, s, x)
@@ -96,9 +97,9 @@ def assert_grows_like_fresh(matroid, rng):
     """Grow one prepared part by random elements that it takes; after every
     step it answers every x outside the part as a fresh one does."""
     part = random_independent(matroid, rng)
-    prepared = matroid._prepare(part)
+    prepared = grown(matroid._prepare(), part)
     while True:
-        fresh = matroid._prepare(part)
+        fresh = grown(matroid._prepare(), part)
         outside = sorted(matroid.ground_set() - part)
         for x in outside:
             assert circuit_or_none(prepared, x) == circuit_or_none(fresh, x), (matroid, part, x)
@@ -114,14 +115,15 @@ def assert_grows_like_fresh(matroid, rng):
 def assert_changes_like_fresh(matroid, rng, prepare=None):
     """Add and remove random elements of one prepared part, asking whether
     it takes each element before adding it, as the solver does.  After every
-    step the part answers every x outside it as a fresh one made by
-    ``prepare`` (by default the matroid's own) does: ``takes`` as the fresh
-    ``takes``, and for a refused x ``circuit`` as the fresh ``circuit``."""
+    step the part answers every x outside it as a fresh one, an empty part
+    made by ``prepare`` (by default the matroid's own) and grown to the same
+    set, does: ``takes`` as the fresh ``takes``, and for a refused x
+    ``circuit`` as the fresh ``circuit``."""
     prepare = prepare or matroid._prepare
     part = random_independent(matroid, rng)
-    prepared = matroid._prepare(part)
+    prepared = grown(matroid._prepare(), part)
     for _ in range(2 * matroid.ground_size + 2):
-        fresh = prepare(part)
+        fresh = grown(prepare(), part)
         outside = sorted(matroid.ground_set() - part)
         for x in outside:
             takes = prepared.takes(x)
@@ -270,7 +272,7 @@ def test_basis_parts_change_like_generic_ones(matroid):
     # Seeded add and remove sequences against the generic oracle part.
     for seed in range(20):
         assert_changes_like_fresh(matroid, random.Random(seed),
-                                  lambda part: core.PreparedPart(matroid, part))
+                                  lambda: core.PreparedPart(matroid))
 
 
 class CountedScans(dict):
@@ -288,7 +290,7 @@ def test_basis_part_scans_the_family_once_per_element():
     # until the part's next move; a loop needs none.  A remove forgets the
     # scan: kept, it would still refuse 2.
     matroid = BasisMatroid(5, [[0, 1, 3], [0, 2, 3], [1, 2, 3]])  # 4 is a loop
-    part = matroid._prepare(frozenset({0}))
+    part = grown(matroid._prepare(), {0})
     matroid._masks = CountedScans(matroid._masks)
     assert part.takes(1)
     part.add(1)
@@ -329,10 +331,11 @@ def test_takes_matches_circuits_after_changes(matroid):
     for seed in range(10):
         assert_changes_like_fresh(matroid, random.Random(seed))
         assert_changes_like_fresh(matroid, random.Random(seed),
-                                  lambda part: core.PreparedPart(matroid, part))
+                                  lambda: core.PreparedPart(matroid))
 
 
-# (matroid, an independent part, an x that would make it dependent, a y outside it)
+# (matroid, an independent part, an x that it must refuse, a y outside it): x
+# would make the part dependent, or is a member of it
 MISUSES = [
     (UniformMatroid(4, 2), {0, 1}, 2, 3),
     (GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)]), {0, 1}, 2, 2),  # K_3
@@ -347,21 +350,31 @@ MISUSES = [
     (OracleOnly(UniformMatroid(4, 2)), {0, 1}, 2, 3),
     (OracleOnly(GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])), {0, 1}, 2, 2),
     (OracleOnly(BasisMatroid(4, [[0, 1], [0, 2], [1, 2]])), {0}, 3, 1),  # a loop
+    # a member, in a part with room for more
+    (UniformMatroid(4, 2), {0}, 0, 1),
+    (GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)]), {0}, 0, 1),
+    (LinearMatroid(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]), {0}, 0, 1),
+    (LinearMatroid(2, 2, [[1, 0], [0, 1]]), {0}, 0, 1),
+    (BasisMatroid(4, [[0, 1], [0, 2], [1, 2]]), {0}, 0, 1),
+    (disjoint_copies(UniformMatroid(3, 2), [{0, 1}, {0, 1}]), {0}, 0, 1),
+    (OracleOnly(UniformMatroid(4, 2)), {0}, 0, 1),
 ]
 
 
 @pytest.mark.parametrize("matroid, part, x, y", MISUSES, ids=lambda v: repr(v)[:40])
 def test_prepared_parts_refuse_misuse(matroid, part, x, y):
-    # An add that makes the part dependent and a remove of a non-member both
-    # raise, name the class and the element, and leave the part as it was.
-    prepared = matroid._prepare(frozenset(part))
+    # An add of a member or of an element that makes the part dependent, and
+    # a remove of a non-member, raise, name the class and the element, and
+    # leave the part as it was.  A linear part that took a member would keep
+    # two rows with its tag, and break a later add.
+    prepared = grown(matroid._prepare(), part)
     name = type(matroid).__name__
     with pytest.raises(InternalVerificationError, match=f"^{name} part: adding {x} makes"):
         prepared.add(x)
     with pytest.raises(InternalVerificationError, match=f"^{name} part: {y} is not in the part"):
         prepared.remove(y)
     assert prepared.part == part
-    fresh = matroid._prepare(frozenset(part))
+    fresh = grown(matroid._prepare(), part)
     for e in sorted(matroid.ground_set() - part):
         assert circuit_or_none(prepared, e) == circuit_or_none(fresh, e)
 
@@ -369,7 +382,7 @@ def test_prepared_parts_refuse_misuse(matroid, part, x, y):
 def test_slot_part_refuses_an_inner_dependent_add():
     # The inner part refuses, naming the inner element the slot copies.
     lift = disjoint_copies(GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)]), [{0, 1}, {1, 2}])
-    prepared = lift._prepare(frozenset({0, 1}))  # slots copying edges 0 and 1
+    prepared = grown(lift._prepare(), {0, 1})  # slots copying edges 0 and 1
     with pytest.raises(InternalVerificationError, match="^GraphicMatroid part: adding 2 makes"):
         prepared.add(3)  # slot 3 copies edge 2
     assert prepared.part == {0, 1}
@@ -380,11 +393,13 @@ def test_slot_part_refuses_an_inner_dependent_add():
 
 class PartContract(RuleBasedStateMachine):
     """One prepared part of ``matroid`` under its four calls in any order:
-    ``takes(x)`` and ``add(x)`` of an x outside the part, ``circuit(x)`` of
-    an x that ``takes`` refused since the last move, and ``remove(y)`` of
-    any y.  Each answer is that of a part freshly prepared from the current
-    set, by the class and by the oracle alike.  An add or remove that the
-    fresh part refuses must raise and leave the part as it was, so it ends
+    ``takes(x)`` and ``add(x)`` of an x outside the part, ``add(x)`` of a
+    member, ``circuit(x)`` of an x that ``takes`` refused since the last
+    move, and ``remove(y)`` of any y.  The part starts empty and takes its
+    first elements through ``add``, in the order drawn.  Each answer is
+    that of a part freshly grown to the current set, by the class and by
+    the oracle alike.  An add of a member, and an add or remove that the
+    fresh part refuses, must raise and leave the part as it was, so it ends
     no answer: every circuit given since the last move still holds, also
     one that is the live part itself."""
 
@@ -392,20 +407,20 @@ class PartContract(RuleBasedStateMachine):
 
     @initialize(data=st.data())
     def prepare(self, data):
-        # Any independent set: the ones an ordered choice of elements keeps.
+        # Any independent set, grown in any order: an ordered choice of
+        # elements, each added when the set stays independent.
         n = self.matroid.ground_size
-        kept = set()
+        self.part, self.prepared = set(), self.matroid._prepare()
         for e in data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
-            if self.matroid._indep(frozenset(kept | {e})):
-                kept.add(e)
-        self.part = kept
-        self.prepared = self.matroid._prepare(frozenset(kept))
+            if self.matroid._indep(frozenset(self.part | {e})):
+                self.prepared.add(e)
+                self.part.add(e)
         self.refused = set()  # refused by takes since the last move
         self.circuits = []  # (circuit, its value when given) since the last move
 
     def fresh(self):
-        s = frozenset(self.part)
-        return self.matroid._prepare(s), core.PreparedPart(self.matroid, s)
+        return grown(self.matroid._prepare(), self.part), \
+            grown(core.PreparedPart(self.matroid), self.part)
 
     def outside(self):
         return sorted(self.matroid.ground_set() - self.part)
@@ -442,6 +457,14 @@ class PartContract(RuleBasedStateMachine):
         else:
             with pytest.raises(InternalVerificationError):
                 self.prepared.add(x)
+
+    @precondition(lambda self: self.part)
+    @rule(data=st.data())
+    def add_member(self, data):
+        x = data.draw(st.sampled_from(sorted(self.part)))
+        with pytest.raises(InternalVerificationError):
+            self.prepared.add(x)
+        assert self.prepared.part == self.part
 
     @rule(data=st.data())
     def remove(self, data):
@@ -487,12 +510,12 @@ def assert_circuits_hold_until_a_move(matroid, rng, prepare=None):
     its own set, and before every move the answers it gave since the last
     move (None for an x it takes, else the circuit), compared once all of
     them are asked, are a freshly prepared part's."""
-    prepared = (prepare or matroid._prepare)(random_independent(matroid, rng))
+    prepared = grown((prepare or matroid._prepare)(), random_independent(matroid, rng))
     assert type(prepared.part) is set
     for _ in range(2 * matroid.ground_size + 2):
         circuits = {x: circuit_or_none(prepared, x)
                     for x in sorted(matroid.ground_set() - prepared.part)}
-        fresh = matroid._prepare(frozenset(prepared.part))
+        fresh = grown(matroid._prepare(), prepared.part)
         assert circuits == {x: circuit_or_none(fresh, x) for x in circuits}
         free = [x for x, circuit in circuits.items() if circuit is None]
         if prepared.part and (not free or rng.random() < 0.5):
@@ -507,7 +530,7 @@ def assert_circuits_hold_until_a_move(matroid, rng, prepare=None):
 @given(matroids(), st.randoms(use_true_random=False))
 def test_circuits_hold_until_the_next_move(matroid, rng):
     assert_circuits_hold_until_a_move(matroid, rng)
-    assert_circuits_hold_until_a_move(matroid, rng, lambda part: core.PreparedPart(matroid, part))
+    assert_circuits_hold_until_a_move(matroid, rng, lambda: core.PreparedPart(matroid))
 
 
 @settings(max_examples=100, deadline=None)
@@ -523,11 +546,11 @@ def assert_whole_circuits_stay_fresh(matroid, part, rng):
     move and after each remove and each add, every circuit is a freshly
     prepared part's, and after each add some element closes the whole
     part."""
-    prepared = matroid._prepare(frozenset(part))
+    prepared = grown(matroid._prepare(), part)
     ground = matroid.ground_set()
 
     def circuits():
-        fresh = matroid._prepare(frozenset(prepared.part))
+        fresh = grown(matroid._prepare(), prepared.part)
         found = {x: circuit_or_none(prepared, x) for x in sorted(ground - prepared.part)}
         assert found == {x: circuit_or_none(fresh, x) for x in found}
         return found
@@ -560,13 +583,13 @@ def test_slot_whole_circuits_stay_fresh(seed):
 def test_whole_part_circuits_are_the_live_part():
     # A full uniform part, and a slot part whose inner circuit is all of its
     # inner part, answer with ``part`` itself: no copy of the part is made.
-    uniform = UniformMatroid(4, 2)._prepare(frozenset({0, 1}))
+    uniform = grown(UniformMatroid(4, 2)._prepare(), {0, 1})
     assert uniform.circuit(2) is uniform.part
     lift = disjoint_copies(UniformMatroid(4, 2), [{0, 1}, {2, 3}])
-    slots = lift._prepare(frozenset({0, 1}))  # the slots copying elements 0 and 1
+    slots = grown(lift._prepare(), {0, 1})  # the slots copying elements 0 and 1
     assert slots.circuit(2) is slots.part  # slot 2 copies element 2
-    forest = disjoint_copies(cycle(6), [{0, 1, 2, 3, 4}, {1, 2, 3, 4, 5}])._prepare(
-        frozenset(range(5)))  # a Hamiltonian path of C_6
+    forest = grown(disjoint_copies(cycle(6), [{0, 1, 2, 3, 4}, {1, 2, 3, 4, 5}])._prepare(),
+                   range(5))  # a Hamiltonian path of C_6
     assert forest.circuit(9) is forest.part  # slot 9 copies edge 5, closing the path
 
 
@@ -594,9 +617,9 @@ def assert_lift_remaps_inner_circuits(lift):
         for part in map(frozenset, itertools.combinations(range(lift.ground_size), size)):
             if not lift.is_independent(part):
                 continue
-            prepared = lift._prepare(part)
+            prepared = grown(lift._prepare(), part)
             slot_of = {lift.slots[j][1]: j for j in part}
-            inner = lift.inner._prepare(frozenset(slot_of))
+            inner = grown(lift.inner._prepare(), slot_of)
             for x in sorted(lift.ground_set() - part):
                 e = lift.slots[x][1]
                 found = frozenset({e}) if e in slot_of else circuit_or_none(inner, e)
@@ -624,7 +647,7 @@ def test_lifted_circuits_remap_inner_ones(lift):
 def test_whole_part_circuit_lifts_the_whole_part():
     # A Hamiltonian path of C_6 as the part: the other edge closes all of it.
     lift = disjoint_copies(cycle(6), [{0, 1, 2, 3, 4}, {1, 2, 3, 4, 5}])
-    prepared = lift._prepare(frozenset(range(5)))  # the first block: edges 0..4
+    prepared = grown(lift._prepare(), range(5))  # the first block: edges 0..4
     assert prepared.circuit(9) == frozenset(range(5))  # slot 9 copies edge 5
     prepared.remove(2)
     assert prepared.takes(9)
@@ -723,7 +746,7 @@ def test_graphic_paths_match_reference_union_find(matroid, rng):
             assert matroid.rank(subset) == len(forest), subset
             assert matroid.greedy_independent(subset) == forest, subset
     assert_changes_like_fresh(matroid, rng)
-    assert_changes_like_fresh(matroid, rng, lambda part: core.PreparedPart(matroid, part))
+    assert_changes_like_fresh(matroid, rng, lambda: core.PreparedPart(matroid))
 
 
 @settings(max_examples=200, deadline=None)

@@ -589,8 +589,8 @@ class TestOracleBoundary:
                 return method(x)
             return query
 
-        def counting_prepare(self, subset):
-            part = prepare(self, subset)
+        def counting_prepare(self):
+            part = prepare(self)
             part.takes, part.circuit = counting(part.takes), counting(part.circuit)
             return part
 
@@ -687,9 +687,9 @@ class TestOracleBoundary:
         counts = {"prepared": 0, "losses": 0}
         prepare, augment = core._EchelonPart.__init__, union._augment
 
-        def counting_prepare(self, *args):
+        def counting_prepare(self, matroid):
             counts["prepared"] += 1
-            prepare(self, *args)
+            prepare(self, matroid)
 
         def counting_augment(arms_of, prepared, *rest):
             before = [frozenset(p.part) for p in prepared]
@@ -707,14 +707,23 @@ class TestOracleBoundary:
 
         assert solve() == inst.k
         assert counts["losses"] > 0
-        prepare_again = {
-            "add": lambda self, x: self.__init__(self.matroid, frozenset(self.part | {x})),
-            "remove": lambda self, y: self.__init__(self.matroid, frozenset(self.part - {y})),
-        }
+
+        def prepare_again(layer, grow):
+            # A move that prepares the part again, empty, and adds the
+            # elements of its new set.
+            add = layer.add
+
+            def move(self, x):
+                part = grow(self.part, {x})
+                self.__init__(self.matroid)
+                for e in sorted(part):
+                    add(self, e)
+            return move
+
         for layer in (core._EchelonPart, core._SlotPart):
-            for method, again in prepare_again.items():
+            for method, grow in (("add", set.union), ("remove", set.difference)):
                 with monkeypatch.context() as patch:
-                    patch.setattr(layer, method, again)
+                    patch.setattr(layer, method, prepare_again(layer, grow))
                     assert solve() > inst.k, (layer, method)
 
     def test_bases_are_checked_once_per_solve(self, monkeypatch):

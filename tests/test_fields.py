@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from matrex import LinearMatroid, ValidationError, core
 
-from helpers import circuit_or_none, gf_circuit, gf_greedy, gf_rank
+from helpers import circuit_or_none, gf_circuit, gf_greedy, gf_rank, grown
 
 PRIMES = (2, 3, 5, 251, 257, 65521)
 
@@ -75,14 +75,14 @@ def test_rank_and_greedy_witness_match_lists(matroid, elements):
 @given(packed_matroids(), st.randoms(use_true_random=False))
 def test_circuits_match_lists(matroid, rng):
     part = reference_independent(matroid, rng)
-    assert_circuits_match(matroid, matroid._prepare(part), part)
+    assert_circuits_match(matroid, grown(matroid._prepare(), part), part)
 
 
 @settings(max_examples=50, deadline=None)
 @given(packed_matroids(), st.randoms(use_true_random=False))
 def test_grown_parts_match_lists(matroid, rng):
     part = reference_independent(matroid, rng)
-    prepared = matroid._prepare(part)
+    prepared = grown(matroid._prepare(), part)
     while True:
         assert_circuits_match(matroid, prepared, part)
         free = [x for x in sorted(matroid.ground_set() - part)
@@ -99,7 +99,7 @@ def test_grown_parts_match_lists(matroid, rng):
 def test_changed_parts_match_lists(matroid, rng):
     # removals drop a row and leave a tag slot vacant for the next add
     part = reference_independent(matroid, rng)
-    prepared = matroid._prepare(part)
+    prepared = grown(matroid._prepare(), part)
     for _ in range(matroid.ground_size + 2):
         assert_circuits_match(matroid, prepared, part)
         free = [x for x in sorted(matroid.ground_set() - part)
@@ -131,7 +131,7 @@ def test_largest_sums_stay_in_their_fields(prime):
     for rows in range(1, 41):
         matroid = chain(prime, rows)
         part = frozenset(range(rows))
-        assert_circuits_match(matroid, matroid._prepare(part), part)
+        assert_circuits_match(matroid, grown(matroid._prepare(), part), part)
         assert matroid.full_rank() == rows
         assert not matroid.is_independent(range(rows + 1))
 

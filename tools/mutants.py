@@ -166,6 +166,32 @@ MUTANTS = [
            "if True:",
            "the circuit and add of a basis part scan the family again after takes (work only)",
            test="tests/test_circuits.py::test_basis_part_scans_the_family_once_per_element"),
+    # --- the refusal of an add of a member ------------------------------------
+    Mutant("default-add-takes-a-member", "src/matrex/core.py",
+           "        if x in self.part or not self.takes(x):\n"
+           "            raise self._dependent(x)\n        self.part.add(x)\n",
+           "        if not self.takes(x):\n"
+           "            raise self._dependent(x)\n        self.part.add(x)\n",
+           "the oracle part accepts an add of a member",
+           test="tests/test_circuits.py::test_prepared_parts_refuse_misuse"),
+    Mutant("uniform-add-takes-a-member", "src/matrex/core.py",
+           "if x in self.part or len(self.part) >= self.matroid.rank_bound:",
+           "if len(self.part) >= self.matroid.rank_bound:",
+           "a uniform part accepts an add of a member",
+           test="tests/test_circuits.py::test_prepared_parts_refuse_misuse"),
+    Mutant("basis-add-takes-a-member", "src/matrex/core.py",
+           "        if x in self.part or not self.takes(x):\n"
+           "            raise self._dependent(x)\n        self.mask |=",
+           "        if not self.takes(x):\n"
+           "            raise self._dependent(x)\n        self.mask |=",
+           "a basis part accepts an add of a member",
+           test="tests/test_circuits.py::test_prepared_parts_refuse_misuse"),
+    Mutant("echelon-memo-outlives-an-add", "src/matrex/core.py",
+           ", col)\n        self.part.add(x)\n        self._last = None\n",
+           ", col)\n        self.part.add(x)\n",
+           "after add(x) the memo names x, so a second add(x) reuses x's reduction "
+           "and keeps a member with a second row tagged like it",
+           test="tests/test_circuits.py::test_prepared_parts_refuse_misuse"),
     Mutant("slot-takes-a-parallel-copy", "src/matrex/core.py",
            "return e not in self.cover and self.inner.takes(e)",
            "return self.inner.takes(e)",
@@ -395,18 +421,13 @@ EQUIVALENT: list[Mutant] = [
            "return len(self.part) != self.matroid.rows and",
            "add refuses a dependent element, so a part never holds more than rows",
            test="tests/test_circuits.py::test_circuits_match_the_oracle"),
-    Mutant("echelon-memo-outlives-an-add", "src/matrex/core.py",
-           "        self._append(x)\n        self.part.add(x)\n        self._last = None\n",
-           "        self._append(x)\n        self.part.add(x)\n",
-           "after add(x) the memo names x, now in the part; a part is asked only of "
-           "elements outside it, and x leaves it only by a remove, which forgets the memo",
-           test="tests/test_circuits.py::test_circuits_hold_until_the_next_move"),
     Mutant("basis-memo-outlives-an-add", "src/matrex/core.py",
            "        self.mask |= self.matroid._weight[x]\n        self.part.add(x)\n"
            "        self._last = None\n",
            "        self.mask |= self.matroid._weight[x]\n        self.part.add(x)\n",
            "after add(x) the memo names x, now in the part; a part is asked only of "
-           "elements outside it, and x leaves it only by a remove, which forgets the memo",
+           "elements outside it, a second add(x) is refused before the memo is read, "
+           "and x leaves the part only by a remove, which forgets the memo",
            test="tests/test_circuits.py::test_circuits_hold_until_the_next_move"),
 ]
 
