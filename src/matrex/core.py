@@ -441,10 +441,12 @@ class GraphicMatroid(Matroid):
 
     Parallel edges and self-loops are permitted in the edge list; any set
     containing a self-loop is dependent.  Internally the m vertices that
-    edges touch have dense ids 0..m-1, in ascending order, and the
-    union-find and the forest parts keep lists over those ids: their size
-    is m, never ``vertex_count``.  ``vertex_count`` and ``edges`` keep the
-    ids as given.
+    edges touch have dense ids 0..m-1, in ascending order, and the forest
+    parts keep lists over those ids: their size is m, never
+    ``vertex_count``.  A query's union-find is a list over them too, or a
+    dict over its own endpoints for a set of far fewer edges, so a small
+    set costs its size.  ``vertex_count`` and ``edges`` keep the ids as
+    given.
     """
 
     def __init__(self, vertex_count: int, edges):
@@ -467,8 +469,15 @@ class GraphicMatroid(Matroid):
     def _joins(self, ids):
         """For each edge of ``ids`` in turn, whether it joins two trees of the
         forest grown so far (it is then added); False means it closes a cycle."""
-        # Union-find with path halving over the dense vertex ids.
-        parent, ends = list(range(self._order)), self._ends
+        # Union-find with path halving over the dense vertex ids: a list over
+        # all of them, or a dict over the set's own endpoints when the set
+        # has far fewer edges than the graph has vertices (below a sixteenth,
+        # where the dict is faster), so a small set costs its size.
+        ends = self._ends
+        if 16 * len(ids) < self._order:
+            parent = {u: u for i in ids for u in ends[i]}
+        else:
+            parent = list(range(self._order))
         for i in ids:
             u, v = ends[i]
             while parent[u] != u:

@@ -153,7 +153,7 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
 
     classes = build_color_classes(instance)
     lifted = classes.lifted
-    outcome = _partition([lifted] * k, dict(enumerate(classes.lists)))
+    outcome = _partition([lifted] * k, classes.lists)
     if isinstance(outcome, set):
         raise InternalVerificationError(
             f"the induced partition problem is always feasible, but a deficiency "

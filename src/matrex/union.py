@@ -21,6 +21,7 @@ node.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .core import ElementSet, Matroid, _as_ints, _check_matroid, _listed
@@ -138,22 +139,30 @@ def _partition(matroids, arms_of) -> tuple[ElementSet, ...] | set[int]:
     """The solve of ``matroid_partition`` and of ``cyclic_exchange``, on
     trusted input: it validates nothing and checks nothing it returns.
 
-    ``matroids[i]`` is arm i's matroid, and ``arms_of`` maps each element,
-    in insertion order, to the ascending indices of the arms that may take
-    it.  Returns one frozenset per matroid, or the set of universe nodes
-    that a failed search reached, a deficiency witness.  An element that
-    one of its arms takes as it is goes straight in, with no search; that
-    is most insertions.  Any other runs a breadth-first search over the
-    exchange digraph: an arc x -> sink_i means x can be added to D_i
-    directly, and an arc x -> y (y in D_i, x outside D_i) means x can take
-    y's place.  Applying the swaps along a shortest path keeps every D_i
-    independent.  Each arm's only state is its prepared part, made once,
-    empty: it holds D_i, answers the circuits, and takes every move along a
-    path in place.
+    ``matroids[i]`` is arm i's matroid, and ``arms_of[x]`` lists, in
+    ascending order, the indices of the arms that may take element x.
+    ``arms_of`` is either a mapping, whose keys in insertion order are the
+    elements (any ids: ``matroid_partition``), or a sequence indexed by the
+    elements 0..N-1, inserted in that order (the slots of
+    ``cyclic_exchange``).  ``owner``, each element's arm or None, is made to
+    match: a dict over the mapping's keys, or a list indexed like the
+    sequence, so a universe of large ids costs only its size.  Returns one
+    frozenset per matroid, or the set of universe nodes that a failed
+    search reached, a deficiency witness.  An element that one of its arms
+    takes as it is goes straight in, with no search; that is most
+    insertions.  Any other runs a breadth-first search over the exchange
+    digraph: an arc x -> sink_i means x can be added to D_i directly, and
+    an arc x -> y (y in D_i, x outside D_i) means x can take y's place.
+    Applying the swaps along a shortest path keeps every D_i independent.
+    Each arm's only state is its prepared part, made once, empty: it holds
+    D_i, answers the circuits, and takes every move along a path in place.
     """
     prepared = [matroid._prepare() for matroid in matroids]
-    owner: dict[int, int] = {}
-    for element in arms_of:
+    if isinstance(arms_of, Mapping):
+        owner, elements = dict.fromkeys(arms_of), arms_of
+    else:
+        owner, elements = [None] * len(arms_of), range(len(arms_of))
+    for element in elements:
         reached = _augment(arms_of, prepared, owner, element)
         if reached is not None:
             return reached
@@ -166,23 +175,35 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
 
     Returns None on success, or the set of reachable universe nodes when no
     sink can be reached.  ``arms_of[x]`` lists, in ascending order, the arms
-    that allow x.  The source's arms are asked first, before any search
-    state exists, and only whether they take it (``PreparedPart.takes``),
-    which builds no circuit: the lowest one that does gets it, which is the
-    path a search would apply at its first expansion.  Otherwise the search
-    expands the source first, like any other node.  Each expanded node x
-    asks the prepared part of each of its arms except its owner whether it
-    takes x: True is a sink arc, x joining D_i.  An arm that refuses x is
-    asked for the circuit of D_i + x, whose elements are exactly the y that
-    x can replace.  The source, the one node with no owner, is not asked
-    ``takes`` again: its arms have just refused it.  So one expansion costs
-    its own arms and circuits, whatever the number of arms or of nodes
-    reached.  Parts do not move during a search, so once a circuit of arm i
-    is its whole part, every element of that part gets labelled and arm i
-    is closed: a later expansion asks it only ``takes``, since a refusal
-    adds no label.  That changes no label, path or reached set.  Every
-    circuit is read into ``parent`` before any move, as it may be the live
-    part itself.  Ties are broken deterministically: nodes are scanned in
+    that allow x, and ``owner[x]`` is the arm that holds x, or None; both
+    are indexed by element, as dicts or as lists.  The source's arms are
+    asked first, before any search state exists, and only whether they take
+    it (``PreparedPart.takes``), which builds no circuit: the lowest one
+    that does gets it, which is the path a search would apply at its first
+    expansion.  Otherwise the search expands the source first, like any
+    other node.  Each expanded node x asks the prepared part of each of its
+    arms except its owner whether it takes x: True is a sink arc, x joining
+    D_i.  An arm that refuses x is asked for the circuit of D_i + x, whose
+    elements are exactly the y that x can replace.  The source, the one
+    node with no owner, is not asked ``takes`` again: its arms have just
+    refused it.  So one expansion costs its own arms and circuits, whatever
+    the number of arms or of nodes reached.  Parts do not move during a
+    search, so once a circuit of arm i is its whole part, every element of
+    that part gets labelled and arm i is closed: a later expansion asks it
+    only ``takes``, since a refusal adds no label.  That changes no label,
+    path or reached set.
+
+    Labels go in chunks.  The set ``labelled`` holds every node reached so
+    far, the source first.  An expansion of x makes one chunk, the targets
+    of its circuits not yet labelled, in ascending order; it adds the chunk
+    to ``labelled`` and appends ``(x, chunk)`` to the queue, both at C
+    speed.  A copy of the circuits is made before any move, as a circuit
+    may be the live part itself.  ``parent[y] = x`` is written only when y
+    is taken off the queue to be expanded, and only ``_apply_path`` reads
+    it, walking back over expanded nodes.  Chunks leave the queue in the
+    order they were made, so nodes are expanded in first-discovered order,
+    and a failed search, whose queue has drained, returns ``labelled``.
+    Ties are broken deterministically: nodes are scanned in
     first-discovered order, sink arcs in ascending arm index, swap-arc
     targets in ascending element id.
     """
@@ -192,34 +213,35 @@ def _augment(arms_of, prepared, owner, source) -> set[int] | None:
             prepared[i].add(source)
             return None
 
-    parent: dict[int, int | None] = {source: None}
-    queue: deque[int] = deque([source])
+    parent: dict[int, int | None] = {}
+    labelled: set[int] = {source}
+    queue: deque[tuple[int | None, list[int]]] = deque([(None, [source])])
     closed: set[int] = set()
     while queue:
-        x = queue.popleft()
-        home = owner.get(x)
-        found = []
-        for i in arms_of[x]:
-            if i == home:
-                continue
-            # The source, the one node with no owner, was asked above.
-            if home is not None and prepared[i].takes(x):
-                _apply_path(prepared, owner, parent, x, i)
-                return None
-            if i in closed:  # all of its part is labelled: no label is new
-                continue
-            circuit = prepared[i].circuit(x)
-            if len(circuit) == len(prepared[i].part):
-                closed.add(i)
-            found.append(circuit)
-        if found:
-            # difference() with a dict probes it once per target; the
-            # ``-`` operator with ``parent.keys()`` would walk all of it.
-            targets = found[0].union(*found[1:]) if len(found) > 1 else found[0]
-            for y in sorted(targets.difference(parent)):
-                parent[y] = x
-                queue.append(y)
-    return set(parent)
+        p, chunk = queue.popleft()
+        for x in chunk:
+            parent[x] = p
+            home = owner[x]
+            found = []
+            for i in arms_of[x]:
+                if i == home:
+                    continue
+                # The source, the one node with no owner, was asked above.
+                if home is not None and prepared[i].takes(x):
+                    _apply_path(prepared, owner, parent, x, i)
+                    return None
+                if i in closed:  # all of its part is labelled: no label is new
+                    continue
+                circuit = prepared[i].circuit(x)
+                if len(circuit) == len(prepared[i].part):
+                    closed.add(i)
+                found.append(circuit)
+            if found:
+                targets = found[0].union(*found[1:]) if len(found) > 1 else found[0]
+                new = sorted(targets - labelled)
+                labelled.update(new)
+                queue.append((x, new))
+    return labelled
 
 
 def _apply_path(prepared, owner, parent, last, sink_arm) -> None:
@@ -236,7 +258,7 @@ def _apply_path(prepared, owner, parent, last, sink_arm) -> None:
     that part may reuse the query's work."""
     x, arm = last, sink_arm
     while x is not None:
-        old = owner.get(x)
+        old = owner[x]
         if old is not None:
             prepared[old].remove(x)
         prepared[arm].add(x)

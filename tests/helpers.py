@@ -10,6 +10,7 @@ import collections
 import itertools
 import operator
 import random
+from collections.abc import Mapping
 
 from matrex import (
     AXIOM_CHECK_CAP,
@@ -435,6 +436,12 @@ def reference_partition(problem):
     return Partition(tuple(frozenset(p) for p in parts))
 
 
+def indexed(container):
+    """The ``(element, value)`` pairs of a solve's ``arms_of`` or ``owner``:
+    a mapping's items, or a sequence's values with their indices."""
+    return container.items() if isinstance(container, Mapping) else enumerate(container)
+
+
 def check_every_augmentation(monkeypatch):
     """Re-check the solver state after every augmentation: each element's arm
     list is the one the solve was handed, ascending and unchanged.  After
@@ -451,7 +458,7 @@ def check_every_augmentation(monkeypatch):
     solves, augmented = [], []
 
     def recording(matroids, arms_of):
-        solves.append((matroids, arms_of, {x: list(listed) for x, listed in arms_of.items()}))
+        solves.append((matroids, arms_of, {x: list(listed) for x, listed in indexed(arms_of)}))
         return partition(matroids, arms_of)
 
     def checking(arms_of, prepared, owner, source):
@@ -461,7 +468,7 @@ def check_every_augmentation(monkeypatch):
             "the solve must be of the partition call made last"
         before = list(prepared)
         reached = augment(arms_of, prepared, owner, source)
-        assert {x: list(listed) for x, listed in arms_of.items()} == lists and all(
+        assert {x: list(listed) for x, listed in indexed(arms_of)} == lists and all(
             listed == sorted(set(listed)) for listed in lists.values()), \
             "arms_of must list x's arms in ascending order"
         if reached is None:
@@ -470,7 +477,7 @@ def check_every_augmentation(monkeypatch):
             for i, (matroid, kept, old) in enumerate(zip(matroids, prepared, before)):
                 assert kept is old, "an arm must keep its prepared part"
                 part = kept.part
-                assert part == {x for x, home in owner.items() if home == i}, \
+                assert part == {x for x, home in indexed(owner) if home == i}, \
                     "a prepared part must hold the arm's part"
                 assert matroid.is_independent(part), "parts must stay independent"
                 fresh = grown(matroid._prepare(), part)

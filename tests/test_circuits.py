@@ -50,6 +50,7 @@ from helpers import (
     exchange_shaped_problem,
     fixture_matroids,
     grown,
+    indexed,
     random_problem,
     reference_partition,
     union_find_forest,
@@ -776,10 +777,10 @@ def test_solver_matches_reference_on_exchange_shaped_problems(monkeypatch):
     augment, lengths = union._augment, []
 
     def measuring(arms_of, prepared, owner, source):
-        before = dict(owner)
+        before = dict(indexed(owner))
         reached = augment(arms_of, prepared, owner, source)
         if reached is None:
-            lengths.append(sum(before.get(x) != arm for x, arm in owner.items()) - 1)
+            lengths.append(sum(before.get(x) != arm for x, arm in indexed(owner)) - 1)
         return reached
 
     monkeypatch.setattr(union, "_augment", measuring)
@@ -864,10 +865,10 @@ def test_direct_and_searched_insertions_match_reference(monkeypatch):
     checking, lengths = union._augment, []
 
     def measuring(arms_of, prepared, owner, source):
-        before = dict(owner)
+        before = dict(indexed(owner))
         reached = checking(arms_of, prepared, owner, source)
         if reached is None:
-            lengths.append(sum(before.get(x) != arm for x, arm in owner.items()) - 1)
+            lengths.append(sum(before.get(x) != arm for x, arm in indexed(owner)) - 1)
         return reached
 
     monkeypatch.setattr(union, "_augment", measuring)
@@ -919,8 +920,9 @@ def test_solver_matches_reference_on_exchange_instances(spec, monkeypatch):
     solved, solve = [], exchange._partition
 
     def both(matroids, arms_of):
-        problem = PartitionProblem(arms_of, [
-            Arm({x for x, listed in arms_of.items() if i in listed}, matroid)
+        lists = dict(indexed(arms_of))
+        problem = PartitionProblem(lists, [
+            Arm({x for x, listed in lists.items() if i in listed}, matroid)
             for i, matroid in enumerate(matroids)])
         outcome = matroid_partition(problem)
         assert outcome == reference_partition(problem)
@@ -934,6 +936,57 @@ def test_solver_matches_reference_on_exchange_instances(spec, monkeypatch):
         for seed in range(6):
             cyclic_exchange(random_instance(InstanceGenSpec(k=k, seed=seed, **spec)))
     assert len(solved) == 18
+
+
+def wide_uniform_instance(seed, n=120, rank=60, k=6):
+    """U(rank, n) with k random bases and a random seed subset of the
+    first, as in the uniform-wide benchmark workload: lifts of k * rank
+    slots, beyond the enumeration caps of ``random_instance``."""
+    rng = random.Random(seed)
+    bases = tuple(frozenset(rng.sample(range(n), rank)) for _ in range(k))
+    seed_set = frozenset(e for e in sorted(bases[0]) if rng.getrandbits(1))
+    return ExchangeInstance(UniformMatroid(n, rank), bases, seed_set)
+
+
+@pytest.mark.parametrize("instances", [
+    *([random_instance(InstanceGenSpec(k=k, seed=seed, **spec))
+       for k in (2, 3, 4) for seed in range(6)] for spec in EXCHANGE_SPECS),
+    [wide_uniform_instance(seed=1)],
+], ids=[spec["matroid_class"] for spec in EXCHANGE_SPECS] + ["uniform-120-k6"])
+def test_slot_lists_solve_as_a_dict_does(instances, monkeypatch):
+    # The exchange hands the solve its slot lists as a tuple indexed by
+    # slot, so owner is a list; matroid_partition hands it a dict, so owner
+    # is a dict.  Both must give the same parts and apply the same path at
+    # every insertion, and the parts must be the reference's.  Some of
+    # those insertions must move more than one node, applying a path.
+    augment, owners, kinds, paths = union._augment, [], set(), 0
+
+    def recording(arms_of, prepared, owner, source):
+        reached = augment(arms_of, prepared, owner, source)
+        kinds.add((type(arms_of), type(owner)))
+        owners.append(dict(indexed(owner)))
+        return reached
+
+    monkeypatch.setattr(union, "_augment", recording)
+    for instance in instances:
+        classes = exchange.build_color_classes(instance)
+        lifts = [classes.lifted] * instance.k
+        runs = []
+        for arms_of, kind in ((classes.lists, (tuple, list)),
+                              (dict(enumerate(classes.lists)), (dict, dict))):
+            owners.clear()
+            kinds.clear()
+            parts = union._partition(lifts, arms_of)
+            assert kinds == {kind}
+            assert len(owners) == len(classes.lists)
+            runs.append((parts, list(owners)))
+        assert runs[0] == runs[1], instance
+        paths += sum(sum(before[x] != after[x] for x in after) > 1
+                     for before, after in zip(owners, owners[1:]))
+        problem = PartitionProblem(
+            classes.lifted.ground_set(), [Arm(c, classes.lifted) for c in classes.classes])
+        assert runs[0][0] == reference_partition(problem).parts, instance
+    assert paths > 0
 
 
 PART_CLASSES = [core.PreparedPart, core._UniformPart, core._ForestPart, core._EchelonPart,

@@ -452,6 +452,38 @@ def test_graphic_independence_matches_dfs_oracle(edges):
         assert m.is_independent(ids) == is_forest(sorted(ids), m.edges, 5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=30, max_size=60),
+       st.lists(st.frozensets(st.integers(0, 29), max_size=5), min_size=1, max_size=10))
+@example(edges=[(i, i + 1) for i in range(30)], sets=[frozenset({0}), frozenset({0, 1})])
+def test_graphic_small_sets_match_dfs_oracle(edges, sets):
+    # Sets of a few edges in a graph of many touched vertices: below a
+    # sixteenth of them, a query's union-find is a dict over the set's ends.
+    from helpers import is_forest
+
+    m = GraphicMatroid(100, edges)
+    for ids in sets:
+        assert m.is_independent(ids) == is_forest(sorted(ids), m.edges, 100)
+        assert m.rank(ids) == max(len(s) for r in range(len(ids) + 1)
+                                  for s in itertools.combinations(sorted(ids), r)
+                                  if is_forest(s, m.edges, 100))
+
+
+def test_graphic_small_set_queries_cost_the_set():
+    # A query of one or two edges of a path of 10**5 edges builds no
+    # union-find over the path's vertices, which would take megabytes.
+    n = 10**5
+    m = GraphicMatroid(n + 1, [(i, i + 1) for i in range(n)])
+    tracemalloc.start()
+    try:
+        assert m.is_independent({0})
+        assert m.rank({0, n - 1}) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
 @st.composite
 def families(draw):
     """A basis family on n <= 8 elements, in scan order: the bases of a

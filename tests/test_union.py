@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,22 @@ class TestExamples:
         assert result == Partition((frozenset({2}), frozenset({0}), frozenset({1})))
         assert calls == [("add", 0), ("add", 1),
                          ("remove", 1), ("add", 1), ("remove", 0), ("add", 0), ("add", 2)]
+
+    def test_a_universe_of_large_ids_costs_its_size(self):
+        # The path above, on ids near 10**9: the solve keys its state by
+        # the ids it is given and maps nothing to 0..N-1, so its memory is
+        # that of three elements.
+        a, b, c = 10**9 - 3, 10**9 - 2, 10**9 - 1
+        m = UniformMatroid(10**9, 1)
+        problem = PartitionProblem({a, b, c}, [Arm({a, c}, m), Arm({a, b}, m), Arm({b}, m)])
+        tracemalloc.start()
+        try:
+            result = matroid_partition(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == Partition((frozenset({c}), frozenset({a}), frozenset({b})))
+        assert peak < 64 * 2**10
 
 
 class TestVerifyPartition:

@@ -73,14 +73,15 @@ MUTANTS = [
            "a search asks the source's arms again what the direct insertion asked (work only)",
            test="tests/test_union.py::TestExamples::test_swap_through_the_default_prepared_part"),
     Mutant("augment-asks-a-closed-arm-for-its-circuit", "src/matrex/union.py",
-           "            if i in closed:  # all of its part is labelled: no label is new\n"
-           "                continue\n",
+           "                if i in closed:  # all of its part is labelled: no label is new\n"
+           "                    continue\n",
            "",
            "a search asks an arm whose whole part it labelled for circuits (work only)",
            test="tests/test_exchange.py::TestOracleBoundary"
                 "::test_uniform_search_asks_no_closed_arm_for_a_circuit"),
     Mutant("augment-arm-never-closes", "src/matrex/union.py",
-           "            if len(circuit) == len(prepared[i].part):\n                closed.add(i)\n",
+           "                if len(circuit) == len(prepared[i].part):\n"
+           "                    closed.add(i)\n",
            "",
            "a search never marks an arm whose whole part it labelled, and asks it for "
            "circuits again (work only)",
@@ -92,8 +93,8 @@ MUTANTS = [
            "a search misses the sink arcs into an arm whose whole part it labelled",
            test="tests/test_circuits.py::test_solver_matches_reference_where_searches_close_arms"),
     Mutant("augment-any-circuit-closes", "src/matrex/union.py",
-           "            if len(circuit) == len(prepared[i].part):\n",
-           "            if True:\n",
+           "                if len(circuit) == len(prepared[i].part):\n",
+           "                if True:\n",
            "a search stops asking an arm for circuits after any circuit, so it misses labels",
            test="tests/test_circuits.py::test_solver_matches_reference_where_searches_close_arms"),
     Mutant("path-keeps-the-old-owner", "src/matrex/union.py",
@@ -109,6 +110,28 @@ MUTANTS = [
            "            prepared[old].remove(x)\n",
            "a node joins its new arm before it leaves its owner's part",
            test="tests/test_union.py::TestExamples::test_a_path_moves_each_node_as_it_walks_back"),
+    # --- chunked labels, and the containers of arms_of and owner -------------
+    Mutant("augment-chunk-stays-unlabelled", "src/matrex/union.py",
+           "                labelled.update(new)\n",
+           "",
+           "a chunk is queued but not labelled, so later chunks label its nodes again and "
+           "a failed search returns only its source",
+           test="tests/test_union.py::TestExamples::test_pigeonhole_certificate"),
+    Mutant("augment-chunk-descending", "src/matrex/union.py",
+           "new = sorted(targets - labelled)",
+           "new = sorted(targets - labelled, reverse=True)",
+           "swap-arc targets are expanded in descending id order, which breaks the tie-break",
+           test="tests/test_circuits.py::test_solver_matches_reference_on_random_problems"),
+    Mutant("partition-reads-a-mapping-as-a-sequence", "src/matrex/union.py",
+           "    if isinstance(arms_of, Mapping):\n",
+           "    if False:\n",
+           "a mapping's elements are taken to be 0..N-1, so a universe with other ids fails",
+           test="tests/test_union.py::TestExamples::test_a_universe_of_large_ids_costs_its_size"),
+    Mutant("partition-reads-a-sequence-as-a-mapping", "src/matrex/union.py",
+           "    if isinstance(arms_of, Mapping):\n",
+           "    if True:\n",
+           "the exchange's slot lists are read as a mapping, so their elements are the lists",
+           test="tests/test_circuits.py::test_slot_lists_solve_as_a_dict_does"),
     # --- the direct-insertion test, PreparedPart.takes -----------------------
     Mutant("augment-highest-arm-first", "src/matrex/union.py",
            "    for i in arms_of[source]:\n        if prepared[i].takes(source):",
@@ -218,6 +241,17 @@ MUTANTS = [
            "return frozenset(itertools.islice(joined, max(self.vertex_count - 1, 0)))",
            "the greedy forest scan walks every edge when a vertex id is untouched (work only)",
            test="tests/test_circuits.py::test_graphic_greedy_scan_stops_once_spanning"),
+    Mutant("graphic-small-set-builds-the-list", "src/matrex/core.py",
+           "        if 16 * len(ids) < self._order:\n",
+           "        if False:\n",
+           "a query of one edge of a long path builds a union-find over all its vertices "
+           "(memory only)",
+           test="tests/test_core.py::test_graphic_small_set_queries_cost_the_set"),
+    Mutant("graphic-small-set-misses-an-end", "src/matrex/core.py",
+           "parent = {u: u for i in ids for u in ends[i]}",
+           "parent = {u: u for i in ids for u in ends[i][:1]}",
+           "a small set's union-find holds only the first end of each edge",
+           test="tests/test_core.py::test_graphic_small_sets_match_dfs_oracle"),
     # --- the one-byte pivot ---------------------------------------------------
     Mutant("pivot-counts-from-the-top", "src/matrex/core.py",
            "return width - len(rest) if rest else None",
@@ -411,6 +445,12 @@ MUTANTS = [
 
 #: Mutants that no test can tell apart from the code, with the reason.
 EQUIVALENT: list[Mutant] = [
+    Mutant("augment-fails-with-its-parents", "src/matrex/union.py",
+           "    return labelled\n",
+           "    return set(parent)\n",
+           "a failed search drains its queue, so it expands, and gives a parent to, every "
+           "node it labelled: the two sets are equal",
+           test="tests/test_circuits.py::test_solver_matches_reference_on_random_problems"),
     Mutant("uniform-takes-below-bound-as-unequal", "src/matrex/core.py",
            "return len(self.part) < self.matroid.rank_bound",
            "return len(self.part) != self.matroid.rank_bound",
