@@ -471,8 +471,10 @@ class GraphicMatroid(Matroid):
         forest grown so far (it is then added); False means it closes a cycle."""
         # Union-find with path halving over the dense vertex ids: a list over
         # all of them, or a dict over the set's own endpoints when the set
-        # has far fewer edges than the graph has vertices (below a sixteenth,
-        # where the dict is faster), so a small set costs its size.
+        # has fewer than a sixteenth as many edges as the graph has vertices,
+        # so a small set costs its size.  A dict entry costs more than a list
+        # slot, so a larger set keeps the list; tools/joins_crossover.py
+        # times both on either side of the sixteenth.
         ends = self._ends
         if 16 * len(ids) < self._order:
             parent = {u: u for i in ids for u in ends[i]}

@@ -25,6 +25,15 @@ def test_mutant_catalogue_matches_the_source():
     assert not mutants.names_a_test("tests/test_tools.py::no_such_test")
 
 
+def test_joins_crossover_times_both_union_finds(capsys):
+    # The tool checks each of its two union-finds against the matroid's own
+    # answer before timing it, so it fails here if it drifts from _joins.
+    crossover = load_tool("joins_crossover")
+    assert crossover.main(["40"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[-1] for row in rows] == ["list)"] * 5 + ["dict)"] * 2
+
+
 def test_sloc_counts_code_lines_only():
     # Module, class and function docstrings, comments and blank lines do
     # not count; every physical line of a multi-line statement does, a
