@@ -5,8 +5,11 @@ after construction; the structural access is the independence query, plus
 fundamental circuits of a prepared independent part, which every class can
 answer through that query and the structured classes answer directly and
 keep up to date as the part grows.  Rank, basis tests, enumeration and
-the parallel-copy lift are built on top.  A solve restricts a matroid only
-through the partition's arms, which query it in its own ids.
+the parallel-copy lift are built on top.  A parallel copy of an edge is a
+parallel edge, so the lift of a graphic matroid is solved as a graphic
+matroid on its slots; the other lifts answer through their inner matroid's
+part.  A solve restricts a matroid only through the partition's arms,
+which query it in its own ids.
 """
 
 from __future__ import annotations
@@ -111,14 +114,14 @@ def _mask(s, weight: dict[int, int]) -> int | None:
         return None
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits -> bytes 0 and 1
+
+
 def _elements(mask: int, elements: tuple[int, ...]) -> ElementSet:
-    """The elements whose bits are set in ``mask``."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(elements[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
+    """The elements whose bits are set in ``mask``, read in one pass over
+    its binary digits, lowest first."""
+    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return frozenset(itertools.compress(elements, digits))
 
 
 def _as_ints(values: list, name: str | None = None) -> list[int]:
@@ -244,9 +247,9 @@ class PreparedPart:
     the unique circuit of ``part + x`` (empty when ``x`` is a loop).  Both
     answers hold until the part's next move, ``add`` or ``remove``, and no
     longer: a circuit that is the whole part may be ``part`` itself, as the
-    uniform and slot parts answer, so a caller reads a circuit before it
-    moves the part.  ``add(x)`` grows the part by an ``x`` that it takes,
-    and ``remove(y)`` drops ``y`` from the part.
+    uniform, forest and slot parts answer, so a caller reads a circuit
+    before it moves the part.  ``add(x)`` grows the part by an ``x`` that
+    it takes, and ``remove(y)`` drops ``y`` from the part.
 
     This base class answers through the oracle, on a frozenset of the part
     (once ``part + x`` is dependent, ``part - y + x`` is independent
@@ -329,7 +332,8 @@ class _ForestPart(PreparedPart):
     """A graphic part as a rooted spanning forest of its edges.
 
     The circuit of part + x is the tree path between x's endpoints, found
-    by climbing to their meeting point.  Adding x links two trees by
+    by climbing to their meeting point; a path that is the whole part is
+    answered with ``part`` itself.  Adding x links two trees by
     re-hanging the smaller one below x; removing y cuts the subtree below y
     off as a tree rooted at its top.  The state is five lists indexed by
     the matroid's dense vertex ids: ``up`` (parent and edge, None at a
@@ -358,6 +362,8 @@ class _ForestPart(PreparedPart):
                 u, v = v, u
             u, i = up[u]
             path.append(i)
+        if len(path) == len(self.part):  # a tree path holds each edge once
+            return self.part
         return frozenset(path)
 
     def add(self, x: int) -> None:
@@ -1150,8 +1156,10 @@ class Restriction(Matroid):
 
 
 class _SlotPart(PreparedPart):
-    # Another copy of a covered element closes a parallel pair; any other
-    # slot closes the lift of its element's inner circuit.
+    # The part of a lift whose inner matroid is not graphic: an inner part
+    # of the covered elements, keyed through ``slots``.  Another copy of a
+    # covered element closes a parallel pair; any other slot closes the
+    # lift of its element's inner circuit.
 
     def __init__(self, matroid: SlotMatroid):
         super().__init__(matroid)
@@ -1198,6 +1206,12 @@ class SlotMatroid(Matroid):
     checked by ``inner.check_subset``.  Two copies of the same inner
     element form a circuit, so a slot set is independent iff its inner
     elements are pairwise distinct and their projection is independent.
+
+    That projection is the oracle, ``_indep``.  A parallel copy of an edge
+    is a parallel edge, so the lift of a graphic matroid is built here
+    once as a graphic matroid on the inner vertices, slot j an edge between
+    the ends of edge ``slots[j][1]``, and its forest parts are the lift's
+    parts, over the slots.  Any other lift prepares a ``_SlotPart``.
     """
 
     def __init__(self, inner: Matroid, blocks):
@@ -1206,12 +1220,17 @@ class SlotMatroid(Matroid):
         self.inner = inner
         self.slots = tuple((i, e) for i, b in enumerate(blocks) for e in sorted(inner.check_subset(b)))
         super().__init__(len(self.slots))
+        self._lift = None
+        if isinstance(inner, GraphicMatroid):
+            self._lift = GraphicMatroid(inner.vertex_count, [inner.edges[e] for _, e in self.slots])
 
     def _indep(self, s: ElementSet) -> bool:
         proj = frozenset(self.slots[j][1] for j in s)
         return len(proj) == len(s) and self.inner._indep(proj)
 
     def _prepare(self) -> PreparedPart:
+        if self._lift is not None:
+            return self._lift._prepare()
         return _SlotPart(self)
 
     def __repr__(self) -> str:

@@ -452,7 +452,9 @@ def check_every_augmentation(monkeypatch):
     as a freshly prepared one does: ``takes(x)`` as the fresh part's, and
     for a refused x the same circuit.  An arm allows the elements
     whose list names it.  The matroids and lists are the arguments of the
-    ``union._partition`` call made last, which must be the solve under way.
+    ``union._partition`` call made last, which must be the solve under way:
+    each part is of its arm's matroid, or of the graphic matroid that the
+    slot lift of a graphic matroid prepares its parts from.
     Returns the list of inserted sources."""
     augment, partition = union._augment, union._partition
     solves, augmented = [], []
@@ -464,7 +466,8 @@ def check_every_augmentation(monkeypatch):
     def checking(arms_of, prepared, owner, source):
         matroids, given, lists = solves[-1]
         assert arms_of is given and len(prepared) == len(matroids) and all(
-            kept.matroid is matroid for kept, matroid in zip(prepared, matroids)), \
+            kept.matroid is matroid or kept.matroid is getattr(matroid, "_lift", None)
+            for kept, matroid in zip(prepared, matroids)), \
             "the solve must be of the partition call made last"
         before = list(prepared)
         reached = augment(arms_of, prepared, owner, source)

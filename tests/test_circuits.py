@@ -223,6 +223,29 @@ def test_changed_slot_parts_match_fresh_ones(inner, k, rng):
     assert_changes_like_fresh(disjoint_copies(inner, bases), rng)
 
 
+@st.composite
+def multigraphs(draw, max_n=7):
+    """A graphic matroid of up to ``max_n`` edges on five vertices, with
+    self-loops and parallel edges; its touched vertices need not be dense."""
+    low = draw(st.integers(0, 2))
+    vertex = st.integers(low, draw(st.integers(low, 4)))
+    return GraphicMatroid(5, draw(st.lists(st.tuples(vertex, vertex), max_size=max_n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_graphic_lift_parts_change_like_slot_parts(inner, k, rng):
+    # The lift of a graphic matroid prepares forest parts over its slots.
+    # Each answers takes and circuit, and changes under add and remove, as
+    # the slot part of the same lift does; repeated bases and parallel
+    # edges give an edge several parallel copies.
+    bases = [random_basis(inner, rng)]
+    bases += [rng.choice((bases[0], random_basis(inner, rng))) for _ in range(k)]
+    lift = disjoint_copies(inner, bases)
+    assert type(lift._prepare()) is core._ForestPart
+    assert_changes_like_fresh(lift, rng, lambda: core._SlotPart(lift))
+
+
 @pytest.mark.parametrize(
     "matroid",
     [
@@ -382,9 +405,17 @@ def test_prepared_parts_refuse_misuse(matroid, part, x, y):
 
 def test_slot_part_refuses_an_inner_dependent_add():
     # The inner part refuses, naming the inner element the slot copies.
+    lift = disjoint_copies(LinearMatroid(2, 2, [[1, 0], [0, 1], [1, 1]]), [{0, 1}, {1, 2}])
+    prepared = grown(lift._prepare(), {0, 1})  # slots copying columns 0 and 1
+    assert type(prepared) is core._SlotPart
+    with pytest.raises(InternalVerificationError, match="^LinearMatroid part: adding 2 makes"):
+        prepared.add(3)  # slot 3 copies column 2
+    assert prepared.part == {0, 1}
+    # A graphic lift's forest part is over the slots, and names the slot.
     lift = disjoint_copies(GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)]), [{0, 1}, {1, 2}])
     prepared = grown(lift._prepare(), {0, 1})  # slots copying edges 0 and 1
-    with pytest.raises(InternalVerificationError, match="^GraphicMatroid part: adding 2 makes"):
+    assert type(prepared) is core._ForestPart
+    with pytest.raises(InternalVerificationError, match="^GraphicMatroid part: adding 3 makes"):
         prepared.add(3)  # slot 3 copies edge 2
     assert prepared.part == {0, 1}
 

@@ -575,7 +575,7 @@ class TestOracleBoundary:
         assert attribute_sizes(k6) == sizes
 
     def test_check_subset_calls_do_not_grow_with_queries(self, monkeypatch):
-        # a query is one takes or circuit evaluation of a prepared slot part
+        # a query is one takes or circuit evaluation of a part the lift prepares
         counts = {"check": 0, "query": 0}
         check, prepare = core.Matroid.check_subset, core.SlotMatroid._prepare
 
@@ -607,21 +607,22 @@ class TestOracleBoundary:
         assert query1 != query2
         assert check1 == check2 < min(query1, query2)
 
-    @pytest.mark.parametrize("make, k, seed, pins", [
+    @pytest.mark.parametrize("make, k, seed, part, pins", [
         # A 4 x 12 matrix over GF(3) of rank 4: one-byte fields.
-        (lambda: LinearMatroid(3, 4, GF3_COLUMNS), 4, 0,
+        (lambda: LinearMatroid(3, 4, GF3_COLUMNS), 4, 0, core._SlotPart,
          {"takes": 34, "circuit": 13, "reduce": 61, "greedy": 0}),
-        (lambda: GraphicMatroid(6, K6_EDGES), 3, 9,
+        # The lift of K_6 prepares forest parts over its slots.
+        (lambda: GraphicMatroid(6, K6_EDGES), 3, 9, core._ForestPart,
          {"takes": 29, "circuit": 10, "rehung": 32, "greedy": 0}),
     ], ids=["gf3", "k6"])
-    def test_work_per_solve_is_pinned(self, make, k, seed, pins, monkeypatch):
+    def test_work_per_solve_is_pinned(self, make, k, seed, part, pins, monkeypatch):
         # The exact work of one solve, instance check included, on a fresh
-        # matroid: slot takes and circuit calls, echelon reductions, forest
-        # vertices re-hung by links and cuts, and rank scans.  Bases of
-        # ``rows`` (or vertices - 1) elements are checked without a scan.
-        # CHANGES.md records the earlier pins and what moved each one.  A
-        # forest part that mis-sizes its trees after a cut re-hangs more
-        # vertices here.
+        # matroid: takes and circuit calls on the parts of the lift, echelon
+        # reductions, forest vertices re-hung by links and cuts, and rank
+        # scans.  Bases of ``rows`` (or vertices - 1) elements are checked
+        # without a scan.  CHANGES.md records the earlier pins and what
+        # moved each one.  A forest part that mis-sizes its trees after a
+        # cut re-hangs more vertices here.
         instance = seeded_instance(make(), k, seed)
         counts = dict.fromkeys(pins, 0)
 
@@ -635,14 +636,31 @@ class TestOracleBoundary:
                 return result
             monkeypatch.setattr(cls, name, spy)
 
-        counting(core._SlotPart, "takes", "takes")
-        counting(core._SlotPart, "circuit", "circuit")
+        counting(part, "takes", "takes")
+        counting(part, "circuit", "circuit")
         counting(core._Echelon, "reduce", "reduce")
         counting(core._ForestPart, "_spread", "rehung", weigh=lambda count: count)
         for cls in (core.Matroid, LinearMatroid, GraphicMatroid):
             counting(cls, "greedy_independent", "greedy")
         cyclic_exchange(ExchangeInstance(make(), instance.bases, instance.seed))
         assert counts == pins
+
+    def test_graphic_lift_prepares_no_slot_part(self, monkeypatch):
+        # The lift of K_6 is itself graphic: each arm's part is a forest
+        # over the slots, with no slot part around an inner forest part.
+        made = []
+        init = core.PreparedPart.__init__
+
+        def recording(self, matroid):
+            made.append((type(self), matroid))
+            init(self, matroid)
+
+        monkeypatch.setattr(core.PreparedPart, "__init__", recording)
+        inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed=1)
+        cyclic_exchange(inst)
+        slots = sum(map(len, inst.bases))
+        assert [cls for cls, _ in made] == [core._ForestPart] * inst.k
+        assert all(type(m) is GraphicMatroid and m.ground_size == slots for _, m in made)
 
     def test_uniform_search_asks_no_closed_arm_for_a_circuit(self, monkeypatch):
         # A slot part of U(2r, r) that is full answers the circuit of an

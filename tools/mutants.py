@@ -220,6 +220,45 @@ MUTANTS = [
            "return self.inner.takes(e)",
            "a slot part takes a second copy of an element it covers",
            test="tests/test_circuits.py::test_slot_circuits_match_the_oracle"),
+    # --- the graphic lift: forest parts over the slots ------------------------
+    Mutant("graphic-has-no-parallel-lift", "src/matrex/core.py",
+           "if isinstance(inner, GraphicMatroid):",
+           "if False:",
+           "a graphic lift wraps inner forest parts in slot parts again (work only)",
+           test="tests/test_exchange.py::TestOracleBoundary::test_graphic_lift_prepares_no_slot_part"),
+    Mutant("graphic-lift-reorders-its-copies", "src/matrex/core.py",
+           "for _, e in self.slots])",
+           "for _, e in sorted(self.slots, key=operator.itemgetter(1))])",
+           "a slot of the graphic lift copies another slot's edge",
+           test="tests/test_circuits.py::test_graphic_lift_parts_change_like_slot_parts"),
+    Mutant("slot-lift-drops-a-copy", "src/matrex/core.py",
+           "for _, e in self.slots])",
+           "for _, e in self.slots[1:]])",
+           "the graphic lift has one edge fewer than the slots, shifted by one",
+           test="tests/test_circuits.py::test_graphic_lift_parts_change_like_slot_parts"),
+    Mutant("forest-copies-a-whole-part-circuit", "src/matrex/core.py",
+           "        if len(path) == len(self.part):  # a tree path holds each edge once\n"
+           "            return self.part\n",
+           "",
+           "a forest part copies a circuit that is its whole part (work only)",
+           test="tests/test_circuits.py::test_whole_part_circuits_are_the_live_part"),
+    # --- the decode of a mask into its elements -------------------------------
+    Mutant("elements-decodes-bit-by-bit", "src/matrex/core.py",
+           "    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)\n"
+           "    return frozenset(itertools.compress(elements, digits))\n",
+           "    out = []\n"
+           "    while mask:\n"
+           "        low = mask & -mask\n"
+           "        out.append(elements[low.bit_length() - 1])\n"
+           "        mask ^= low\n"
+           "    return frozenset(out)\n",
+           "a mask is decoded bit by bit, copying the mask at each step (work only)",
+           test="tests/test_io.py::test_a_bases_file_keeps_only_its_masks"),
+    Mutant("elements-reads-masks-top-first", "src/matrex/core.py",
+           "digits = bin(mask)[:1:-1].encode()",
+           "digits = bin(mask)[2:].encode()",
+           "a mask's top bit is read as bit 0",
+           test="tests/test_io.py::test_a_bases_file_keeps_only_its_masks"),
     # --- the rank cap of is_basis ---------------------------------------------
     Mutant("rank-cap-skips-independence", "src/matrex/core.py",
            "        if len(s) == self._rank_cap:\n            return self._indep(s)",
