@@ -7,7 +7,8 @@ deterministic JSON (or a one-line report for ``check``).  Exit codes:
   1  usage, file, or JSON format error
   2  semantically invalid input (axiom violation, non-basis set, bad ids)
   3  a size gate was exceeded (input file, matrix entries, lifted slots,
-     problem universe, enumeration, brute force, exchange-axiom check)
+     problem universe, enumeration, brute force, exchange-axiom check,
+     search depth)
   4  partition infeasible (deficiency certificate emitted)
   5  witness search exhausted without finding one
 """

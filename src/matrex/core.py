@@ -6,10 +6,10 @@ fundamental circuits of a prepared independent part, which every class can
 answer through that query and the structured classes answer directly and
 keep up to date as the part grows.  Rank, basis tests, enumeration and
 the parallel-copy lift are built on top.  A parallel copy of an edge is a
-parallel edge, so the lift of a graphic matroid is solved as a graphic
-matroid on its slots; the other lifts answer through their inner matroid's
-part.  A solve restricts a matroid only through the partition's arms,
-which query it in its own ids.
+parallel edge, so the forest parts of a graphic matroid's lift read a
+table of each slot's two ends, with no second matroid; the other lifts
+answer through their inner matroid's part.  A solve restricts a matroid
+only through the partition's arms, which query it in its own ids.
 """
 
 from __future__ import annotations
@@ -238,9 +238,12 @@ class PreparedPart:
     """The fundamental circuits of an independent set ``part`` of ``matroid``,
     kept while the part changes.
 
-    A part starts empty and grows only through ``add``.  ``part`` is a set
-    that the part owns and changes in place: callers read it, but never
-    keep or mutate it.  Each method answers one question.
+    ``matroid`` is the matroid that prepared the part, whose elements the
+    part holds: the forest parts of a graphic lift are of the lift itself,
+    and read its table of slot ends.  A part starts empty and grows only
+    through ``add``.  ``part`` is a set that the part owns and changes in
+    place: callers read it, but never keep or mutate it.  Each method
+    answers one question.
     ``takes(x)``, for ``x`` outside the part, says whether ``part + x`` is
     independent.  ``circuit(x)`` is asked only after ``takes(x)`` refused
     ``x``, with no move in between, and gives the elements of the part on
@@ -335,15 +338,17 @@ class _ForestPart(PreparedPart):
     by climbing to their meeting point; a path that is the whole part is
     answered with ``part`` itself.  Adding x links two trees by
     re-hanging the smaller one below x; removing y cuts the subtree below y
-    off as a tree rooted at its top.  The state is five lists indexed by
-    the matroid's dense vertex ids: ``up`` (parent and edge, None at a
-    root), ``depth``, ``root``, ``size`` (read at roots) and ``adjacent``,
-    so it takes space for the touched vertices only.
+    off as a tree rooted at its top.  ``ends`` gives each element's two
+    dense vertex ids, of ``order`` in all: a graphic matroid's own edges,
+    or the slots of its lift, each a parallel copy of an edge.
+    The state is five lists indexed by those ids: ``up`` (parent and edge,
+    None at a root), ``depth``, ``root``, ``size`` (read at roots) and
+    ``adjacent``, so it takes space for the touched vertices only.
     """
 
-    def __init__(self, matroid: GraphicMatroid):
+    def __init__(self, matroid: Matroid, ends, order: int):
         super().__init__(matroid)
-        order = matroid._order
+        self.ends = ends
         self.up: list[tuple[int, int] | None] = [None] * order
         self.depth = [0] * order
         self.root = list(range(order))
@@ -351,11 +356,11 @@ class _ForestPart(PreparedPart):
         self.adjacent: list[list[tuple[int, int]]] = [[] for _ in range(order)]
 
     def takes(self, x: int) -> bool:
-        u, v = self.matroid._ends[x]
+        u, v = self.ends[x]
         return self.root[u] != self.root[v]  # False for a self-loop: u == v
 
     def circuit(self, x: int) -> AbstractSet[int]:
-        u, v = self.matroid._ends[x]
+        u, v = self.ends[x]
         up, depth, path = self.up, self.depth, []  # a self-loop climbs nowhere
         while u != v:
             if depth[u] < depth[v]:
@@ -367,7 +372,7 @@ class _ForestPart(PreparedPart):
         return frozenset(path)
 
     def add(self, x: int) -> None:
-        u, v = self.matroid._ends[x]
+        u, v = self.ends[x]
         root, size = self.root, self.size
         if root[u] == root[v]:  # a self-loop, or both ends in one tree
             raise self._dependent(x)
@@ -384,7 +389,7 @@ class _ForestPart(PreparedPart):
 
     def remove(self, y: int) -> None:
         self._drop(y)
-        u, v = self.matroid._ends[y]
+        u, v = self.ends[y]
         if self.up[u] != (v, y):
             u, v = v, u
         # u hangs below v by y: cut it off and root its subtree at u.
@@ -507,7 +512,7 @@ class GraphicMatroid(Matroid):
         return frozenset(itertools.islice(joined, self._rank_cap))
 
     def _prepare(self) -> PreparedPart:
-        return _ForestPart(self)
+        return _ForestPart(self, self._ends, self._order)
 
     def __repr__(self) -> str:
         return f"GraphicMatroid(vertices={self.vertex_count}, edges={list(self.edges)})"
@@ -1208,10 +1213,11 @@ class SlotMatroid(Matroid):
     elements are pairwise distinct and their projection is independent.
 
     That projection is the oracle, ``_indep``.  A parallel copy of an edge
-    is a parallel edge, so the lift of a graphic matroid is built here
-    once as a graphic matroid on the inner vertices, slot j an edge between
-    the ends of edge ``slots[j][1]``, and its forest parts are the lift's
-    parts, over the slots.  Any other lift prepares a ``_SlotPart``.
+    is a parallel edge, so the lift of a graphic matroid keeps one table,
+    built here once: slot j's ends are the dense ends of edge
+    ``slots[j][1]``.  Its parts are forest parts of the lift itself, over
+    the slots, that read this table on the inner vertices, with no second
+    matroid.  Any other lift prepares a ``_SlotPart``.
     """
 
     def __init__(self, inner: Matroid, blocks):
@@ -1220,17 +1226,17 @@ class SlotMatroid(Matroid):
         self.inner = inner
         self.slots = tuple((i, e) for i, b in enumerate(blocks) for e in sorted(inner.check_subset(b)))
         super().__init__(len(self.slots))
-        self._lift = None
+        self._ends = None
         if isinstance(inner, GraphicMatroid):
-            self._lift = GraphicMatroid(inner.vertex_count, [inner.edges[e] for _, e in self.slots])
+            self._ends = tuple(inner._ends[e] for _, e in self.slots)
 
     def _indep(self, s: ElementSet) -> bool:
         proj = frozenset(self.slots[j][1] for j in s)
         return len(proj) == len(s) and self.inner._indep(proj)
 
     def _prepare(self) -> PreparedPart:
-        if self._lift is not None:
-            return self._lift._prepare()
+        if self._ends is not None:
+            return _ForestPart(self, self._ends, self.inner._order)
         return _SlotPart(self)
 
     def __repr__(self) -> str:

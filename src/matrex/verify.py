@@ -40,6 +40,10 @@ BRUTE_FORCE_CAP = 16
 #: Default candidate budget for the shift-by-two search.
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
+#: Largest k the shift-by-two search takes.  Its check plan costs about
+#: 320 bytes per level and is built before the budget is first read.
+MAX_SEARCH_K = 2**12
+
 
 def brute_force_cyclic_exchange(instance: ExchangeInstance, cap: int = BRUTE_FORCE_CAP):
     """All tuples (A_2, ..., A_k) whose cyclic shift makes every set a basis.
@@ -401,10 +405,13 @@ def search_shift2_counterexample(
     order is fixed given the seed, so a candidate-bounded run is fully
     reproducible; a wall-clock limit may cut an exhaustion run at a
     machine-dependent point.  A negative budget, and a time limit that is
-    negative or NaN, raise ValidationError.
+    negative or NaN, raise ValidationError; a k above ``MAX_SEARCH_K``
+    raises SizeLimitError.
     """
     if _as_int(k, "k") < 3:
         raise ValidationError(f"the shift-by-two question needs k >= 3, got {k}")
+    if k > MAX_SEARCH_K:
+        raise SizeLimitError(f"the shift-by-two search takes k <= {MAX_SEARCH_K}, got {k}")
     budget = None if budget is None else _count(budget, "budget")
     if time_limit is not None and not isinstance(time_limit, numbers.Real):
         raise ValidationError(f"time_limit must be a real number or None, got {time_limit!r}")

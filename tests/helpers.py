@@ -453,8 +453,7 @@ def check_every_augmentation(monkeypatch):
     for a refused x the same circuit.  An arm allows the elements
     whose list names it.  The matroids and lists are the arguments of the
     ``union._partition`` call made last, which must be the solve under way:
-    each part is of its arm's matroid, or of the graphic matroid that the
-    slot lift of a graphic matroid prepares its parts from.
+    each part is of its arm's matroid.
     Returns the list of inserted sources."""
     augment, partition = union._augment, union._partition
     solves, augmented = [], []
@@ -466,8 +465,7 @@ def check_every_augmentation(monkeypatch):
     def checking(arms_of, prepared, owner, source):
         matroids, given, lists = solves[-1]
         assert arms_of is given and len(prepared) == len(matroids) and all(
-            kept.matroid is matroid or kept.matroid is getattr(matroid, "_lift", None)
-            for kept, matroid in zip(prepared, matroids)), \
+            kept.matroid is matroid for kept, matroid in zip(prepared, matroids)), \
             "the solve must be of the partition call made last"
         before = list(prepared)
         reached = augment(arms_of, prepared, owner, source)

@@ -411,11 +411,11 @@ def test_slot_part_refuses_an_inner_dependent_add():
     with pytest.raises(InternalVerificationError, match="^LinearMatroid part: adding 2 makes"):
         prepared.add(3)  # slot 3 copies column 2
     assert prepared.part == {0, 1}
-    # A graphic lift's forest part is over the slots, and names the slot.
+    # A graphic lift's forest part is of the lift itself, and names the slot.
     lift = disjoint_copies(GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)]), [{0, 1}, {1, 2}])
     prepared = grown(lift._prepare(), {0, 1})  # slots copying edges 0 and 1
     assert type(prepared) is core._ForestPart
-    with pytest.raises(InternalVerificationError, match="^GraphicMatroid part: adding 3 makes"):
+    with pytest.raises(InternalVerificationError, match="^SlotMatroid part: adding 3 makes"):
         prepared.add(3)  # slot 3 copies edge 2
     assert prepared.part == {0, 1}
 

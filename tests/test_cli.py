@@ -470,6 +470,16 @@ class TestSearchShift2:
         assert obj["found"] is False
         assert obj["report"]["candidates_checked"] == 1
 
+    def test_k_past_the_depth_cap_exits_3_in_small_memory(self):
+        # The search refuses a k above MAX_SEARCH_K before it builds its
+        # check plan, which costs about 320 bytes per level: under a 1 GiB
+        # address space a k of 10^9 would run out of memory.
+        for argv in (("--k", "4097", "--budget", "0"), ("--k", "1000000000")):
+            proc = run_cli("search-shift2", *argv, memory_limit=2**30)
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: the shift-by-two search takes k <= 4096")
+
     def test_k2_exits_1(self):
         for argv in (("--k", "2"), ("--k", "3", "--threads", "2")):
             proc = run_cli("search-shift2", *argv)

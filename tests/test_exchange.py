@@ -648,19 +648,27 @@ class TestOracleBoundary:
     def test_graphic_lift_prepares_no_slot_part(self, monkeypatch):
         # The lift of K_6 is itself graphic: each arm's part is a forest
         # over the slots, with no slot part around an inner forest part.
-        made = []
-        init = core.PreparedPart.__init__
+        # Each forest part is of the lift itself, which reads a table of
+        # slot ends: the solve builds no second graphic matroid.
+        made, graphs = [], []
+        init, graphic_init = core.PreparedPart.__init__, GraphicMatroid.__init__
 
         def recording(self, matroid):
             made.append((type(self), matroid))
             init(self, matroid)
 
-        monkeypatch.setattr(core.PreparedPart, "__init__", recording)
+        def counting(self, *args):
+            graphs.append(args)
+            graphic_init(self, *args)
+
         inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed=1)
+        monkeypatch.setattr(core.PreparedPart, "__init__", recording)
+        monkeypatch.setattr(GraphicMatroid, "__init__", counting)
         cyclic_exchange(inst)
         slots = sum(map(len, inst.bases))
         assert [cls for cls, _ in made] == [core._ForestPart] * inst.k
-        assert all(type(m) is GraphicMatroid and m.ground_size == slots for _, m in made)
+        assert all(type(m) is core.SlotMatroid and m.ground_size == slots for _, m in made)
+        assert graphs == []
 
     def test_uniform_search_asks_no_closed_arm_for_a_circuit(self, monkeypatch):
         # A slot part of U(2r, r) that is full answers the circuit of an

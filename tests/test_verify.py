@@ -321,6 +321,13 @@ class TestSearch:
         with pytest.raises(ValidationError):
             search_shift2_counterexample(2)
 
+    def test_k_above_the_depth_cap_rejected(self):
+        # The cap itself is searched; one more level is refused unbuilt.
+        report = search_shift2_counterexample(verify.MAX_SEARCH_K, budget=0)
+        assert report.candidates_checked == 0
+        with pytest.raises(SizeLimitError, match="takes k <= 4096, got 4097"):
+            search_shift2_counterexample(verify.MAX_SEARCH_K + 1, budget=0)
+
     @pytest.mark.parametrize("k, budget, message", [
         ("3", 10, "k must be an integer, got '3'"),
         (3.0, 10, "k must be an integer, got 3.0"),

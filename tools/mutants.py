@@ -227,14 +227,20 @@ MUTANTS = [
            "a graphic lift wraps inner forest parts in slot parts again (work only)",
            test="tests/test_exchange.py::TestOracleBoundary::test_graphic_lift_prepares_no_slot_part"),
     Mutant("graphic-lift-reorders-its-copies", "src/matrex/core.py",
-           "for _, e in self.slots])",
-           "for _, e in sorted(self.slots, key=operator.itemgetter(1))])",
-           "a slot of the graphic lift copies another slot's edge",
+           "tuple(inner._ends[e] for _, e in self.slots)",
+           "tuple(inner._ends[e] for _, e in sorted(self.slots, key=operator.itemgetter(1)))",
+           "a slot of the graphic lift's table of ends copies another slot's edge",
            test="tests/test_circuits.py::test_graphic_lift_parts_change_like_slot_parts"),
     Mutant("slot-lift-drops-a-copy", "src/matrex/core.py",
-           "for _, e in self.slots])",
-           "for _, e in self.slots[1:]])",
-           "the graphic lift has one edge fewer than the slots, shifted by one",
+           "tuple(inner._ends[e] for _, e in self.slots)",
+           "tuple(inner._ends[e] for _, e in self.slots[1:])",
+           "the graphic lift's table of ends has one entry fewer than the slots, "
+           "shifted by one",
+           test="tests/test_circuits.py::test_graphic_lift_parts_change_like_slot_parts"),
+    Mutant("lift-forest-reads-inner-ends", "src/matrex/core.py",
+           "return _ForestPart(self, self._ends, self.inner._order)",
+           "return _ForestPart(self, self.inner._ends, self.inner._order)",
+           "a graphic lift's forest part reads slot x as inner edge x",
            test="tests/test_circuits.py::test_graphic_lift_parts_change_like_slot_parts"),
     Mutant("forest-copies-a-whole-part-circuit", "src/matrex/core.py",
            "        if len(path) == len(self.part):  # a tree path holds each edge once\n"
@@ -359,6 +365,13 @@ MUTANTS = [
            "return not seed & ~functools.reduce(operator.or_, bases) or seed == bases[0]",
            "the search skips every candidate, witnesses included",
            test="tests/test_verify.py"),
+    # --- the search's depth gate ----------------------------------------------
+    Mutant("search-takes-any-depth", "src/matrex/verify.py",
+           "if k > MAX_SEARCH_K:",
+           "if False:",
+           "the search builds a check plan of k levels before it reads its budget",
+           test="tests/test_cli.py::TestSearchShift2::"
+                "test_k_past_the_depth_cap_exits_3_in_small_memory"),
     # --- the basis family as masks --------------------------------------------
     Mutant("mask-gives-a-loop-no-weight", "src/matrex/core.py",
            "    except KeyError:\n        return None",
