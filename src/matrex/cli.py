@@ -236,7 +236,7 @@ def build_parser() -> _Parser:
     p.add_argument("--time-limit", type=float, default=None,
                    help="wall-clock limit in seconds")
     p.add_argument("--seed", type=int, default=0,
-                   help="seeds the random linear phase only; k = 3..7 stop at K_4 before it")
+                   help="seeds the random linear phase, which k = 3..10 never reach: no effect")
     common(p)
     p.set_defaults(func=cmd_search_shift2)
 

@@ -154,6 +154,8 @@ class Matroid(ABC):
     subclass that overrides ``__init__`` (calling the base one) to set up
     its empty state, and ``circuit``; it overrides ``add`` and ``remove``
     too when it keeps state beyond ``part``, and may inherit ``takes``.
+    An override of ``remove`` calls the base one, which refuses a
+    non-member.
 
     ``_rank_cap``, when not None, is a bound on the size of any independent
     set that the class knows without a query (rows for a linear matroid,
@@ -250,8 +252,8 @@ class PreparedPart:
     the unique circuit of ``part + x`` (empty when ``x`` is a loop).  Both
     answers hold until the part's next move, ``add`` or ``remove``, and no
     longer: a circuit that is the whole part may be ``part`` itself, as the
-    uniform, forest and slot parts answer, so a caller reads a circuit
-    before it moves the part.  ``add(x)`` grows the part by an ``x`` that
+    uniform and slot parts answer, so a caller reads a circuit before it
+    moves the part.  ``add(x)`` grows the part by an ``x`` that
     it takes, and ``remove(y)`` drops ``y`` from the part.
 
     This base class answers through the oracle, on a frozenset of the part
@@ -260,8 +262,12 @@ class PreparedPart:
     that ``takes`` asked.  Every part changes its state in place, and
     refuses, with an InternalVerificationError, an ``add`` of a member or
     of an element that would make the part dependent, and a ``remove`` of
-    a non-member (``_drop``): here for the price of one oracle query on
-    each ``add``, in the subclasses mostly for one comparison on each move.
+    a non-member.  The base ``remove`` holds the one non-member check, and
+    every subclass ``remove`` calls it by name, ``PreparedPart.remove(self,
+    y)``, which costs less than ``super()``.  The base ``add`` refuses for
+    the price of one ``takes``: an oracle query here, one scan for a
+    bases-type part, whose ``add`` calls it; the other subclasses refuse
+    through their own state, mostly for one comparison.
     """
 
     def __init__(self, matroid: Matroid):
@@ -283,18 +289,14 @@ class PreparedPart:
         self.part.add(x)
 
     def remove(self, y: int) -> None:
-        self._drop(y)
-
-    def _dependent(self, x: int) -> InternalVerificationError:
-        name = type(self.matroid).__name__
-        return InternalVerificationError(f"{name} part: adding {x} makes it dependent")
-
-    def _drop(self, y: int) -> None:
-        """Take ``y`` out of ``part``, or refuse a non-member."""
         if y not in self.part:
             name = type(self.matroid).__name__
             raise InternalVerificationError(f"{name} part: {y} is not in the part")
         self.part.remove(y)
+
+    def _dependent(self, x: int) -> InternalVerificationError:
+        name = type(self.matroid).__name__
+        return InternalVerificationError(f"{name} part: adding {x} makes it dependent")
 
 
 class _UniformPart(PreparedPart):
@@ -335,8 +337,8 @@ class _ForestPart(PreparedPart):
     """A graphic part as a rooted spanning forest of its edges.
 
     The circuit of part + x is the tree path between x's endpoints, found
-    by climbing to their meeting point; a path that is the whole part is
-    answered with ``part`` itself.  Adding x links two trees by
+    by climbing to their meeting point, as a new frozenset even when it is
+    the whole part.  Adding x links two trees by
     re-hanging the smaller one below x; removing y cuts the subtree below y
     off as a tree rooted at its top.  ``ends`` gives each element's two
     dense vertex ids, of ``order`` in all: a graphic matroid's own edges,
@@ -367,8 +369,6 @@ class _ForestPart(PreparedPart):
                 u, v = v, u
             u, i = up[u]
             path.append(i)
-        if len(path) == len(self.part):  # a tree path holds each edge once
-            return self.part
         return frozenset(path)
 
     def add(self, x: int) -> None:
@@ -388,7 +388,7 @@ class _ForestPart(PreparedPart):
         self.part.add(x)
 
     def remove(self, y: int) -> None:
-        self._drop(y)
+        PreparedPart.remove(self, y)
         u, v = self.ends[y]
         if self.up[u] != (v, y):
             u, v = v, u
@@ -802,7 +802,7 @@ class _EchelonPart(PreparedPart):
         self._last = None
 
     def remove(self, y: int) -> None:
-        self._drop(y)
+        PreparedPart.remove(self, y)
         self._last = None
         j = self.order.index(y)
         self.echelon.drop(self.tag_shift + j * self.matroid._fields.bits)
@@ -1076,14 +1076,12 @@ class _BasisPart(PreparedPart):
         return _elements(closing & ~w, self.matroid._elements)
 
     def add(self, x: int) -> None:
-        if x in self.part or not self.takes(x):
-            raise self._dependent(x)
+        super().add(x)
         self.mask |= self.matroid._weight[x]
-        self.part.add(x)
         self._last = None
 
     def remove(self, y: int) -> None:
-        self._drop(y)
+        PreparedPart.remove(self, y)
         self._last = None
         self.mask ^= self.matroid._weight[y]
 
@@ -1195,7 +1193,7 @@ class _SlotPart(PreparedPart):
         self.cover[e] = x
 
     def remove(self, y: int) -> None:
-        self._drop(y)
+        PreparedPart.remove(self, y)
         e = self.matroid.slots[y][1]
         del self.cover[e]
         self.inner.remove(e)

@@ -615,14 +615,12 @@ def test_slot_whole_circuits_stay_fresh(seed):
 def test_whole_part_circuits_are_the_live_part():
     # A full uniform part, and a slot part whose inner circuit is all of its
     # inner part, answer with ``part`` itself: no copy of the part is made.
+    # A forest part answers with its tree path, a new set, even then.
     uniform = grown(UniformMatroid(4, 2)._prepare(), {0, 1})
     assert uniform.circuit(2) is uniform.part
     lift = disjoint_copies(UniformMatroid(4, 2), [{0, 1}, {2, 3}])
     slots = grown(lift._prepare(), {0, 1})  # the slots copying elements 0 and 1
     assert slots.circuit(2) is slots.part  # slot 2 copies element 2
-    forest = grown(disjoint_copies(cycle(6), [{0, 1, 2, 3, 4}, {1, 2, 3, 4, 5}])._prepare(),
-                   range(5))  # a Hamiltonian path of C_6
-    assert forest.circuit(9) is forest.part  # slot 9 copies edge 5, closing the path
 
 
 def test_partitions_hold_frozensets():

@@ -252,6 +252,19 @@ class TestCheck:
         problem = {"universe": 3, "arms": [{"matroid": LINEAR_2X3, "allowed": [0, 1, 2]}]}
         assert cli.main(["partition", write(tmp_path, "p.json", problem)]) == 3
 
+    @pytest.mark.parametrize("columns, code, message", [
+        ([5], 1, "linear.columns must be an array of integer vectors"),
+        ([[1, 0], [0]], 2, "column 1 has 1 entries, expected 2"),
+    ], ids=["not-vectors", "ragged"])
+    def test_bad_linear_columns_exit_with_their_message(self, tmp_path, capsys,
+                                                        columns, code, message):
+        from matrex import cli
+
+        path = write(tmp_path, "m.json", {"type": "linear", "prime": 2, "rows": 2,
+                                          "columns": columns})
+        assert cli.main(["check", path]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_undecodable_file_exits_1(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_bytes(b'{"type": "uniform", "n": 4, "rank": \xff}')
@@ -306,11 +319,23 @@ class TestCyclicExchange:
         assert proc.returncode == 2
         assert "bases[1]" in proc.stderr
 
-    def test_missing_seed_exits_1(self, tmp_path):
+    def test_missing_seed_exits_1(self, tmp_path, capsys):
+        from matrex import cli
+
         m = write(tmp_path, "m.json", K4)
         b = write(tmp_path, "b.json", {"bases": [[0, 1, 2], [3, 4, 5]]})
-        proc = run_cli("cyclic-exchange", m, b)
-        assert proc.returncode == 1
+        assert cli.main(["cyclic-exchange", m, b]) == 1
+        assert capsys.readouterr() == (
+            "", "error: no seed subset: pass --a1 or an 'a1' field in the bases file\n")
+
+    @pytest.mark.parametrize("obj", [[[0, 1, 2], [3, 4, 5]], {"a1": [0]}])
+    def test_bases_file_without_a_bases_field_exits_1(self, tmp_path, capsys, obj):
+        from matrex import cli
+
+        m, b = write(tmp_path, "m.json", K4), write(tmp_path, "b.json", obj)
+        assert cli.main(["cyclic-exchange", m, b]) == 1
+        assert capsys.readouterr() == (
+            "", "error: bases file must be an object with a 'bases' field\n")
 
     def test_verify_reports_membership(self, tmp_path):
         m = write(tmp_path, "m.json", K4)
@@ -352,6 +377,13 @@ class TestPartition:
         proc = run_cli("partition", write(tmp_path, "p.json", TWO_RANK1_ARMS))
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"parts": [[0], [1]]}
+
+    def test_negative_universe_exits_1(self, tmp_path, capsys):
+        from matrex import cli
+
+        obj = {**TWO_RANK1_ARMS, "universe": -1}
+        assert cli.main(["partition", write(tmp_path, "p.json", obj)]) == 1
+        assert capsys.readouterr() == ("", "error: problem.universe must be >= 0\n")
 
     def test_universe_above_cap_exits_3(self, tmp_path, monkeypatch, capsys):
         from matrex import cli, io

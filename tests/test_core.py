@@ -144,6 +144,8 @@ class TestBaseAxiom:
     def test_unequal_sizes_fail(self):
         ok, violation = check_base_axiom(3, [[0, 1], [2]])
         assert not ok and violation.element is None
+        assert type(violation) is core.AxiomViolation
+        assert str(violation) == "B1=[0, 1] and B2=[2] differ in size"
 
     @pytest.mark.parametrize("n, family, message", [
         ("x", [[0]], "ground size must be an integer, got 'x'"),
@@ -328,6 +330,10 @@ class TestValidation:
         (lambda: LinearMatroid(4, None, 5), "field characteristic must be a prime below 2**16, got 4"),
         (lambda: GraphicMatroid(-1, 5), "vertex count must be >= 0, got -1"),
         (lambda: LinearMatroid(2, 1, [[None]]), "expected an integer, got None"),
+        # unchecked, a long column makes the first query overflow a field,
+        # and a short one reads as if it were padded with zeros
+        (lambda: LinearMatroid(3, 2, [[1, 0], [0, 1, 2]]), "column 1 has 3 entries, expected 2"),
+        (lambda: LinearMatroid(3, 2, [[1, 0], [0]]), "column 1 has 1 entries, expected 2"),
         (lambda: BasisMatroid(3, [5]), "expected a set of element ids, got 5"),
         (lambda: SlotMatroid(5, 7), "blocks must be a sequence of element sets, got 7"),
     ], ids=lambda v: "" if callable(v) else v)

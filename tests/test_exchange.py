@@ -198,6 +198,11 @@ class TestCyclicExchange:
             ExchangeInstance([0, 1], [{0}], frozenset())
         assert str(info.value) == "matroid must be a Matroid, got [0, 1]"
 
+    def test_no_bases_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            ExchangeInstance(UniformMatroid(3, 1), [], frozenset())
+        assert str(info.value) == "an exchange instance needs at least one basis"
+
     def test_seed_outside_first_basis_rejected(self):
         k4 = GraphicMatroid(4, K4_EDGES)
         with pytest.raises(ValidationError, match="seed"):

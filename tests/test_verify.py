@@ -296,6 +296,17 @@ class TestRandomInstance:
             InstanceGenSpec(cls, seed=0, **params)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("cls, params, message", [
+        ("uniform", dict(k=0, n=4, rank=2), "k must be >= 1, got 0"),
+        ("uniform", dict(k=2, n=21, rank=2), "n must stay within the enumeration caps (0..20)"),
+        ("graphic", dict(k=2, vertices=17, n=5), "vertex count must be in 0..16"),
+        ("linear", dict(k=2, prime=2, rows=13, n=4), "ambient dimension must be in 0..12"),
+    ])
+    def test_out_of_range_params_rejected(self, cls, params, message):
+        with pytest.raises(ValidationError) as info:
+            InstanceGenSpec(cls, seed=0, **params)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("seed", [[1], "1", 1.0, None])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValidationError) as info:
@@ -432,14 +443,15 @@ class TestSearch:
         with pytest.raises(InternalVerificationError, match="failed re-verification"):
             search_shift2_counterexample(3, budget=1000)
 
-    @pytest.mark.parametrize("k", range(3, 8))
+    @pytest.mark.parametrize("k", range(3, 9))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_k_stops_at_a_k4_witness(self, k, seed):
         # --seed steers only the random linear phase, which comes after the
-        # whole catalog, so every seed returns the same K_4 witness
+        # whole catalog; every k tried stops at the catalog's first matroid,
+        # K_4, so every seed returns the same witness
         out = search_shift2_counterexample(k, budget=256, seed=seed)
         assert isinstance(out, Shift2Witness)
-        assert out.description == k4_witness().description
+        assert out.description == matroid_to_json(next(verify._search_catalog()))
         assert out.tuples_checked == 3 ** (k - 1)
         assert verify_witness(out)
 
@@ -449,6 +461,11 @@ class TestSearch:
         back = witness_from_json(obj)
         assert witness_to_json(back) == obj
         assert verify_witness(back)
+
+
+#: what ``witness_from_json`` says of anything but an object of the five fields
+WITNESS_FIELDS_ERROR = ("witness must be an object with fields "
+                        "['a1', 'bases', 'k', 'matroid', 'tuples_checked']")
 
 
 class TestWitnessFromJson:
@@ -467,6 +484,19 @@ class TestWitnessFromJson:
         obj = {**obj, "k": True, "bases": obj["bases"][:1]}
         with pytest.raises(FormatError):
             witness_from_json(obj)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda obj: [obj], WITNESS_FIELDS_ERROR),
+        (lambda obj: {**obj, "extra": 1}, WITNESS_FIELDS_ERROR),
+        (lambda obj: {key: obj[key] for key in obj if key != "a1"}, WITNESS_FIELDS_ERROR),
+        (lambda obj: {**obj, "bases": 5}, "witness.bases must be an array of element arrays"),
+        (lambda obj: {**obj, "bases": obj["bases"][:2]},
+         "witness.k does not match the number of bases"),
+    ], ids=["array", "extra-field", "missing-field", "bases-number", "k-mismatch"])
+    def test_rejects_a_malformed_witness(self, change, message):
+        with pytest.raises(FormatError) as info:
+            witness_from_json(change(witness_to_json(k4_witness())))
+        assert str(info.value) == message
 
 
 class TestVerifyWitness:

@@ -165,8 +165,9 @@ MUTANTS = [
            "circuit and add reduce again what takes just reduced (work only)",
            test="tests/test_exchange.py::TestOracleBoundary::test_work_per_solve_is_pinned"),
     Mutant("echelon-memo-outlives-a-remove", "src/matrex/core.py",
-           "        self._drop(y)\n        self._last = None\n        j = self.order.index(y)",
-           "        self._drop(y)\n        j = self.order.index(y)",
+           "        PreparedPart.remove(self, y)\n        self._last = None\n"
+           "        j = self.order.index(y)",
+           "        PreparedPart.remove(self, y)\n        j = self.order.index(y)",
            "a linear part answers from a reduction made before its last remove",
            test="tests/test_circuits.py::test_takes_matches_circuits_after_changes"),
     Mutant("basis-memo-outlives-a-remove", "src/matrex/core.py",
@@ -195,19 +196,22 @@ MUTANTS = [
            "            raise self._dependent(x)\n        self.part.add(x)\n",
            "        if not self.takes(x):\n"
            "            raise self._dependent(x)\n        self.part.add(x)\n",
-           "the oracle part accepts an add of a member",
+           "the oracle part and a basis part accept an add of a member",
            test="tests/test_circuits.py::test_prepared_parts_refuse_misuse"),
     Mutant("uniform-add-takes-a-member", "src/matrex/core.py",
            "if x in self.part or len(self.part) >= self.matroid.rank_bound:",
            "if len(self.part) >= self.matroid.rank_bound:",
            "a uniform part accepts an add of a member",
            test="tests/test_circuits.py::test_prepared_parts_refuse_misuse"),
-    Mutant("basis-add-takes-a-member", "src/matrex/core.py",
-           "        if x in self.part or not self.takes(x):\n"
-           "            raise self._dependent(x)\n        self.mask |=",
-           "        if not self.takes(x):\n"
-           "            raise self._dependent(x)\n        self.mask |=",
-           "a basis part accepts an add of a member",
+    Mutant("basis-add-skips-the-base-check", "src/matrex/core.py",
+           "        super().add(x)\n",
+           "        self.part.add(x)\n",
+           "a basis part accepts an add of a member or of an element that makes it dependent",
+           test="tests/test_circuits.py::test_prepared_parts_refuse_misuse"),
+    Mutant("part-removes-a-non-member", "src/matrex/core.py",
+           "        if y not in self.part:\n",
+           "        if False:\n",
+           "a remove of a non-member raises a bare KeyError, not an InternalVerificationError",
            test="tests/test_circuits.py::test_prepared_parts_refuse_misuse"),
     Mutant("echelon-memo-outlives-an-add", "src/matrex/core.py",
            ", col)\n        self.part.add(x)\n        self._last = None\n",
@@ -242,12 +246,6 @@ MUTANTS = [
            "return _ForestPart(self, self.inner._ends, self.inner._order)",
            "a graphic lift's forest part reads slot x as inner edge x",
            test="tests/test_circuits.py::test_graphic_lift_parts_change_like_slot_parts"),
-    Mutant("forest-copies-a-whole-part-circuit", "src/matrex/core.py",
-           "        if len(path) == len(self.part):  # a tree path holds each edge once\n"
-           "            return self.part\n",
-           "",
-           "a forest part copies a circuit that is its whole part (work only)",
-           test="tests/test_circuits.py::test_whole_part_circuits_are_the_live_part"),
     # --- the decode of a mask into its elements -------------------------------
     Mutant("elements-decodes-bit-by-bit", "src/matrex/core.py",
            "    digits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)\n"
@@ -473,6 +471,68 @@ MUTANTS = [
            "    return True",
            "a family with no shift-by-one tuple passes as a witness",
            test="tests/test_verify.py"),
+    # --- input checks: one mutant per check, each turned off -----------------
+    *(Mutant(f"skips-{check}", path, old, new,
+             f"the {what} check is off, so {effect}", test=test)
+      for check, path, old, new, what, effect, test in [
+          ("column-length", "src/matrex/core.py", "        if len(vec) != rows:\n",
+           "        if False:\n", "column length",
+           "a ragged column is accepted and breaks the first query",
+           "tests/test_core.py::TestValidation::test_constructors_name_a_bad_argument"),
+          ("size-mismatch-message", "src/matrex/core.py",
+           "        if self.element is None:\n", "        if False:\n", "size-mismatch message",
+           "a family of two sizes is reported with e1=None",
+           "tests/test_core.py::TestBaseAxiom::test_unequal_sizes_fail"),
+          ("instance-without-bases", "src/matrex/exchange.py", "        if not bases:\n",
+           "        if False:\n", "nonempty-bases",
+           "an instance with no bases raises an IndexError",
+           "tests/test_exchange.py::TestCyclicExchange::test_no_bases_rejected"),
+          ("spec-k", "src/matrex/verify.py", "if self.k < 1:", "if False:", "spec's k",
+           "a spec with k = 0 is accepted",
+           "tests/test_verify.py::TestRandomInstance::test_out_of_range_params_rejected"),
+          ("spec-n", "src/matrex/verify.py",
+           "if self.n is not None and not 0 <= self.n <= 20:", "if False:", "spec's n",
+           "a spec past the enumeration caps is accepted",
+           "tests/test_verify.py::TestRandomInstance::test_out_of_range_params_rejected"),
+          ("spec-vertices", "src/matrex/verify.py",
+           "if self.vertices is not None and not 0 <= self.vertices <= 16:", "if False:",
+           "spec's vertex count", "a spec of 17 vertices is accepted",
+           "tests/test_verify.py::TestRandomInstance::test_out_of_range_params_rejected"),
+          ("spec-rows", "src/matrex/verify.py",
+           "if self.rows is not None and not 0 <= self.rows <= 12:", "if False:",
+           "spec's ambient dimension", "a spec of 13 rows is accepted",
+           "tests/test_verify.py::TestRandomInstance::test_out_of_range_params_rejected"),
+          ("witness-fields", "src/matrex/verify.py",
+           "if not isinstance(obj, dict) or obj.keys() != required:", "if False:",
+           "witness fields", "a witness with other fields raises a raw error or is read",
+           "tests/test_verify.py::TestWitnessFromJson::test_rejects_a_malformed_witness"),
+          ("witness-bases-array", "src/matrex/verify.py",
+           "if not isinstance(obj[\"bases\"], list):", "if False:", "witness bases array",
+           "a witness whose bases are a number raises a TypeError",
+           "tests/test_verify.py::TestWitnessFromJson::test_rejects_a_malformed_witness"),
+          ("witness-k", "src/matrex/verify.py",
+           "if _int_field(obj, \"k\", \"witness\") != len(bases):", "if False:", "witness k",
+           "a witness whose k differs from its number of bases is read",
+           "tests/test_verify.py::TestWitnessFromJson::test_rejects_a_malformed_witness"),
+          ("linear-columns-array", "src/matrex/io.py",
+           "if not isinstance(columns, list) or not all(isinstance(c, list) for c in columns):",
+           "if False:", "file's linear columns",
+           "a column that is a number exits 2 with the library's message",
+           "tests/test_cli.py::TestCheck::test_bad_linear_columns_exit_with_their_message"),
+          ("bases-file-object", "src/matrex/io.py",
+           "if not isinstance(obj, dict) or \"bases\" not in obj:", "if False:",
+           "bases file object", "a bases file without a 'bases' field ends in a traceback",
+           "tests/test_cli.py::TestCyclicExchange::test_bases_file_without_a_bases_field_exits_1"),
+          ("negative-universe", "src/matrex/io.py", "    if n < 0:\n", "    if False:\n",
+           "problem universe", "a negative universe is refused with another message",
+           "tests/test_cli.py::TestPartition::test_negative_universe_exits_1"),
+          ("missing-seed", "src/matrex/cli.py",
+           "    elif file_a1 is not None:\n        a1 = file_a1\n    else:\n"
+           "        raise _UsageError(\"no seed subset: pass --a1 or an 'a1' field in the "
+           "bases file\")\n", "    else:\n        a1 = file_a1\n",
+           "seed subset", "a missing seed exits 2 as a set of None",
+           "tests/test_cli.py::TestCyclicExchange::test_missing_seed_exits_1"),
+      ]),
     Mutant("echelon-drops-the-first-tagged-row", "src/matrex/core.py",
            "r = next(r for r in reversed(range(len(rows))) if rows[r][1] >> at & mask)",
            "r = next(r for r in range(len(rows)) if rows[r][1] >> at & mask)",
@@ -514,9 +574,9 @@ EQUIVALENT: list[Mutant] = [
            "add refuses a dependent element, so a part never holds more than rows",
            test="tests/test_circuits.py::test_circuits_match_the_oracle"),
     Mutant("basis-memo-outlives-an-add", "src/matrex/core.py",
-           "        self.mask |= self.matroid._weight[x]\n        self.part.add(x)\n"
+           "        super().add(x)\n        self.mask |= self.matroid._weight[x]\n"
            "        self._last = None\n",
-           "        self.mask |= self.matroid._weight[x]\n        self.part.add(x)\n",
+           "        super().add(x)\n        self.mask |= self.matroid._weight[x]\n",
            "after add(x) the memo names x, now in the part; a part is asked only of "
            "elements outside it, a second add(x) is refused before the memo is read, "
            "and x leaves the part only by a remove, which forgets the memo",
