@@ -79,7 +79,7 @@ def _check_bases(matroid: Matroid, bases) -> None:
     """Raise unless every set of ``bases``, already validated as element
     sets, is a basis of ``matroid``."""
     for idx, b in enumerate(bases):
-        if not matroid.is_basis(b):
+        if not matroid._basis(b):
             raise ValidationError(f"bases[{idx}] is not a basis of the matroid")
 
 
@@ -137,9 +137,10 @@ class Matroid(ABC):
 
     Subclasses implement ``_indep``, the one oracle method, on trusted
     frozensets: the public methods validate ids once, internal code calls
-    ``_indep``.  Nothing is memoised here; the partition solver keeps one
-    prepared part per arm, and only a linear or bases-type part remembers
-    an answer, one at a time, until its next move.
+    ``_indep`` and the basis test ``_basis`` on sets it has checked or
+    built from checked ones.  Nothing is memoised here; the partition
+    solver keeps one prepared part per arm, and only a linear or bases-type
+    part remembers an answer, one at a time, until its next move.
 
     ``_prepare()`` returns an empty ``PreparedPart``, which ``add`` grows:
     its ``takes(x)`` tells whether ``part + x`` is independent, its
@@ -161,7 +162,7 @@ class Matroid(ABC):
     set that the class knows without a query (rows for a linear matroid,
     touched vertices minus one for a graphic one).  A set of that size is a
     basis exactly when it is independent, whatever the true rank, so
-    ``is_basis`` tests such a set without computing ``full_rank``.
+    ``_basis`` tests such a set without computing ``full_rank``.
     """
 
     _rank_cap: int | None = None
@@ -217,10 +218,11 @@ class Matroid(ABC):
         return self._full_rank
 
     def is_basis(self, elements) -> bool:
-        s = self.check_subset(elements)
-        if len(s) == self._rank_cap:
-            return self._indep(s)
-        return len(s) == self.full_rank() and self._indep(s)
+        return self._basis(self.check_subset(elements))
+
+    def _basis(self, s: ElementSet) -> bool:
+        """Whether a validated subset of the ground set is a basis."""
+        return (len(s) == self._rank_cap or len(s) == self.full_rank()) and self._indep(s)
 
     def enumerate_bases(self, cap: int = ENUMERATION_CAP) -> list[ElementSet]:
         """All bases in lexicographic order; refuses ground sets above ``cap``."""
@@ -1092,7 +1094,7 @@ class BasisMatroid(Matroid):
     The family is kept once, as bitmasks: ``_masks`` is a dict whose keys
     are the masks of the distinct bases, in the lexicographic order of the
     bases, so that one structure serves the ordered scans of independence,
-    circuits and enumeration and the membership test of ``is_basis``.  Bit
+    circuits and enumeration and the membership test of ``_basis``.  Bit
     i stands for ``_elements[i]``, the elements of the union of the bases in
     descending order (see ``_basis_family``); the other elements are loops.
     ``bases`` builds the family's element sets from the masks.  The exchange
@@ -1124,8 +1126,12 @@ class BasisMatroid(Matroid):
     def _prepare(self) -> PreparedPart:
         return _BasisPart(self)
 
-    def is_basis(self, elements) -> bool:
-        return _mask(self.check_subset(elements), self._weight) in self._masks
+    # ``bench/tracing.py`` wraps ``is_basis`` through this class's own dict
+    # until ROADMAP item 2b stops it wrapping the query stack.
+    is_basis = Matroid.is_basis
+
+    def _basis(self, s: ElementSet) -> bool:
+        return _mask(s, self._weight) in self._masks
 
     def enumerate_bases(self, cap: int = ENUMERATION_CAP) -> list[ElementSet]:
         # The generic scan's result: ``bases`` is in its order.  Above the
@@ -1205,10 +1211,12 @@ class SlotMatroid(Matroid):
     Block i gets one slot per element of ``blocks[i]``, in ascending order,
     and ``slots`` lists the (tag, element) pair of every slot: slot j copies
     inner element ``slots[j][1]`` of block ``slots[j][0]``.  A block may be
-    any element set of the inner matroid, dependent or empty; each is
-    checked by ``inner.check_subset``.  Two copies of the same inner
-    element form a circuit, so a slot set is independent iff its inner
-    elements are pairwise distinct and their projection is independent.
+    any element set of the inner matroid, dependent or empty.  This
+    constructor checks each block by ``inner.check_subset``; ``_lifted``
+    builds the same lift on blocks that are already checked, and checks
+    none.  Two copies of the same inner element form a circuit, so a slot
+    set is independent iff its inner elements are pairwise distinct and
+    their projection is independent.
 
     That projection is the oracle, ``_indep``.  A parallel copy of an edge
     is a parallel edge, so the lift of a graphic matroid keeps one table,
@@ -1221,12 +1229,14 @@ class SlotMatroid(Matroid):
     def __init__(self, inner: Matroid, blocks):
         blocks = _listed(blocks, "blocks must be a sequence of element sets")
         _check_matroid(inner, "the inner matroid")
+        self._lift(inner, map(inner.check_subset, blocks))
+
+    def _lift(self, inner: Matroid, blocks) -> None:
         self.inner = inner
-        self.slots = tuple((i, e) for i, b in enumerate(blocks) for e in sorted(inner.check_subset(b)))
+        self.slots = tuple((i, e) for i, b in enumerate(blocks) for e in sorted(b))
         super().__init__(len(self.slots))
-        self._ends = None
-        if isinstance(inner, GraphicMatroid):
-            self._ends = tuple(inner._ends[e] for _, e in self.slots)
+        graphic = isinstance(inner, GraphicMatroid)
+        self._ends = tuple(inner._ends[e] for _, e in self.slots) if graphic else None
 
     def _indep(self, s: ElementSet) -> bool:
         proj = frozenset(self.slots[j][1] for j in s)
@@ -1241,11 +1251,20 @@ class SlotMatroid(Matroid):
         return f"SlotMatroid({self.inner!r}, slots={len(self.slots)})"
 
 
+def _lifted(inner: Matroid, blocks) -> SlotMatroid:
+    """``SlotMatroid(inner, blocks)`` on ``blocks`` that are already checked
+    element sets of ``inner``, which it does not check again."""
+    lift = SlotMatroid.__new__(SlotMatroid)
+    lift._lift(inner, blocks)
+    return lift
+
+
 def disjoint_copies(matroid: Matroid, bases) -> SlotMatroid:
     """Lift ``matroid`` so the given bases become pairwise disjoint.
 
     The lift is ``SlotMatroid(matroid, bases)`` after a check that every
-    set is a basis: each basis is one block of slots, so overlapping or even
+    set is a basis, built on the sets that check read, with no second
+    check: each basis is one block of slots, so overlapping or even
     repeated input bases turn into disjoint slot blocks, each still a basis
     of the lift.
     """
@@ -1253,4 +1272,4 @@ def disjoint_copies(matroid: Matroid, bases) -> SlotMatroid:
     _check_matroid(matroid, "matroid")
     normalized = [matroid.check_subset(b) for b in bases]
     _check_bases(matroid, normalized)
-    return SlotMatroid(matroid, normalized)
+    return _lifted(matroid, normalized)

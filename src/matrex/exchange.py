@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (ElementSet, Matroid, SlotMatroid, _as_int, _check_bases, _check_matroid,
-                   _listed, canon)
+                   _lifted, _listed, canon)
 from .errors import InternalVerificationError, ValidationError
 from .union import _partition
 
@@ -23,7 +23,9 @@ class ExchangeInstance:
     """A matroid, an ordered tuple of its bases, and a seed subset of the first.
 
     Bases may overlap or repeat.  ``seed`` is the subset that will be shifted
-    out of ``bases[0]``; it may be empty or all of ``bases[0]``.
+    out of ``bases[0]``; it may be empty or all of ``bases[0]``.  This is
+    where an exchange checks its ids, once: the lift, the read-back and the
+    brute-force oracle trust the checked bases and seed.
     """
 
     matroid: Matroid
@@ -70,12 +72,13 @@ def build_color_classes(instance: ExchangeInstance) -> ColorClasses:
     Slots of B_1 \\ A_1 may only stay in part 1's shifted set; slots of A_1
     may only move to part 2; slots of B_i may stay in part i or move to part
     i+1, cyclically (0-based: lists {j, j+1 mod k}, with basis 0 split by the
-    seed).
+    seed).  The lift's blocks are the instance's checked bases, which it
+    does not check again.
     """
     if instance.k < 2:
         raise ValidationError("color classes are defined for k >= 2")
     k = instance.k
-    lifted = SlotMatroid(instance.matroid, instance.bases)
+    lifted = _lifted(instance.matroid, instance.bases)
 
     moved, kept = (1,), (0,)
     pairs = [tuple(sorted({tag, (tag + 1) % k})) for tag in range(k)]
@@ -139,7 +142,7 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
     partition unchecked; this read-back checks it instead, and raises
     ``InternalVerificationError`` on the first check that fails: there are
     k parts, A_1 is the seed, each part projects onto its shifted set, each
-    A_i has the seed's size, each shifted set is a basis (``is_basis``),
+    A_i has the seed's size, each shifted set is a basis (``_basis``),
     each part lies in its color class, and no slot is in two parts.
     Together these imply all that ``verify_partition`` checks, so each
     shifted set's independence is tested once.
@@ -194,7 +197,7 @@ def cyclic_exchange(instance: ExchangeInstance) -> ExchangeResult:
             raise InternalVerificationError(
                 f"exchange set {i} has size {len(parts[i])}, expected {len(seed)}"
             )
-        if not matroid.is_basis(s):
+        if not matroid._basis(s):
             raise InternalVerificationError(
                 f"shifted set {i} ({canon(s)}) is not a basis"
             )

@@ -53,7 +53,9 @@ def brute_force_cyclic_exchange(instance: ExchangeInstance, cap: int = BRUTE_FOR
     (B_i \\ A_i) u A_{i-1} is not a basis.  It returns the same list, in the
     same lexicographic order of the chosen subsets, as enumerating every
     tuple and testing all k sets would.  The walk runs on element sets, and
-    passes each set it tests to the matroid's ``is_basis``.
+    passes each set it tests to the matroid's ``_basis``: the instance
+    checked the ids of the bases and seed, and every tested set is made of
+    them.
     """
     if instance.k < 2:
         raise ValidationError("brute force enumeration needs k >= 2")
@@ -62,7 +64,7 @@ def brute_force_cyclic_exchange(instance: ExchangeInstance, cap: int = BRUTE_FOR
         raise SizeLimitError(f"total basis size {total} exceeds brute force cap {cap}")
     size = len(instance.seed)
     pools = [list(map(frozenset, itertools.combinations(sorted(b), size))) for b in instance.bases]
-    return list(_shift_tuples(instance.matroid.is_basis, _check_plan(instance.k, (1,)),
+    return list(_shift_tuples(instance.matroid._basis, _check_plan(instance.k, (1,)),
                               instance.bases, pools, instance.seed))
 
 
@@ -173,11 +175,11 @@ class InstanceGenSpec:
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
         if self.n is not None and not 0 <= self.n <= 20:
-            raise ValidationError("n must stay within the enumeration caps (0..20)")
+            raise ValidationError(f"n must stay within the enumeration caps (0..20), got {self.n}")
         if self.vertices is not None and not 0 <= self.vertices <= 16:
-            raise ValidationError("vertex count must be in 0..16")
+            raise ValidationError(f"vertex count must be in 0..16, got {self.vertices}")
         if self.rows is not None and not 0 <= self.rows <= 12:
-            raise ValidationError("ambient dimension must be in 0..12")
+            raise ValidationError(f"ambient dimension must be in 0..12, got {self.rows}")
 
 
 _GENERATION_RETRIES = 64
@@ -301,7 +303,7 @@ def verify_witness(witness: Shift2Witness) -> bool:
         return False
     if k < 3 or m.full_rank() != 3:
         return False
-    if not all(m.is_basis(b) for b in bases):
+    if not all(m._basis(b) for b in bases):
         return False
     if not seed <= bases[0]:
         return False
@@ -311,9 +313,9 @@ def verify_witness(witness: Shift2Witness) -> bool:
     shift1_seen = False
     for combo in itertools.product(*pools):
         parts = (seed,) + tuple(frozenset(c) for c in combo)
-        if all(m.is_basis(s) for s in _shift_sets(bases, parts, 1)):
+        if all(m._basis(s) for s in _shift_sets(bases, parts, 1)):
             shift1_seen = True
-            if all(m.is_basis(s) for s in _shift_sets(bases, parts, 2)):
+            if all(m._basis(s) for s in _shift_sets(bases, parts, 2)):
                 return False
     return shift1_seen
 

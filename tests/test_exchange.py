@@ -605,12 +605,15 @@ class TestOracleBoundary:
         for seed in (1, 4):  # 25 and 20 queries
             inst = seeded_instance(GraphicMatroid(6, K6_EDGES), 3, seed)
             counts.update(check=0, query=0)
-            cyclic_exchange(inst)
+            cyclic_exchange(ExchangeInstance(inst.matroid, inst.bases, inst.seed))
             observed.append((counts["check"], counts["query"]))
 
         (check1, query1), (check2, query2) = observed
         assert query1 != query2
         assert check1 == check2 < min(query1, query2)
+        # ExchangeInstance checks the k bases and the seed; nothing after it
+        # checks an id again
+        assert check1 == inst.k + 1
 
     @pytest.mark.parametrize("make, k, seed, part, pins", [
         # A 4 x 12 matrix over GF(3) of rank 4: one-byte fields.
@@ -758,19 +761,55 @@ class TestOracleBoundary:
                     assert solve() > inst.k, (layer, method)
 
     def test_bases_are_checked_once_per_solve(self, monkeypatch):
-        # k checks in ExchangeInstance and k on the shifted sets; the lift
-        # trusts the validated instance
+        # k checks in ExchangeInstance and k on the shifted sets, all on
+        # checked sets through the trusted basis test; the lift trusts the
+        # validated instance
         calls = []
-        is_basis = core.Matroid.is_basis
+        basis = core.Matroid._basis
 
-        def counting_is_basis(self, elements):
+        def counting_basis(self, s):
             calls.append(self)
-            return is_basis(self, elements)
+            return basis(self, s)
 
-        monkeypatch.setattr(core.Matroid, "is_basis", counting_is_basis)
+        monkeypatch.setattr(core.Matroid, "_basis", counting_basis)
         k6 = GraphicMatroid(6, K6_EDGES)
         cyclic_exchange(seeded_instance(k6, 3, seed=1))
         assert calls == [k6] * 6
+
+    @pytest.mark.parametrize("bad, message", [
+        (7, "element 7 out of range for ground set of size 6"),
+        ("a", "expected an integer, got 'a'"),
+    ], ids=["out-of-range", "non-integer"])
+    @pytest.mark.parametrize("call", [
+        lambda m, bad: m.is_basis({0, bad}),
+        lambda m, bad: core.SlotMatroid(m, [{0, 1}, {2, bad}]),
+        lambda m, bad: core.disjoint_copies(m, [{0, 1}, {2, bad}]),
+        lambda m, bad: ExchangeInstance(m, ({0, 1}, {2, bad}), {0}),
+        lambda m, bad: ExchangeInstance(m, ({0, 1}, {2, 3}), {bad}),
+    ], ids=["is_basis", "SlotMatroid", "disjoint_copies", "ExchangeInstance-bases",
+            "ExchangeInstance-seed"])
+    def test_public_entries_check_ids(self, call, bad, message):
+        # Inside an exchange only ExchangeInstance checks ids; every public
+        # entry still checks its own, with the same messages.
+        for matroid in (UniformMatroid(6, 2),
+                        core.BasisMatroid(6, itertools.combinations(range(6), 2))):
+            with pytest.raises(ValidationError) as info:
+                call(matroid, bad)
+            assert str(info.value) == message
+
+    def test_disjoint_copies_checks_each_basis_once(self, monkeypatch):
+        # the lift is built on the sets that the basis check read
+        checked = []
+        check = core.Matroid.check_subset
+
+        def counting_check(self, elements):
+            checked.append(self)
+            return check(self, elements)
+
+        monkeypatch.setattr(core.Matroid, "check_subset", counting_check)
+        k4 = GraphicMatroid(4, K4_EDGES)
+        core.disjoint_copies(k4, [{0, 1, 2}, {3, 4, 5}, {0, 1, 2}])
+        assert checked == [k4] * 3
 
     def test_each_shifted_set_is_tested_once(self, monkeypatch):
         # k independence tests validate the bases and k test the shifted

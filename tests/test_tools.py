@@ -7,8 +7,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(f"tools_{name}", ROOT / "tools" / f"{name}.py")
+def load_tool(name, folder="tools"):
+    spec = importlib.util.spec_from_file_location(f"{folder}_{name}", ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -23,6 +23,27 @@ def test_mutant_catalogue_matches_the_source():
     assert mutants.check_catalogue(mutants.MUTANTS + mutants.EQUIVALENT) == []
     assert not mutants.names_a_test("")
     assert not mutants.names_a_test("tests/test_tools.py::no_such_test")
+
+
+def test_tracer_restores_what_it_patches():
+    # The bench's tracer binds each traced name from its owner's own dict,
+    # so a rename or a moved method fails its install here, and not only in
+    # a traced bench run.
+    tracing = load_tool("tracing", folder="bench")
+    modules = (sys.modules["matrex"],) + tracing.MODULES
+    owners = [*modules, *{value for module in modules for value in vars(module).values()
+                          if isinstance(value, type) and value.__module__.startswith("matrex")}]
+    before = {owner: dict(vars(owner)) for owner in owners}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        during = {owner: dict(vars(owner)) for owner in owners}
+    finally:
+        tracer.uninstall()
+    patched = {(owner, attr) for owner in owners for attr, value in before[owner].items()
+               if during[owner][attr] is not value}
+    assert {(owner, attr) for owner, attr, _ in tracing._targets()} <= patched
+    assert {owner: dict(vars(owner)) for owner in owners} == before
 
 
 def test_joins_crossover_times_both_union_finds(capsys):

@@ -298,9 +298,10 @@ class TestRandomInstance:
 
     @pytest.mark.parametrize("cls, params, message", [
         ("uniform", dict(k=0, n=4, rank=2), "k must be >= 1, got 0"),
-        ("uniform", dict(k=2, n=21, rank=2), "n must stay within the enumeration caps (0..20)"),
-        ("graphic", dict(k=2, vertices=17, n=5), "vertex count must be in 0..16"),
-        ("linear", dict(k=2, prime=2, rows=13, n=4), "ambient dimension must be in 0..12"),
+        ("uniform", dict(k=2, n=21, rank=2),
+         "n must stay within the enumeration caps (0..20), got 21"),
+        ("graphic", dict(k=2, vertices=17, n=5), "vertex count must be in 0..16, got 17"),
+        ("linear", dict(k=2, prime=2, rows=13, n=4), "ambient dimension must be in 0..12, got 13"),
     ])
     def test_out_of_range_params_rejected(self, cls, params, message):
         with pytest.raises(ValidationError) as info:

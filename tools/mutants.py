@@ -226,8 +226,8 @@ MUTANTS = [
            test="tests/test_circuits.py::test_slot_circuits_match_the_oracle"),
     # --- the graphic lift: forest parts over the slots ------------------------
     Mutant("graphic-has-no-parallel-lift", "src/matrex/core.py",
-           "if isinstance(inner, GraphicMatroid):",
-           "if False:",
+           "graphic = isinstance(inner, GraphicMatroid)",
+           "graphic = False",
            "a graphic lift wraps inner forest parts in slot parts again (work only)",
            test="tests/test_exchange.py::TestOracleBoundary::test_graphic_lift_prepares_no_slot_part"),
     Mutant("graphic-lift-reorders-its-copies", "src/matrex/core.py",
@@ -263,10 +263,10 @@ MUTANTS = [
            "digits = bin(mask)[2:].encode()",
            "a mask's top bit is read as bit 0",
            test="tests/test_io.py::test_a_bases_file_keeps_only_its_masks"),
-    # --- the rank cap of is_basis ---------------------------------------------
+    # --- the rank cap of _basis -----------------------------------------------
     Mutant("rank-cap-skips-independence", "src/matrex/core.py",
-           "        if len(s) == self._rank_cap:\n            return self._indep(s)",
-           "        if len(s) == self._rank_cap:\n            return True",
+           "return (len(s) == self._rank_cap or len(s) == self.full_rank()) and self._indep(s)",
+           "return len(s) == self._rank_cap or (len(s) == self.full_rank() and self._indep(s))",
            "every set of rank-cap size is a basis, dependent or not",
            test="tests/test_core.py::TestIsBasis"),
     Mutant("linear-rank-cap-too-high", "src/matrex/core.py",
@@ -343,6 +343,44 @@ MUTANTS = [
            "a float or bool equal to a shared element is returned as it is",
            test="tests/test_exchange.py::TestSymmetricExchange"
                 "::test_single_checks_the_element_on_both_paths"),
+    # --- ids: checked at each public entry, and once per exchange ------------
+    Mutant("is-basis-skips-the-id-check", "src/matrex/core.py",
+           "return self._basis(self.check_subset(elements))",
+           "return self._basis(frozenset(elements))",
+           "is_basis answers for an id out of range instead of naming it",
+           test="tests/test_exchange.py::TestOracleBoundary::test_public_entries_check_ids"),
+    Mutant("basis-family-basis-answers-true", "src/matrex/core.py",
+           "        return _mask(s, self._weight) in self._masks\n",
+           "        return True\n",
+           "a basis family takes every set for a basis",
+           test="tests/test_core.py::test_basis_queries_match_the_family"),
+    Mutant("basis-family-drops-its-own-is-basis", "src/matrex/core.py",
+           "    is_basis = Matroid.is_basis\n",
+           "",
+           "bench/tracing.py finds no is_basis in the class dict and fails to install",
+           test="tests/test_tools.py::test_tracer_restores_what_it_patches"),
+    Mutant("slot-lift-skips-the-block-check", "src/matrex/core.py",
+           "self._lift(inner, map(inner.check_subset, blocks))",
+           "self._lift(inner, blocks)",
+           "a public lift takes blocks of ids out of range or not integers",
+           test="tests/test_core.py::TestValidation::test_blocks_name_the_first_bad_block"),
+    Mutant("disjoint-copies-checks-again", "src/matrex/core.py",
+           "return _lifted(matroid, normalized)",
+           "return SlotMatroid(matroid, normalized)",
+           "disjoint_copies checks each basis's ids a second time (work only)",
+           test="tests/test_exchange.py::TestOracleBoundary"
+                "::test_disjoint_copies_checks_each_basis_once"),
+    Mutant("instance-skips-the-basis-check", "src/matrex/exchange.py",
+           "        _check_bases(self.matroid, bases)\n",
+           "",
+           "an exchange instance takes sets that are not bases",
+           test="tests/test_exchange.py::TestCyclicExchange::test_non_basis_input_rejected"),
+    Mutant("exchange-lift-checks-again", "src/matrex/exchange.py",
+           "lifted = _lifted(instance.matroid, instance.bases)",
+           "lifted = SlotMatroid(instance.matroid, instance.bases)",
+           "the exchange's lift checks the instance's bases a second time (work only)",
+           test="tests/test_exchange.py::TestOracleBoundary"
+                "::test_check_subset_calls_do_not_grow_with_queries"),
     # --- the read-back of cyclic_exchange: one mutant per check ---------------
     *(Mutant(f"read-back-skips-{check}", "src/matrex/exchange.py", old, "if False:",
              f"the read-back lets a partition through that fails its {check} check",
@@ -353,7 +391,7 @@ MUTANTS = [
           ("seed", "if parts[0] != seed:", "test_corrupted_partition_raises"),
           ("projection", "if projections[i] != s:", "test_corrupted_partition_raises"),
           ("size", "if len(parts[i]) != len(seed):", "test_corrupted_partition_raises"),
-          ("is-basis", "if not matroid.is_basis(s):", "test_corrupted_partition_raises"),
+          ("is-basis", "if not matroid._basis(s):", "test_corrupted_partition_raises"),
           ("class", "if not part <= classes.classes[i]:", "test_corrupted_partition_raises"),
           ("disjoint", "if not seen.isdisjoint(part):", "test_corrupted_partition_raises"),
       ]),
